@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, solve_row_combinations
 
 FULL = "full"
 PRINCIPAL = "principal"
@@ -23,6 +23,10 @@ CHAIN_KINDS = (FULL, PRINCIPAL, PLENARY)
 # Unbounded full chains get a hard safety cap; exceeding it means the input
 # violated the subalgebra contract badly enough to defeat plateau detection.
 _HARD_CAP = 10_000
+
+
+class ChainCapError(RuntimeError):
+    """An unbounded full power chain reached the hard cap without stabilizing."""
 
 
 class CommAlgebra:
@@ -206,12 +210,14 @@ class Element:
         return " + ".join(parts) if parts else "0"
 
 
-def multiply(a: CommAlgebra, x: Element, y: Element) -> Element:
-    return a.multiply(x, y)
-
-
-def left_mult_operator(a: CommAlgebra, x: Element, restrict_to: Subspace | None = None) -> Matrix:
-    return a.left_mult_matrix(x, restrict_to)
+def weight_of(weight, x: Element):
+    """Value at x of the linear functional with the given basis values."""
+    zero = x.algebra.field.zero
+    acc = zero
+    for w, c in zip(weight, x.coords):
+        if w != zero and c != zero:
+            acc = acc + w * c
+    return acc
 
 
 def subspace_product(a: CommAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
@@ -271,8 +277,8 @@ def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
         if max_steps is not None and pos >= max_steps:
             return terms, False, None
         if max_steps is None and pos >= _HARD_CAP:
-            raise RuntimeError("full power chain did not stabilize within the "
-                               "safety cap; pass max_steps to truncate")
+            raise ChainCapError("full power chain did not stabilize within the "
+                                "safety cap; pass max_steps to truncate")
         new = Subspace.zero(a.dim, a.field)
         i = pos + 1
         for r in range(1, i // 2 + 1):
@@ -321,18 +327,6 @@ def power_chain(a: CommAlgebra, s: Subspace, kind: str, max_steps: int | None = 
     return PowerChain(kind, tuple(terms), stable, nil)
 
 
-def full_power_terms(a: CommAlgebra, s: Subspace, count: int) -> list[Subspace]:
-    """The first `count` full powers S^1 .. S^count, with no early stop."""
-    cache = _ProductCache(a)
-    terms = [s]
-    for i in range(2, count + 1):
-        new = Subspace.zero(a.dim, a.field)
-        for r in range(1, i // 2 + 1):
-            new = new.plus(cache.product(terms[r - 1], terms[i - r - 1]))
-        terms.append(new)
-    return terms[:count]
-
-
 def generated_subalgebra(a: CommAlgebra, gens) -> Subspace:
     """Smallest subspace containing gens and closed under the product."""
     span = a.span_of(list(gens))
@@ -373,15 +367,18 @@ class NilpotencyReport:
     nil_index_principal: int | None
     solv_index: int | None
 
+    @staticmethod
+    def of_chains(full: PowerChain, principal: PowerChain,
+                  plenary: PowerChain) -> "NilpotencyReport":
+        solv = None
+        if plenary.nil_index is not None:
+            solv = max(plenary.nil_index - 1, 1)
+        return NilpotencyReport(full.nil_index, principal.nil_index, solv)
+
 
 def nilpotency_report(a: CommAlgebra, s: Subspace, max_steps: int | None = None) -> NilpotencyReport:
-    full = power_chain(a, s, FULL, max_steps)
-    principal = power_chain(a, s, PRINCIPAL, max_steps)
-    plenary = power_chain(a, s, PLENARY, max_steps)
-    solv = None
-    if plenary.nil_index is not None:
-        solv = max(plenary.nil_index - 1, 1)
-    return NilpotencyReport(full.nil_index, principal.nil_index, solv)
+    return NilpotencyReport.of_chains(*(power_chain(a, s, kind, max_steps)
+                                        for kind in CHAIN_KINDS))
 
 
 def plenary_power(a: CommAlgebra, s: Subspace, i: int) -> Subspace:
@@ -397,18 +394,24 @@ def plenary_power(a: CommAlgebra, s: Subspace, i: int) -> Subspace:
 def subalgebra_on(a: CommAlgebra, s: Subspace, names=None) -> CommAlgebra:
     """The algebra structure induced on a multiplicatively closed subspace,
     in the coordinates of its RREF basis."""
-    rows = s.rows
-    k = len(rows)
     if names is None:
         names = _subspace_names(a, s)
-    products = {}
-    for i, j in itertools.combinations_with_replacement(range(k), 2):
-        prod = a.mul_coords(rows[i], rows[j])
-        coords = s.coords_of(prod)
-        if coords is None:
-            raise ValueError("subspace is not closed under multiplication")
-        products[(i, j)] = coords
+    products = induced_table(a, s.rows, s.rows)
+    if products is None:
+        raise ValueError("subspace is not closed under multiplication")
     return CommAlgebra(names, products, a.field)
+
+
+def induced_table(a: CommAlgebra, rows, basis_rows) -> dict | None:
+    """{(i, j): coordinates of rows[i] * rows[j] over basis_rows} for i <= j,
+    the table the product induces on a basis; None when some product leaves
+    the span of basis_rows."""
+    pairs = list(itertools.combinations_with_replacement(range(len(rows)), 2))
+    coords = solve_row_combinations(
+        basis_rows, [a.mul_coords(rows[i], rows[j]) for i, j in pairs], a.dim, a.field)
+    if any(c is None for c in coords):
+        return None
+    return dict(zip(pairs, coords))
 
 
 def _subspace_names(a: CommAlgebra, s: Subspace):

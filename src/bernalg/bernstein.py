@@ -1,17 +1,19 @@
 """Baric and Bernstein structure: weight verification, idempotents, Peirce
 decompositions, the annihilator ideal ann_U(U), classification flags,
-baric quotients, and the nuclear core Ke + U + U^2.
+baric quotients, the nuclear core Ke + U + U^2, and the per-call
+`Analysis` that computes each of these facts at most once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .algebra import CommAlgebra, Element, PRINCIPAL, is_ideal, power_chain
+from .algebra import (CommAlgebra, Element, PRINCIPAL, PowerChain, induced_table,
+                      is_ideal, power_chain, weight_of)
 from .identities import Identity, Witness, check_identity
-from .linalg import Matrix, Subspace, eigenspace, solve_row_combination
+from .linalg import Matrix, Subspace, eigenspace
 
 
 class BaricAlgebra:
@@ -31,13 +33,6 @@ class BaricAlgebra:
     @property
     def dim(self):
         return self.algebra.dim
-
-    def weight_of(self, x: Element):
-        acc = self.field.zero
-        for w, c in zip(self.weight, x.coords):
-            if w != self.field.zero and c != self.field.zero:
-                acc = acc + w * c
-        return acc
 
     def barideal(self) -> Subspace:
         """N = ker(weight), the codimension-one ideal of a valid weight."""
@@ -76,6 +71,23 @@ class ClassificationFlags:
     witnesses: dict
 
 
+class NotBernsteinError(ValueError):
+    """A computation that needs a Bernstein algebra met one that is not."""
+
+    def __init__(self, message: str, b: BaricAlgebra):
+        super().__init__(message)
+        self.baric = b
+
+    def witnesses(self) -> dict:
+        """The broken weight pair or Bernstein identity, keyed like the
+        witnesses of ClassificationFlags; computed on demand."""
+        w = verify_weight(self.baric)
+        if w is not True:
+            return {"baric": w}
+        w = check_identity(self.baric.algebra, Identity.BERNSTEIN, self.baric.weight)
+        return {} if w is True else {"bernstein": w}
+
+
 def verify_weight(b: BaricAlgebra):
     """True iff the weight is nonzero and multiplicative on all basis pairs
     (sufficient by bilinearity); otherwise a Witness."""
@@ -110,15 +122,15 @@ def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
                 seed = a.basis_element(k)
                 break
         if seed is None:
-            raise ValueError("weight functional is zero; no idempotent seed exists")
-    w = b.weight_of(seed)
+            raise NotBernsteinError("weight functional is zero; no idempotent seed exists", b)
+    w = weight_of(b.weight, seed)
     if w == zero:
         raise ValueError("seed element has weight zero")
     x = (one / w) * seed
     e = x * x
-    if e * e != e or b.weight_of(e) != one:
-        raise ValueError("squared seed is not an idempotent of weight one; "
-                         "the algebra is not Bernstein")
+    if e * e != e or weight_of(b.weight, e) != one:
+        raise NotBernsteinError("squared seed is not an idempotent of weight one; "
+                                "the algebra is not Bernstein", b)
     return e
 
 
@@ -134,26 +146,12 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     n = b.barideal()
     le = a.left_mult_matrix(e, restrict_to=n)
     half = b.field.of(Fraction(1, 2))
-    u = _lift(eigenspace(le, half), n, a)
-    v = _lift(eigenspace(le, b.field.zero), n, a)
+    u = n.span_of_coords(eigenspace(le, half))
+    v = n.span_of_coords(eigenspace(le, b.field.zero))
     if u.dim + v.dim != n.dim or u.plus(v) != n:
-        raise ValueError("barideal does not split into the 1/2- and 0-eigenspaces; "
-                         "the algebra is not Bernstein")
+        raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
+                                "the algebra is not Bernstein", b)
     return PeirceData(e, u, v, n, _annihilator_in_u(a, u))
-
-
-def _lift(sub_in_coords: Subspace, ambient_sub: Subspace, a: CommAlgebra) -> Subspace:
-    """Map a subspace expressed in ambient_sub's basis coordinates back into
-    the algebra's coordinates."""
-    zero = a.field.zero
-    vectors = []
-    for c in sub_in_coords.rows:
-        v = [zero] * a.dim
-        for ci, row in zip(c, ambient_sub.rows):
-            if ci != zero:
-                v = [x + ci * y for x, y in zip(v, row)]
-        vectors.append(v)
-    return Subspace(vectors, a.dim, a.field)
 
 
 def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
@@ -166,9 +164,7 @@ def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
     for j in range(k):
         for t in range(a.dim):
             rows.append([prods[i][j][t] for i in range(k)])
-    system = Matrix.from_rows(rows, k, a.field)
-    coeffs = system.kernel()
-    return _lift(coeffs, u, a)
+    return u.span_of_coords(Matrix.from_rows(rows, k, a.field).kernel())
 
 
 def check_peirce_relations(b: BaricAlgebra, p: PeirceData):
@@ -233,37 +229,89 @@ def _jordan_structural(b: BaricAlgebra, p: PeirceData):
     return True
 
 
+class Analysis:
+    """The facts one report needs about one algebra, each computed at most
+    once: the weight verdict, identity verdicts, Peirce data and the power
+    chains of the start subspace (the barideal N for baric input, the whole
+    space otherwise).  Make a fresh one per report; it caches nothing
+    beyond its own lifetime.
+    """
+
+    def __init__(self, alg, rng_seed: int = 0):
+        self.baric = isinstance(alg, BaricAlgebra)
+        self.source = alg
+        self.algebra = alg.algebra if self.baric else alg
+        self.weight = alg.weight if self.baric else None
+        self.rng_seed = rng_seed
+        self._identities = {}
+        self._chains = {}
+
+    @property
+    def battery(self) -> tuple:
+        """The identities that apply: weight-based ones only on baric input."""
+        return tuple(i for i in Identity if self.baric or not i.needs_weight)
+
+    def identity(self, ident: Identity):
+        if ident not in self._identities:
+            self._identities[ident] = check_identity(self.algebra, ident, self.weight,
+                                                     self.rng_seed)
+        return self._identities[ident]
+
+    @cached_property
+    def weight_ok(self):
+        return verify_weight(self.source)
+
+    @cached_property
+    def start(self) -> Subspace:
+        return self.source.barideal() if self.baric else self.algebra.full_space()
+
+    @cached_property
+    def peirce(self) -> PeirceData:
+        return peirce(self.source)
+
+    def chain(self, kind: str, max_steps: int | None = None) -> PowerChain:
+        # max_steps is part of the key: the flags read the uncapped principal
+        # chain even when a report caps its chains
+        key = (kind, max_steps)
+        if key not in self._chains:
+            self._chains[key] = power_chain(self.algebra, self.start, kind, max_steps)
+        return self._chains[key]
+
+    @cached_property
+    def flags(self) -> ClassificationFlags:
+        """Weight, Bernstein identity, Jordan (structural condition on the
+        Peirce components), nuclearity U^2 = V, and nilpotency of the
+        barideal; baric input only."""
+        witnesses: dict = {}
+        if self.weight_ok is not True:
+            witnesses["baric"] = self.weight_ok
+            return ClassificationFlags(False, None, None, None, None, witnesses)
+        bern = self.identity(Identity.BERNSTEIN)
+        if bern is not True:
+            witnesses["bernstein"] = bern
+            return ClassificationFlags(True, False, None, None, None, witnesses)
+        a, p = self.algebra, self.peirce
+        jordan = _jordan_structural(self.source, p)
+        if jordan is not True:
+            witnesses["jordan"] = jordan
+        u2 = a.subspace_product(p.U, p.U)
+        nuclear = u2 == p.V
+        if not nuclear:
+            for row in p.V.rows:
+                if not u2.contains(row):
+                    witnesses["nuclear"] = Witness((("v", a.element(row)),), a.element(row),
+                                                   note="V is not exhausted by U*U")
+                    break
+        chain = self.chain(PRINCIPAL)
+        nilpotent = chain.nil_index is not None
+        if not nilpotent:
+            witnesses["barideal_nilpotent"] = chain.terms[-1]
+        return ClassificationFlags(True, True, jordan is True, nuclear, nilpotent, witnesses)
+
+
 def classify(b: BaricAlgebra) -> ClassificationFlags:
-    """Run the full battery: weight, Bernstein identity, Jordan (structural
-    condition on the Peirce components), nuclearity U^2 = V, and nilpotency
-    of the barideal."""
-    witnesses: dict = {}
-    weight_ok = verify_weight(b)
-    if weight_ok is not True:
-        witnesses["baric"] = weight_ok
-        return ClassificationFlags(False, None, None, None, None, witnesses)
-    bern = check_identity(b.algebra, Identity.BERNSTEIN, b.weight)
-    if bern is not True:
-        witnesses["bernstein"] = bern
-        return ClassificationFlags(True, False, None, None, None, witnesses)
-    p = peirce(b)
-    jordan = _jordan_structural(b, p)
-    if jordan is not True:
-        witnesses["jordan"] = jordan
-    u2 = b.algebra.subspace_product(p.U, p.U)
-    nuclear = u2 == p.V
-    if not nuclear:
-        for row in p.V.rows:
-            if not u2.contains(row):
-                witnesses["nuclear"] = Witness((("v", b.algebra.element(row)),),
-                                               b.algebra.element(row),
-                                               note="V is not exhausted by U*U")
-                break
-    chain = power_chain(b.algebra, p.N, PRINCIPAL)
-    nilpotent = chain.nil_index is not None
-    if not nilpotent:
-        witnesses["barideal_nilpotent"] = chain.terms[-1]
-    return ClassificationFlags(True, True, jordan is True, nuclear, nilpotent, witnesses)
+    """Run the full classification battery; see Analysis.flags."""
+    return Analysis(b).flags
 
 
 def quotient(b: BaricAlgebra, ideal: Subspace) -> BaricAlgebra:
@@ -283,52 +331,16 @@ def quotient(b: BaricAlgebra, ideal: Subspace) -> BaricAlgebra:
         if not work.contains(_unit(a, k)):
             chosen.append(k)
             work = work.plus(Subspace([_unit(a, k)], a.dim, a.field))
-    basis_rows = list(ideal.rows) + [_unit(a, k) for k in chosen]
-    inv = _inverse_of_rows(basis_rows, a)
-    r = ideal.dim
-
-    def project(vec):
-        coeffs = _row_coords(vec, inv, a)
-        return tuple(coeffs[r + t] for t in range(len(chosen)))
-
-    names = [a.basis_names[k] for k in chosen]
-    products = {}
-    for i, j in itertools.combinations_with_replacement(range(len(chosen)), 2):
-        prod = a.mul_coords(_unit(a, chosen[i]), _unit(a, chosen[j]))
-        products[(i, j)] = project(prod)
-    qa = CommAlgebra(names, products, a.field)
+    units = [_unit(a, k) for k in chosen]
+    table = induced_table(a, units, list(ideal.rows) + units)
+    products = {pair: coords[ideal.dim:] for pair, coords in table.items()}
+    qa = CommAlgebra([a.basis_names[k] for k in chosen], products, a.field)
     return BaricAlgebra(qa, [b.weight[k] for k in chosen])
 
 
 def _unit(a: CommAlgebra, k: int):
     zero, one = a.field.zero, a.field.one
     return tuple(one if t == k else zero for t in range(a.dim))
-
-
-def _inverse_of_rows(rows, a: CommAlgebra) -> Matrix:
-    basis = Matrix.from_rows(rows, a.dim, a.field)
-    n = basis.rows
-    if n != a.dim:
-        raise ValueError("basis row count does not match the dimension")
-    # row-reduce [B | I] to [I | B^-1]
-    from .linalg import _rref_rows
-    eye = Matrix.identity(n, a.field)
-    aug = [list(basis.row(i)) + list(eye.row(i)) for i in range(n)]
-    reduced, pivots = _rref_rows(aug, 2 * n, a.field)
-    if list(pivots[:n]) != list(range(n)):
-        raise ValueError("rows are not a basis")
-    inv_rows = [r[n:] for r in reduced]
-    return Matrix.from_rows(inv_rows, n, a.field)
-
-
-def _row_coords(vec, inv: Matrix, a: CommAlgebra):
-    # v = c * B, so c = v * B^-1 (row-vector convention)
-    zero = a.field.zero
-    n = inv.rows
-    return tuple(
-        sum((vec[t] * inv.at(t, i) for t in range(n) if vec[t] != zero),
-            start=zero)
-        for i in range(n))
 
 
 def nuclear_core(b: BaricAlgebra, p: PeirceData | None = None) -> BaricAlgebra:
@@ -343,27 +355,17 @@ def nuclear_core(b: BaricAlgebra, p: PeirceData | None = None) -> BaricAlgebra:
     if not is_ideal(a, barpart):
         raise ValueError("U + U^2 failed the ideal check; input is not Bernstein")
     core_rows = [p.e.coords] + list(p.U.rows) + list(u2.rows)
-    span = Subspace(core_rows, a.dim, a.field)
     names = (["e"] + [f"u{i + 1}" for i in range(p.U.dim)]
              + [f"w{i + 1}" for i in range(u2.dim)])
-    products = {}
-    for i, j in itertools.combinations_with_replacement(range(len(core_rows)), 2):
-        prod = a.mul_coords(core_rows[i], core_rows[j])
-        coords = _coords_over(core_rows, prod, span, a)
-        if coords is None:
-            raise ValueError("Ke + U + U^2 is not multiplicatively closed; "
-                             "input is not Bernstein")
-        products[(i, j)] = coords
+    products = induced_table(a, core_rows, core_rows)
+    if products is None:
+        raise ValueError("Ke + U + U^2 is not multiplicatively closed; "
+                         "input is not Bernstein")
     core = CommAlgebra(names, products, a.field)
-    weight = [b.weight_of(a.element(r)) for r in core_rows]
+    weight = [weight_of(b.weight, a.element(r)) for r in core_rows]
     result = BaricAlgebra(core, weight)
     cp = peirce(result, result.algebra.basis_element(0))
     if result.algebra.subspace_product(cp.U, cp.U) != cp.V:
         raise ValueError("core failed the nuclearity check; input is not Bernstein")
     return result
 
-
-def _coords_over(rows, vec, span: Subspace, a: CommAlgebra):
-    if not span.contains(vec):
-        return None
-    return solve_row_combination(rows, vec, a.dim, a.field)

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a checked property failed (a witness is printed),
-2 malformed input.  All subcommands accept '-' for stdin and support
+2 malformed input.  Subcommands that need a Bernstein algebra exit 1 on a
+baric input that is not one, with the broken weight pair or Bernstein
+identity as the witness.  All subcommands accept '-' for stdin and support
 --json; reports are deterministic for fixed inputs and --seed-rng.
 """
 
@@ -11,16 +13,17 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algebra import CHAIN_KINDS, power_chain
-from .bernstein import BaricAlgebra, classify, find_idempotent, peirce, quotient
+from .algebra import CHAIN_KINDS, ChainCapError, power_chain
+from .bernstein import (BaricAlgebra, NotBernsteinError, classify, find_idempotent,
+                        peirce, quotient)
 from .families import FAMILY_KINDS, make_family
 from .fileformat import (ParseError, from_algebra, parse, serialize,
                          to_algebra)
 from .linalg import Subspace
 from .nilpotence import (greatest_fixed_subspace, mult_closure_nilpotent,
                          stable_subspace_check)
-from .report import (build_report, certificate_summary, coords_json,
-                     emit_report, subspace_json)
+from .report import (build_report, certificate_summary, check_json, coords_json,
+                     emit_report, flags_json, subspace_json)
 
 
 def _read_text(path: str) -> str:
@@ -137,21 +140,12 @@ def cmd_classify(args) -> int:
         _out(args, payload, [f"algebra {name}: not baric"])
         return 0
     flags = classify(alg)
-    payload = {
-        "algebra": name,
-        "baric": flags.is_baric,
-        "bernstein": flags.is_bernstein,
-        "jordan": flags.is_jordan,
-        "nuclear": flags.is_nuclear,
-        "barideal_nilpotent": flags.barideal_nilpotent,
-    }
-    from .report import check_json
+    shown = flags_json(flags)
+    payload = {"algebra": name, **shown}
     if flags.witnesses:
         payload["witnesses"] = {k: check_json(v) for k, v in flags.witnesses.items()}
-    lines = [f"algebra {name}: " + ", ".join(
-        f"{k}={payload[k]}" for k in ("baric", "bernstein", "jordan", "nuclear",
-                                      "barideal_nilpotent"))]
-    _out(args, payload, lines)
+    _out(args, payload,
+         [f"algebra {name}: " + ", ".join(f"{k}={v}" for k, v in shown.items())])
     return 0 if flags.is_baric and flags.is_bernstein is not False else 1
 
 
@@ -380,10 +374,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except NotBernsteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
+        witnesses = {k: check_json(w) for k, w in exc.witnesses().items()}
+        _out(args, {"error": str(exc), "witnesses": witnesses},
+             [f"witness[{k}]: {w}" for k, w in witnesses.items()])
+        return 1
+    except (OSError, ValueError, KeyError, ZeroDivisionError, ChainCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,5 +210,7 @@ def from_algebra(alg, name: str) -> AlgebraFile:
             products[(names[i], names[j])] = combo
     weights = {}
     if baric:
-        weights = {names[i]: w for i, w in enumerate(alg.weight) if w != 0}
+        # an all-zero weight keeps one (zero) line so the file stays baric
+        weights = ({names[i]: w for i, w in enumerate(alg.weight) if w != 0}
+                   or {names[0]: alg.weight[0]})
     return AlgebraFile(name, tuple(names), weights, products)

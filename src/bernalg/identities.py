@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .algebra import CommAlgebra, Element
+from .algebra import CommAlgebra, Element, weight_of
 from .fields import QQ
 
 
@@ -58,39 +58,33 @@ class Witness:
         return dict(self.assignment)
 
 
-def _weight_fn(weight, algebra: CommAlgebra):
-    w = tuple(algebra.field.of(x) for x in weight)
-    if len(w) != algebra.dim:
+def _weight_for(a: CommAlgebra, ident: Identity, weight):
+    """The weight as field elements when the identity needs one, else None."""
+    if not ident.needs_weight:
+        return None
+    if weight is None:
+        raise ValueError(f"identity {ident.value} needs a weight functional")
+    w = tuple(a.field.of(x) for x in weight)
+    if len(w) != a.dim:
         raise ValueError("weight vector length does not match the dimension")
-    zero = algebra.field.zero
-
-    def omega(e: Element):
-        acc = zero
-        for wi, ci in zip(w, e.coords):
-            if wi != zero and ci != zero:
-                acc = acc + wi * ci
-        return acc
-
-    return omega
+    return w
 
 
 def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=None) -> Element:
     """Direct evaluation of the identity's defect at concrete elements."""
-    if ident.needs_weight:
-        if weight is None:
-            raise ValueError(f"identity {ident.value} needs a weight functional")
-        omega = _weight_fn(weight, a)
+    weight = _weight_for(a, ident, weight)
     x = assignment["x"]
     if ident is Identity.BERNSTEIN:
         sq = x * x
-        return sq * sq - omega(x) * omega(x) * sq
+        w = weight_of(weight, x)
+        return sq * sq - w * w * sq
     if ident is Identity.JORDAN:
         y = assignment["y"]
         sq = x * x
         return x * (sq * y) - sq * (x * y)
     if ident is Identity.CUBE_WEIGHT:
         sq = x * x
-        return sq * x - omega(x) * sq
+        return sq * x - weight_of(weight, x) * sq
     if ident is Identity.JACOBI:
         y, z = assignment["y"], assignment["z"]
         return (x * y) * z + (y * z) * x + (z * x) * y
@@ -122,7 +116,6 @@ def _scan_degree4(a, weight, with_weight):
     product pair.
     """
     basis, prods = _pair_products(a)
-    omega = _weight_fn(weight, a) if with_weight else None
     zero = a.field.zero
     two = a.field.of(2)
     for t in itertools.combinations_with_replacement(range(a.dim), 4):
@@ -133,7 +126,7 @@ def _scan_degree4(a, weight, with_weight):
         if with_weight:
             for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
                                    ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
-                c = omega(basis[p]) * omega(basis[q])
+                c = weight[p] * weight[q]
                 if c != zero:
                     acc = acc - c * prods[r][s]
         if not acc.is_zero():
@@ -144,14 +137,13 @@ def _scan_degree4(a, weight, with_weight):
 def _scan_degree3(a, weight, with_weight):
     """First basis triple where the linearized cubic form is nonzero."""
     basis, prods = _pair_products(a)
-    omega = _weight_fn(weight, a) if with_weight else None
     zero = a.field.zero
     for t in itertools.combinations_with_replacement(range(a.dim), 3):
         i, j, k = t
         acc = (prods[i][j] * basis[k]) + (prods[i][k] * basis[j]) + (prods[j][k] * basis[i])
         if with_weight:
             for p, (r, s) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                c = omega(basis[p])
+                c = weight[p]
                 if c != zero:
                     acc = acc - c * prods[r][s]
         if not acc.is_zero():
@@ -219,10 +211,7 @@ def check_identity(a: CommAlgebra, ident: Identity, weight=None, rng_seed: int =
     argument needs an infinite field of characteristic zero."""
     if a.field != QQ:
         raise ValueError("identity checking is only supported over the rationals")
-    if ident.needs_weight and weight is None:
-        raise ValueError(f"identity {ident.value} needs a weight functional")
-    if not ident.needs_weight:
-        weight = None
+    weight = _weight_for(a, ident, weight)
     rng = random.Random(rng_seed)
     if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
         bad = _scan_degree4(a, weight, ident is Identity.BERNSTEIN)
@@ -257,10 +246,7 @@ def random_identity_probe(a: CommAlgebra, ident: Identity, weight=None,
         raise ValueError("trials must be >= 1")
     if a.field != QQ:
         raise ValueError("identity probing is only supported over the rationals")
-    if ident.needs_weight and weight is None:
-        raise ValueError(f"identity {ident.value} needs a weight functional")
-    if not ident.needs_weight:
-        weight = None
+    weight = _weight_for(a, ident, weight)
     if rng is None:
         rng = random.Random(seed)
     for _ in range(trials):

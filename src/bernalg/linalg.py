@@ -48,7 +48,8 @@ def _rref_rows(rows, cols, field):
     # move zero rows to the bottom, preserving the order of nonzero rows
     nonzero = [r for r in reduced if any(x != zero for x in r)]
     n_zero = len(reduced) - len(nonzero)
-    reduced = nonzero + [tuple([zero] * cols)] * n_zero
+    width = len(reduced[0]) if reduced else cols
+    reduced = nonzero + [tuple([zero] * width)] * n_zero
     return reduced, tuple(pivots)
 
 
@@ -162,14 +163,6 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
 
 
-def rref(m: Matrix) -> Matrix:
-    return m.rref()
-
-
-def kernel(m: Matrix) -> "Subspace":
-    return m.kernel()
-
-
 def eigenspace(m: Matrix, lam) -> "Subspace":
     """Kernel of (m - lam * id); m must be square."""
     if m.rows != m.cols:
@@ -266,15 +259,13 @@ class Subspace:
             entries.extend(self.rows[i][t] for i in range(k1))
             entries.extend(-other.rows[j][t] for j in range(k2))
         system = Matrix(self.ambient_dim, k1 + k2, tuple(entries), self.field)
-        zero = self.field.zero
-        vectors = []
-        for c in system.kernel().rows:
-            v = [zero] * self.ambient_dim
-            for i in range(k1):
-                if c[i] != zero:
-                    v = [a + c[i] * b for a, b in zip(v, self.rows[i])]
-            vectors.append(v)
-        return Subspace(vectors, self.ambient_dim, self.field)
+        return Subspace([combine_rows(c[:k1], self.rows, self.field)
+                         for c in system.kernel().rows], self.ambient_dim, self.field)
+
+    def span_of_coords(self, coords: "Subspace") -> "Subspace":
+        """The subspace whose coordinates over this RREF basis span `coords`."""
+        return Subspace([combine_rows(c, self.rows, self.field) for c in coords.rows],
+                        self.ambient_dim, self.field)
 
     __or__ = plus
     __and__ = meet
@@ -296,41 +287,41 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def subspace_from_vectors(vectors, ambient_dim: int, field=QQ) -> Subspace:
-    return Subspace(vectors, ambient_dim, field)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.plus(s2)
-
-
-def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.meet(s2)
-
-
-def subspace_contains(s: Subspace, vector) -> bool:
-    return s.contains(vector)
-
-
-def subspace_leq(s1: Subspace, s2: Subspace) -> bool:
-    return s1.leq(s2)
+def combine_rows(coeffs, rows, field=QQ) -> list:
+    """sum(c_i * rows_i) for rows of equal length; there must be a row."""
+    zero = field.zero
+    v = [zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            v = [a + c * b for a, b in zip(v, row)]
+    return v
 
 
 def solve_row_combination(rows, target, ambient_dim: int, field=QQ):
-    """Coefficients c with sum(c_i * rows_i) == target, or None.
+    """Coefficients c with sum(c_i * rows_i) == target, or None."""
+    return solve_row_combinations(rows, [target], ambient_dim, field)[0]
 
-    The rows need not be in echelon form; a fresh elimination runs on the
-    transposed augmented system each call.
+
+def solve_row_combinations(rows, targets, ambient_dim: int, field=QQ) -> list:
+    """For each target, coefficients c with sum(c_i * rows_i) == target, or
+    None when the target is outside the span of the rows.
+
+    The rows need not be in echelon form.  One elimination on the
+    transposed system, with every target as a right-hand side, serves them
+    all; free coefficients are set to zero.
     """
     k = len(rows)
     zero = field.zero
-    aug = []
-    for t in range(ambient_dim):
-        aug.append([field.of(rows[i][t]) for i in range(k)] + [field.of(target[t])])
-    reduced, pivots = _rref_rows(aug, k + 1, field)
-    if k in pivots:
-        return None  # inconsistent system
-    coeffs = [zero] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = reduced[r][k]
-    return tuple(coeffs)
+    aug = [[field.of(r[t]) for r in rows] + [field.of(v[t]) for v in targets]
+           for t in range(ambient_dim)]
+    reduced, pivots = _rref_rows(aug, k, field)
+    out = []
+    for q in range(k, k + len(targets)):
+        if any(row[q] != zero for row in reduced[len(pivots):]):
+            out.append(None)  # inconsistent system
+            continue
+        coeffs = [zero] * k
+        for r, p in enumerate(pivots):
+            coeffs[p] = reduced[r][q]
+        out.append(tuple(coeffs))
+    return out

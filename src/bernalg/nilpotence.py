@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (CommAlgebra, Element, FULL, full_power_terms,
-                      generated_ideal, generated_subalgebra, is_ideal,
-                      power_chain)
+from .algebra import (CommAlgebra, Element, FULL, PowerChain, generated_ideal,
+                      generated_subalgebra, is_ideal, power_chain)
 from .bernstein import BaricAlgebra, PeirceData
 from .linalg import Matrix, Subspace
 
@@ -167,10 +166,14 @@ class DecompositionCertificate:
 
 
 def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
-                              max_steps: int | None = None) -> DecompositionCertificate:
+                              max_steps: int | None = None,
+                              n_chain: PowerChain | None = None) -> DecompositionCertificate:
     """Certificate for: if the subalgebra F generated by ideal generators of
     N is nilpotent with F^m = 0, then N decomposes as F + N^m, and at finite
     dimension N^m itself vanishes so the certificate closes with N = F.
+
+    n_chain, when the caller already holds it, is the full power chain of N
+    under the same max_steps; it stands in for F's chain when F = N.
     """
     gens = list(gens)
     if not is_ideal(a, n):
@@ -178,15 +181,25 @@ def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
     if generated_ideal(a, gens) != n:
         raise ValueError("generators do not generate the ideal")
     f = generated_subalgebra(a, gens)
-    f_chain = power_chain(a, f, FULL, max_steps)
+    if n_chain is None or f != n:
+        f_chain = power_chain(a, f, FULL, max_steps)
+    else:
+        f_chain = n_chain
     if f_chain.nil_index is None:
         raise ValueError("generated subalgebra is not nilpotent; "
                          "the decomposition does not apply")
     m = f_chain.nil_index
-    f_powers = full_power_terms(a, f, m)
-    n_powers = full_power_terms(a, n, m + 1)
+    f_powers = f_chain.terms  # F^1 .. F^m, the last one zero
+    n_powers = _first_powers(f_chain if f == n else power_chain(a, n, FULL, m + 1), m + 1)
     for i in range(1, m + 1):
         if not n_powers[i - 1].leq(f_powers[i - 1].plus(n_powers[i])):
             raise AssertionError(f"power inclusion failed at exponent {i}")
     n_m = n_powers[m - 1]
     return DecompositionCertificate(f, m, m, n == f.plus(n_m), n_m.is_zero())
+
+
+def _first_powers(chain: PowerChain, count: int) -> list:
+    """The first `count` terms of a chain that was cut at `count` terms or
+    whose tail repeats its last term (a zero term or a proven plateau)."""
+    terms = list(chain.terms[:count])
+    return terms + [terms[-1]] * (count - len(terms))

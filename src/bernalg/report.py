@@ -4,16 +4,23 @@ Reports are plain dicts built in a fixed insertion order and serialized
 with json.dumps, so identical inputs give byte-identical output.  Exact
 rationals are rendered as 'p' or 'p/q' strings; subspaces as their RREF
 basis rows.
+
+Each build_report call makes one fresh `bernstein.Analysis` for its input
+and renders every section from it, so the weight verdict, each identity
+verdict, the Peirce data and each power chain of the start subspace (N for
+baric input, the whole space otherwise) are computed once per report.  The
+Analysis dies with the call: nothing is cached across reports or stored on
+the algebra.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import nilpotency_report
-from .bernstein import (BaricAlgebra, classify, check_peirce_relations,
-                        peirce, verify_weight)
-from .identities import Identity, Witness, check_identity
+from .algebra import CHAIN_KINDS, FULL, NilpotencyReport
+from .bernstein import Analysis, check_peirce_relations
+# bench/tests reads report.check_identity, so the name stays importable here
+from .identities import Witness, check_identity  # noqa: F401
 from .linalg import Subspace
 from .nilpotence import (decompose_nilpotent_ideal, greatest_fixed_subspace,
                          mult_closure_nilpotent)
@@ -51,21 +58,18 @@ def check_json(result) -> object:
     return result
 
 
-def identity_battery(algebra, weight=None, rng_seed: int = 0) -> dict:
-    """Run every applicable identity; weight-based ones only when a weight
-    is available."""
-    out = {}
-    for ident in (Identity.BERNSTEIN, Identity.JORDAN, Identity.CUBE_WEIGHT,
-                  Identity.JACOBI, Identity.CUBE_ZERO, Identity.SQUARE_SQUARE_ZERO):
-        if ident.needs_weight and weight is None:
-            continue
-        result = check_identity(algebra, ident, weight, rng_seed=rng_seed)
-        out[ident.value] = True if result is True else witness_json(result)
-    return out
+def flags_json(flags) -> dict:
+    return {
+        "baric": flags.is_baric,
+        "bernstein": flags.is_bernstein,
+        "jordan": flags.is_jordan,
+        "nuclear": flags.is_nuclear,
+        "barideal_nilpotent": flags.barideal_nilpotent,
+    }
 
 
-def chain_summary(algebra, s: Subspace, max_steps=None) -> dict:
-    rep = nilpotency_report(algebra, s, max_steps)
+def chain_summary(an: Analysis, max_steps=None) -> dict:
+    rep = NilpotencyReport.of_chains(*(an.chain(kind, max_steps) for kind in CHAIN_KINDS))
     return {
         "full_nil_index": rep.nil_index_full,
         "principal_nil_index": rep.nil_index_principal,
@@ -76,40 +80,33 @@ def chain_summary(algebra, s: Subspace, max_steps=None) -> dict:
 def build_report(name: str, alg, max_steps=None, rng_seed: int = 0) -> tuple[dict, int]:
     """Full pipeline report for one algebra; the int is the exit status
     (0 ok, 1 when a structural property fails with a witness)."""
-    baric = isinstance(alg, BaricAlgebra)
-    algebra = alg.algebra if baric else alg
+    an = Analysis(alg, rng_seed)
+    algebra = an.algebra
     report = {
         "algebra": name,
         "dimension": algebra.dim,
         "basis": list(algebra.basis_names),
-        "baric": baric,
+        "baric": an.baric,
     }
-    if not baric:
-        report["identities"] = identity_battery(algebra, rng_seed=rng_seed)
-        report["chains"] = chain_summary(algebra, algebra.full_space(), max_steps)
+    if an.baric:
+        report["weight_ok"] = an.weight_ok is True
+        if an.weight_ok is not True:
+            report["weight_witness"] = witness_json(an.weight_ok)
+            return report, 1
+    report["identities"] = {ident.value: check_json(an.identity(ident))
+                            for ident in an.battery}
+    if not an.baric:
+        report["chains"] = chain_summary(an, max_steps)
         return report, 0
 
-    weight_ok = verify_weight(alg)
-    report["weight_ok"] = weight_ok is True
-    if weight_ok is not True:
-        report["weight_witness"] = witness_json(weight_ok)
-        return report, 1
-
-    report["identities"] = identity_battery(algebra, alg.weight, rng_seed)
-    flags = classify(alg)
-    report["flags"] = {
-        "baric": flags.is_baric,
-        "bernstein": flags.is_bernstein,
-        "jordan": flags.is_jordan,
-        "nuclear": flags.is_nuclear,
-        "barideal_nilpotent": flags.barideal_nilpotent,
-    }
+    flags = an.flags
+    report["flags"] = flags_json(flags)
     if flags.witnesses:
         report["witnesses"] = {k: check_json(v) for k, v in flags.witnesses.items()}
     if not flags.is_bernstein:
         return report, 1
 
-    p = peirce(alg)
+    p = an.peirce
     relations = check_peirce_relations(alg, p)
     report["peirce"] = {
         "idempotent": coords_json(p.e.coords),
@@ -124,7 +121,7 @@ def build_report(name: str, alg, max_steps=None, rng_seed: int = 0) -> tuple[dic
     if relations is not True:
         report["peirce"]["relations_witness"] = witness_json(relations)
         status = 1
-    report["chains"] = chain_summary(algebra, p.N, max_steps)
+    report["chains"] = chain_summary(an, max_steps)
     gfp = greatest_fixed_subspace(alg, p)
     report["fixed_subspace"] = {
         "chain_dims": [t.dim for t in gfp.chain],
@@ -137,17 +134,19 @@ def build_report(name: str, alg, max_steps=None, rng_seed: int = 0) -> tuple[dic
         "nilpotent": closure.nilpotent,
         "nil_index": closure.nil_index,
     }
-    report["certificate"] = certificate_summary(algebra, p.N, None, max_steps)
+    report["certificate"] = certificate_summary(algebra, p.N, None, max_steps,
+                                                an.chain(FULL, max_steps))
     return report, status
 
 
-def certificate_summary(algebra, n: Subspace, gens, max_steps=None) -> dict:
+def certificate_summary(algebra, n: Subspace, gens, max_steps=None, n_chain=None) -> dict:
     """Decomposition certificate summary; by default the ideal generators
-    are the RREF basis rows of N itself."""
+    are the RREF basis rows of N itself.  n_chain is N's full power chain
+    when the caller already holds it."""
     if gens is None:
         gens = [algebra.element(row) for row in n.rows]
     try:
-        cert = decompose_nilpotent_ideal(algebra, n, gens, max_steps)
+        cert = decompose_nilpotent_ideal(algebra, n, gens, max_steps, n_chain)
     except (ValueError, AssertionError, RuntimeError) as exc:
         return {"error": str(exc)}
     return {

@@ -1,9 +1,16 @@
+import glob
 import io
 import json
 import os
 import sys
+from fractions import Fraction
 
+import pytest
+
+from bernalg import Identity, identity_defect, make_family, parse, to_algebra
+from bernalg import algebra as algebra_module
 from bernalg.cli import main
+from bernalg.fileformat import from_algebra, serialize
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -44,11 +51,20 @@ def test_check_corrupted_fixture_fails_with_witness(capsys, monkeypatch):
     assert "bernstein" in payload["witnesses"]
 
 
+# exit status of `check` on each fixture that has a golden report
+GOLDEN_EXIT = {"bdown2": 0, "bdown3": 0, "bup4": 0, "jordan3": 0,
+               "squareshift3": 0, "zhevlakov4": 0, "corrupted": 1}
+
+
 def test_check_json_matches_golden_bytes(capsys, monkeypatch):
-    code, out, _ = run_cli(["check", path("bdown3.alg"), "--json"], capsys=capsys)
-    assert code == 0
-    with open(path("bdown3.report.json"), "r", encoding="utf-8") as fh:
-        assert out == fh.read()
+    goldens = sorted(glob.glob(path("*.report.json")))
+    names = [os.path.basename(g)[:-len(".report.json")] for g in goldens]
+    assert sorted(GOLDEN_EXIT) == names
+    for name, golden in zip(names, goldens):
+        code, out, _ = run_cli(["check", path(name + ".alg"), "--json"], capsys=capsys)
+        assert code == GOLDEN_EXIT[name], name
+        with open(golden, "r", encoding="utf-8") as fh:
+            assert out == fh.read(), name
 
 
 def test_reports_are_byte_identical_across_runs(capsys, monkeypatch):
@@ -184,3 +200,45 @@ def test_family_writes_file(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == ""
     text = target.read_text()
     assert text.startswith("algebra bup2\n")
+
+
+# bdown2 with e*u1 = u1: the weight stays multiplicative, Bernstein fails
+SKEWED_BDOWN2 = (open(path("bdown2.alg"), encoding="utf-8").read()
+                 .replace("prod e u1 = 1/2 u1", "prod e u1 = 1 u1"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["peirce"], ["fixedspace"], ["multalg"],
+    ["stability", "--subspace", "0,0,0,0"], ["quotient", "--by", "annU"],
+])
+def test_peirce_commands_exit_1_with_witness_on_non_bernstein(argv, tmp_path, capsys):
+    f = tmp_path / "skewed.alg"
+    f.write_text(SKEWED_BDOWN2)
+    b = to_algebra(parse(SKEWED_BDOWN2))
+    code, out, err = run_cli([argv[0], str(f), "--json"] + argv[1:], capsys=capsys)
+    assert code == 1
+    assert "not Bernstein" in err
+    w = json.loads(out)["witnesses"]["bernstein"]
+    x = b.algebra.element([Fraction(c) for c in w["assignment"]["x"]])
+    defect = identity_defect(b.algebra, Identity.BERNSTEIN, {"x": x}, b.weight)
+    assert not defect.is_zero()
+    assert [str(c) for c in defect.coords] == w["residual"]
+    code, out, _ = run_cli([argv[0], str(f)] + argv[1:], capsys=capsys)
+    assert code == 1
+    assert out.startswith("witness[bernstein]: ")
+
+
+def test_zero_weight_seed_still_exits_2(capsys):
+    code, _, err = run_cli(["peirce", path("bdown3.alg"), "--seed", "1 u1"],
+                           capsys=capsys)
+    assert code == 2
+    assert "weight zero" in err
+
+
+def test_full_chain_cap_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "sq4.alg"
+    f.write_text(serialize(from_algebra(make_family("squareshift", 4), "sq4")))
+    monkeypatch.setattr(algebra_module, "_HARD_CAP", 5)
+    code, out, err = run_cli(["powers", str(f), "--kind", "full"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: full power chain did not stabilize")

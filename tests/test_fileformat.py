@@ -97,6 +97,14 @@ def test_round_trip_on_golden_files():
         assert serialize(parse(out)) == out
 
 
+def test_zero_weight_file_round_trips_as_baric():
+    f = parse("algebra z\nbasis e u\nweight e 0\n")
+    assert f.is_baric
+    again = parse(serialize(from_algebra(to_algebra(f), f.name)))
+    assert again.is_baric
+    assert again == f
+
+
 def test_family_serialization_round_trip():
     for kind, n in (("bdown", 3), ("bup", 4), ("squareshift", 4),
                     ("zhevlakov", 3), ("jordan3", None)):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import (Matrix, PrimeField, Subspace, eigenspace, rref,
+from bernalg import (Matrix, PrimeField, Subspace, eigenspace,
                      solve_row_combination)
 
 from conftest import all_subspaces_within, fresh_rng, span_elements
@@ -21,17 +21,17 @@ def F(x):
 
 
 def test_rref_proportional_rows():
-    assert rref(mat([[2, 4], [1, 2]])) == mat([[1, 2], [0, 0]])
+    assert mat([[2, 4], [1, 2]]).rref() == mat([[1, 2], [0, 0]])
 
 
 def test_rref_identity_fixed():
     eye = Matrix.identity(3)
-    assert rref(eye) == eye
+    assert eye.rref() == eye
 
 
 def test_rref_swap():
     # by hand: swap rows, pivots normalize to the identity
-    assert rref(mat([[0, 1], [1, 0]])) == mat([[1, 0], [0, 1]])
+    assert mat([[0, 1], [1, 0]]).rref() == mat([[1, 0], [0, 1]])
 
 
 small_entries = st.integers(min_value=-9, max_value=9).map(Fraction)
@@ -44,7 +44,7 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent(rows):
     m = mat(rows)
-    assert rref(rref(m)) == rref(m)
+    assert m.rref().rref() == m.rref()
 
 
 @given(small_matrix)

@@ -1,6 +1,9 @@
+import collections
 import json
 
-from bernalg import BaricAlgebra, CommAlgebra, make_family
+from bernalg import BaricAlgebra, CommAlgebra, Identity, make_family
+from bernalg import algebra as algebra_module
+from bernalg import bernstein as bernstein_module
 from bernalg.report import build_report, emit_report
 
 
@@ -37,3 +40,31 @@ def test_report_serializes_to_json():
     payload = json.loads(emit_report(report))
     assert payload["flags"]["nuclear"] is True
     assert payload["certificate"]["n_nilpotent"] is True
+
+
+
+def test_baric_report_computes_each_fact_once(monkeypatch):
+    b = make_family("bdown", 3)
+    n = b.barideal()
+    calls = collections.Counter()
+
+    def counting(module, attr, key):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(bernstein_module, "check_identity", lambda a, ident, *rest: ident)
+    counting(bernstein_module, "peirce", lambda *args: "peirce")
+    counting(bernstein_module, "verify_weight", lambda *args: "verify_weight")
+    counting(algebra_module, "_first_order_chain",
+             lambda a, s, kind, *rest: (kind, s == n))
+    counting(algebra_module, "_full_chain", lambda *args: "full")
+    report, status = build_report("bdown3", b)
+    assert status == 0 and report["certificate"]["n_nilpotent"] is True
+    assert all(calls[ident] == 1 for ident in Identity)
+    assert calls["peirce"] == 1 and calls["verify_weight"] == 1
+    assert calls[("principal", True)] == 1 and calls[("plenary", True)] == 1
+    assert calls["full"] == 1  # N's full chain, reused by the certificate

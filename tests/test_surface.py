@@ -1,46 +1,29 @@
-"""Coverage for the module-level operation aliases and normalization
-behavior that the other test files reach only through methods."""
+"""Coverage for subspace operations and normalization behavior that the
+other test files reach only indirectly."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import (Matrix, Subspace, eigenspace, kernel, left_mult_operator,
-                     make_family, multiply, parse, rref, serialize,
-                     subspace_contains, subspace_from_vectors,
-                     subspace_intersect, subspace_leq, subspace_product,
-                     subspace_sum)
+from bernalg import Matrix, Subspace, eigenspace, make_family, parse, serialize
 
 from conftest import fresh_rng, random_vector_in
 
 
-def test_function_aliases_match_methods():
-    m = Matrix.from_rows([[2, 4], [1, 2]])
-    assert rref(m) == m.rref()
-    assert kernel(m) == m.kernel()
-    s1 = subspace_from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-    s2 = subspace_from_vectors([[0, 1, 1]], 3)
-    assert subspace_sum(s1, s2) == s1.plus(s2)
-    assert subspace_intersect(s1, s2) == s1.meet(s2)
-    assert subspace_leq(s2, subspace_sum(s1, s2))
-    assert subspace_contains(s1, (1, 1, 0))
-    assert not subspace_contains(s1, (0, 0, 1))
+def test_subspace_lattice_methods():
+    s1 = Subspace([[1, 0, 0], [0, 1, 0]], 3)
+    s2 = Subspace([[0, 1, 1]], 3)
+    assert s2.leq(s1.plus(s2))
+    assert s1.contains((1, 1, 0))
+    assert not s1.contains((0, 0, 1))
 
 
-def test_algebra_function_aliases():
-    b = make_family("bdown", 2)
-    a = b.algebra
-    x = a.basis_element(3)  # u2
+def test_subspace_product_is_symmetric():
+    a = make_family("bdown", 2).algebra
     y = a.basis_element(1)  # v1
-    assert multiply(a, x, y) == x * y
-    assert left_mult_operator(a, a.basis_element(0)) == a.left_mult_matrix(
-        a.basis_element(0))
-    u = subspace_from_vectors([a.basis_element(2).coords,
-                               a.basis_element(3).coords], a.dim)
-    v = subspace_from_vectors([y.coords], a.dim)
-    assert subspace_product(a, u, v) == a.subspace_product(u, v)
-    # the product of subspaces is symmetric
+    u = Subspace([a.basis_element(2).coords, a.basis_element(3).coords], a.dim)
+    v = Subspace([y.coords], a.dim)
     assert a.subspace_product(u, v) == a.subspace_product(v, u)
 
 
