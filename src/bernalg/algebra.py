@@ -3,8 +3,10 @@
 The multiplication table stores one coordinate vector per unordered basis
 pair (i, j) with i <= j; unspecified pairs multiply to zero, so
 commutativity is structural.  On top of the bilinear product the module
-provides subspace products, the three power chains (full, principal,
-plenary), subalgebra and ideal closures, and nilpotency reporting.
+provides memoised subspace products, the three power chains (full,
+principal, plenary), subalgebra and ideal closures, and nilpotency
+reporting.  Every first-order chain T -> step(T) goes through
+`iterate_chain`.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class CommAlgebra:
             key: tuple((k, c) for k, c in enumerate(coords) if c != zero)
             for key, coords in self._table.items()
         }
+        self._products = {}
 
     @classmethod
     def from_table(cls, basis_names, named_products, field=QQ):
@@ -147,13 +150,20 @@ class CommAlgebra:
         return Matrix(k, k, entries, self.field)
 
     def subspace_product(self, s1: Subspace, s2: Subspace) -> Subspace:
-        """Span of all products of basis vectors of s1 with basis vectors of s2."""
+        """Span of all products of basis vectors of s1 with basis vectors of s2.
+
+        Products are memoised for the algebra's lifetime under the unordered
+        pair of RREF bases: the rows are canonical and the table never
+        changes, so a stored product cannot go stale.
+        """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
-        if s1.is_zero() or s2.is_zero():
-            return Subspace.zero(self.dim, self.field)
-        prods = [self.mul_coords(u, v) for u in s1.rows for v in s2.rows]
-        return Subspace(prods, self.dim, self.field)
+        key = frozenset((s1.rows, s2.rows))
+        hit = self._products.get(key)
+        if hit is None:
+            prods = [self.mul_coords(u, v) for u in s1.rows for v in s2.rows]
+            hit = self._products[key] = Subspace(prods, self.dim, self.field)
+        return hit
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim, self.field)
@@ -241,23 +251,6 @@ class PowerChain:
     nil_index: int | None
 
 
-class _ProductCache:
-    """Memoises symmetric subspace products inside one chain computation."""
-
-    def __init__(self, algebra: CommAlgebra):
-        self.algebra = algebra
-        self.cache = {}
-
-    def product(self, s1: Subspace, s2: Subspace) -> Subspace:
-        k1, k2 = s1.rows, s2.rows
-        key = (k1, k2) if k1 <= k2 else (k2, k1)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.algebra.subspace_product(s1, s2)
-            self.cache[key] = hit
-        return hit
-
-
 def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
     """Full powers S^i = sum over r+s=i of S^r * S^s, computed by DP.
 
@@ -267,7 +260,6 @@ def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
     value sum(S^r * T, r < p) + T * T at every later position.  Stopping on
     a single repeat would truncate chains that drop after a plateau.
     """
-    cache = _ProductCache(a)
     terms = [s]
     if s.is_zero():
         return terms, True, 1
@@ -282,7 +274,7 @@ def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
         new = Subspace.zero(a.dim, a.field)
         i = pos + 1
         for r in range(1, i // 2 + 1):
-            new = new.plus(cache.product(terms[r - 1], terms[i - r - 1]))
+            new = new.plus(a.subspace_product(terms[r - 1], terms[i - r - 1]))
         terms.append(new)
         if new.is_zero():
             return terms, True, len(terms)
@@ -292,24 +284,22 @@ def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
             return terms, True, None
 
 
-def _first_order_chain(a: CommAlgebra, s: Subspace, kind: str, max_steps: int | None):
-    """Principal (T -> T*S) and plenary (T -> T*T) chains.
+def iterate_chain(start: Subspace, step, cap: int | None = None):
+    """The chain T_0 = start, T_{k+1} = step(T_k), as (terms, stabilized).
 
-    Both recurrences depend only on the previous term, so one repeat proves
-    stabilization.
+    The chain ends at its first zero term, before its first repeat (a
+    first-order recurrence repeats forever from then on) or, unstabilized,
+    once it holds `cap` terms.  `step` must map zero to zero.
     """
-    if max_steps is None:
-        max_steps = a.dim + 2
-    terms = [s]
+    terms = [start]
     while True:
         if terms[-1].is_zero():
-            return terms, True, len(terms)
-        if len(terms) >= max_steps:
-            return terms, False, None
-        prev = terms[-1]
-        new = a.subspace_product(prev, s if kind == PRINCIPAL else prev)
-        if new == prev:
-            return terms, True, None
+            return terms, True
+        if cap is not None and len(terms) >= cap:
+            return terms, False
+        new = step(terms[-1])
+        if new == terms[-1]:
+            return terms, True
         terms.append(new)
 
 
@@ -323,30 +313,28 @@ def power_chain(a: CommAlgebra, s: Subspace, kind: str, max_steps: int | None = 
     if kind == FULL:
         terms, stable, nil = _full_chain(a, s, max_steps)
     else:
-        terms, stable, nil = _first_order_chain(a, s, kind, max_steps)
+        # principal T -> T*S, plenary T -> T*T
+        terms, stable = iterate_chain(
+            s, lambda t: a.subspace_product(t, s if kind == PRINCIPAL else t),
+            a.dim + 2 if max_steps is None else max_steps)
+        nil = len(terms) if terms[-1].is_zero() else None
     return PowerChain(kind, tuple(terms), stable, nil)
 
 
 def generated_subalgebra(a: CommAlgebra, gens) -> Subspace:
     """Smallest subspace containing gens and closed under the product."""
-    span = a.span_of(list(gens))
-    while True:
-        grown = span.plus(a.subspace_product(span, span))
-        if grown == span:
-            return span
-        span = grown
+    terms, _ = iterate_chain(a.span_of(list(gens)),
+                             lambda t: t.plus(a.subspace_product(t, t)))
+    return terms[-1]
 
 
 def generated_ideal(a: CommAlgebra, gens) -> Subspace:
     """Smallest subspace containing gens and closed under multiplication
     by the whole algebra."""
-    span = a.span_of(list(gens))
     full = a.full_space()
-    while True:
-        grown = span.plus(a.subspace_product(full, span))
-        if grown == span:
-            return span
-        span = grown
+    terms, _ = iterate_chain(a.span_of(list(gens)),
+                             lambda t: t.plus(a.subspace_product(full, t)))
+    return terms[-1]
 
 
 def is_ideal(a: CommAlgebra, s: Subspace) -> bool:
@@ -385,10 +373,8 @@ def plenary_power(a: CommAlgebra, s: Subspace, i: int) -> Subspace:
     """The i-th plenary power (i >= 1), the first one being S*S."""
     if i < 1:
         raise ValueError("plenary power index must be >= 1")
-    t = s
-    for _ in range(i):
-        t = a.subspace_product(t, t)
-    return t
+    terms, _ = iterate_chain(s, lambda t: a.subspace_product(t, t), i + 1)
+    return terms[-1]  # a zero or repeated last term stands for all later ones
 
 
 def subalgebra_on(a: CommAlgebra, s: Subspace, names=None) -> CommAlgebra:

@@ -233,16 +233,16 @@ class Analysis:
     """The facts one report needs about one algebra, each computed at most
     once: the weight verdict, identity verdicts, Peirce data and the power
     chains of the start subspace (the barideal N for baric input, the whole
-    space otherwise).  Make a fresh one per report; it caches nothing
-    beyond its own lifetime.
+    space otherwise).  Make a fresh one per report; these facts die with
+    it.  Subspace products are memoised apart from it, on the algebra
+    itself for the algebra's lifetime (see `CommAlgebra.subspace_product`).
     """
 
-    def __init__(self, alg, rng_seed: int = 0):
+    def __init__(self, alg):
         self.baric = isinstance(alg, BaricAlgebra)
         self.source = alg
         self.algebra = alg.algebra if self.baric else alg
         self.weight = alg.weight if self.baric else None
-        self.rng_seed = rng_seed
         self._identities = {}
         self._chains = {}
 
@@ -253,8 +253,7 @@ class Analysis:
 
     def identity(self, ident: Identity):
         if ident not in self._identities:
-            self._identities[ident] = check_identity(self.algebra, ident, self.weight,
-                                                     self.rng_seed)
+            self._identities[ident] = check_identity(self.algebra, ident, self.weight)
         return self._identities[ident]
 
     @cached_property

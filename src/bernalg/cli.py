@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a checked property failed (a witness is printed),
 2 malformed input.  Subcommands that need a Bernstein algebra exit 1 on a
 baric input that is not one, with the broken weight pair or Bernstein
 identity as the witness.  All subcommands accept '-' for stdin and support
---json; reports are deterministic for fixed inputs and --seed-rng.
+--json; reports are deterministic: the same input gives the same bytes.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _require_baric(alg) -> BaricAlgebra:
 def cmd_check(args) -> int:
     _, alg = _load(args.file)
     report, status = build_report(args.name or _algebra_name(args.file), alg,
-                                  args.max_steps, args.seed_rng)
+                                  args.max_steps)
     if args.json:
         sys.stdout.write(emit_report(report))
     else:
@@ -296,8 +296,6 @@ def cmd_quotient(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--seed-rng", type=int, default=0, metavar="INT",
-                        help="seed for randomized witness fallbacks")
     common.add_argument("--max-steps", type=int, default=None, metavar="INT",
                         help="cap on power chain length")
     common.add_argument("--name", default=None, help="override the report name")

@@ -59,10 +59,6 @@ def parse_rational(token: str, line: int = 0, col: int = 0) -> Fraction:
     return Fraction(token)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _tokenize(line: str):
     code = line.split("#", 1)[0]
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", code)]
@@ -172,12 +168,12 @@ def serialize(f: AlgebraFile) -> str:
     lines = [f"algebra {f.name}", "basis " + " ".join(f.basis)]
     order = {n: i for i, n in enumerate(f.basis)}
     for ident in sorted(f.weights, key=order.__getitem__):
-        lines.append(f"weight {ident} {format_rational(f.weights[ident])}")
+        lines.append(f"weight {ident} {f.weights[ident]}")
     for (na, nb) in sorted(f.products, key=lambda k: (order[k[0]], order[k[1]])):
         combo = f.products[(na, nb)]
         if not combo:
             continue
-        rhs = " + ".join(f"{format_rational(c)} {ident}" for c, ident in combo)
+        rhs = " + ".join(f"{c} {ident}" for c, ident in combo)
         lines.append(f"prod {na} {nb} = {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -181,54 +181,48 @@ def _subset_sums(a: CommAlgebra, positions: tuple[int, ...]):
             yield e
 
 
-def _witness_from_tuple(a, ident, weight, xs, y_index, rng):
+def _witness_from_tuple(a, ident, weight, xs, y_index):
     """Convert a failing linearized tuple into a witness for the identity
-    itself; falls back to random dense elements if the defect were to hide
-    off the subset sums (cannot happen for these identities, kept anyway)."""
+    itself.  The scans compute a positive multiple of the identity's
+    multilinear component, so by polarization some subset sum of the tuple
+    has a nonzero defect; the final raise guards that argument."""
     if ident is Identity.JACOBI:
         i, j, k = xs
         assignment = {"x": a.basis_element(i), "y": a.basis_element(j), "z": a.basis_element(k)}
         residual = identity_defect(a, ident, assignment, weight)
         return Witness(tuple(assignment.items()), residual)
-    candidates_y = [a.basis_element(y_index)] if y_index is not None else [None]
+    y = {} if y_index is None else {"y": a.basis_element(y_index)}
     for x in _subset_sums(a, xs):
-        for ye in candidates_y:
-            assignment = {"x": x}
-            if ye is not None:
-                assignment["y"] = ye
-            residual = identity_defect(a, ident, assignment, weight)
-            if not residual.is_zero():
-                return Witness(tuple(assignment.items()), residual)
-    probe = random_identity_probe(a, ident, weight, trials=1000, rng=rng)
-    if isinstance(probe, Witness):
-        return probe
+        assignment = {"x": x, **y}
+        residual = identity_defect(a, ident, assignment, weight)
+        if not residual.is_zero():
+            return Witness(tuple(assignment.items()), residual)
     raise RuntimeError("linearized form is nonzero but no witness was found")
 
 
-def check_identity(a: CommAlgebra, ident: Identity, weight=None, rng_seed: int = 0):
+def check_identity(a: CommAlgebra, ident: Identity, weight=None):
     """True if the identity holds for every element of the algebra, else a
     Witness.  Only rational algebras are accepted: the multilinearization
     argument needs an infinite field of characteristic zero."""
     if a.field != QQ:
         raise ValueError("identity checking is only supported over the rationals")
     weight = _weight_for(a, ident, weight)
-    rng = random.Random(rng_seed)
     if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
         bad = _scan_degree4(a, weight, ident is Identity.BERNSTEIN)
         if bad is None:
             return True
-        return _witness_from_tuple(a, ident, weight, bad, None, rng)
+        return _witness_from_tuple(a, ident, weight, bad, None)
     if ident in (Identity.CUBE_WEIGHT, Identity.CUBE_ZERO, Identity.JACOBI):
         bad = _scan_degree3(a, weight, ident is Identity.CUBE_WEIGHT)
         if bad is None:
             return True
-        return _witness_from_tuple(a, ident, weight, bad, None, rng)
+        return _witness_from_tuple(a, ident, weight, bad, None)
     if ident is Identity.JORDAN:
         hit = _scan_jordan(a)
         if hit is None:
             return True
         xs, y = hit
-        return _witness_from_tuple(a, ident, weight, xs, y, rng)
+        return _witness_from_tuple(a, ident, weight, xs, y)
     raise ValueError(f"unknown identity {ident!r}")
 
 

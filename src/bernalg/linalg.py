@@ -267,9 +267,6 @@ class Subspace:
         return Subspace([combine_rows(c, self.rows, self.field) for c in coords.rows],
                         self.ambient_dim, self.field)
 
-    __or__ = plus
-    __and__ = meet
-
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise ValueError("ambient dimension (or field) mismatch")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (CommAlgebra, Element, FULL, PowerChain, generated_ideal,
-                      generated_subalgebra, is_ideal, power_chain)
+                      generated_subalgebra, is_ideal, iterate_chain, power_chain)
 from .bernstein import BaricAlgebra, PeirceData
 from .linalg import Matrix, Subspace
 
@@ -63,14 +63,12 @@ def greatest_fixed_subspace(b: BaricAlgebra, p: PeirceData) -> FixedSubspaceResu
     inside every chain term, so the (always reached) limit is the greatest
     fixed subspace; starting at N loses nothing since V*A is inside N."""
     a = b.algebra
-    chain = [p.N]
-    while True:
-        nxt = a.subspace_product(p.V, chain[-1])
-        chain.append(nxt)
-        if nxt.is_zero():
-            return FixedSubspaceResult(tuple(chain), nxt, len(chain) - 1)
-        if nxt == chain[-2]:
-            return FixedSubspaceResult(tuple(chain), nxt, len(chain) - 1)
+    chain, _ = iterate_chain(p.N, lambda t: a.subspace_product(p.V, t))
+    if len(chain) == 1 or not chain[-1].is_zero():
+        # record the step V*I = I that proves a nonzero limit (or, from a
+        # zero N, the one step V*0 = 0)
+        chain.append(chain[-1])
+    return FixedSubspaceResult(tuple(chain), chain[-1], len(chain) - 1)
 
 
 @dataclass(frozen=True)
@@ -117,16 +115,12 @@ def mult_closure_nilpotent(b: BaricAlgebra, p: PeirceData) -> MultClosure:
             break
         frontier_rows = [row for row in new_span.rows if not closure.contains(row)]
         closure = new_span
-    # word spans of exact length m
-    nil_index = None
-    word_span = gen_span
-    for m in range(1, max(k, 1) + 2):
-        if word_span.is_zero():
-            nil_index = m
-            break
-        products = [Matrix(k, k, f, field) @ g
-                    for f in word_span.rows for g in gens]
-        word_span = _matrix_span(products, k, field)
+    # word spans of exact length m = 1, 2, ...; a repeat never reaches zero
+    words, _ = iterate_chain(
+        gen_span, lambda w: _matrix_span([Matrix(k, k, f, field) @ g
+                                          for f in w.rows for g in gens], k, field),
+        max(k, 1) + 1)
+    nil_index = len(words) if words[-1].is_zero() else None
     return MultClosure(tuple(gens), _span_matrices(closure, k, field),
                        nil_index is not None, nil_index)
 

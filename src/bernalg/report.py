@@ -9,8 +9,10 @@ Each build_report call makes one fresh `bernstein.Analysis` for its input
 and renders every section from it, so the weight verdict, each identity
 verdict, the Peirce data and each power chain of the start subspace (N for
 baric input, the whole space otherwise) are computed once per report.  The
-Analysis dies with the call: nothing is cached across reports or stored on
-the algebra.
+Analysis dies with the call.  Subspace products are memoised on the
+algebra itself for its lifetime, so a product that several sections need
+(U*U, V*V, N*N, ...) is computed once per algebra; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from .nilpotence import (decompose_nilpotent_ideal, greatest_fixed_subspace,
                          mult_closure_nilpotent)
 
 
-def scalar_json(x) -> str:
-    return str(x)
-
-
 def coords_json(coords) -> list:
     return [str(c) for c in coords]
 
@@ -42,7 +40,7 @@ def witness_json(w: Witness) -> dict:
     out = {"assignment": {var: coords_json(e.coords) for var, e in w.assignment}}
     residual = w.residual
     out["residual"] = coords_json(residual.coords) if hasattr(residual, "coords") \
-        else scalar_json(residual)
+        else str(residual)
     if w.note:
         out["note"] = w.note
     return out
@@ -77,10 +75,10 @@ def chain_summary(an: Analysis, max_steps=None) -> dict:
     }
 
 
-def build_report(name: str, alg, max_steps=None, rng_seed: int = 0) -> tuple[dict, int]:
+def build_report(name: str, alg, max_steps=None) -> tuple[dict, int]:
     """Full pipeline report for one algebra; the int is the exit status
     (0 ok, 1 when a structural property fails with a witness)."""
-    an = Analysis(alg, rng_seed)
+    an = Analysis(alg)
     algebra = an.algebra
     report = {
         "algebra": name,

@@ -122,6 +122,29 @@ def test_squareshift_n_squared():
     assert a.subspace_product(n, n) == span_named(a, "e1", "e2")
 
 
+def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
+    b = make_family("bdown", 3)
+    n = b.barideal()
+    calls = []
+
+    def count_products(a):
+        original = a.mul_coords
+        monkeypatch.setattr(a, "mul_coords",
+                            lambda x, y: calls.append(1) or original(x, y))
+        return a
+    a = count_products(b.algebra)
+    first = a.subspace_product(a.full_space(), n)
+    computed = len(calls)
+    assert computed > 0
+    assert a.subspace_product(a.full_space(), n) is first
+    assert a.subspace_product(n, a.full_space()) is first
+    assert len(calls) == computed
+    # the memo lives on the algebra: a fresh one computes the product anew
+    fresh = count_products(make_family("bdown", 3).algebra)
+    assert fresh.subspace_product(n, fresh.full_space()) == first
+    assert len(calls) == 2 * computed
+
+
 def test_product_monotone():
     rng = fresh_rng(5)
     a = make_family("bdown", 4).algebra
@@ -192,6 +215,17 @@ def test_full_chain_detects_nonzero_stabilization():
     chain = power_chain(a, a.full_space(), "full")
     assert chain.stabilized and chain.nil_index is None
     assert chain.terms[-1] == Subspace([[1, 0]], 2)
+
+
+def test_full_chain_over_gf5_matches_rationals(gf5):
+    over_q = make_family("bdown", 3)
+    over_p = make_family("bdown", 3, field=gf5)
+    chain_q = power_chain(over_q.algebra, over_q.barideal(), "full")
+    chain_p = power_chain(over_p.algebra, over_p.barideal(), "full")
+    assert [t.dim for t in chain_p.terms] == [t.dim for t in chain_q.terms] == [4, 2, 1, 0]
+    assert chain_p.nil_index == chain_q.nil_index == 4
+    rep = nilpotency_report(over_p.algebra, over_p.barideal())
+    assert rep == nilpotency_report(over_q.algebra, over_q.barideal())
 
 
 def test_full_chain_terms_decrease_for_subalgebras(baric_corpus):

@@ -70,8 +70,7 @@ def test_check_json_matches_golden_bytes(capsys, monkeypatch):
 def test_reports_are_byte_identical_across_runs(capsys, monkeypatch):
     outs = []
     for _ in range(2):
-        code, out, _ = run_cli(["check", path("bup4.alg"), "--json",
-                                "--seed-rng", "7"], capsys=capsys)
+        code, out, _ = run_cli(["check", path("bup4.alg"), "--json"], capsys=capsys)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]

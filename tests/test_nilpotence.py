@@ -3,8 +3,8 @@ import pytest
 from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
                      generated_ideal, greatest_fixed_subspace, is_ideal,
                      make_family, module_action, mult_closure_nilpotent,
-                     nilpotency_report, peirce, stable_subspace_check,
-                     submodule_ideal_check)
+                     nilpotency_report, peirce, power_chain,
+                     stable_subspace_check, submodule_ideal_check)
 from bernalg.bernstein import BaricAlgebra
 
 from conftest import (all_subspaces_within, fresh_rng, non_nilpotent_baric,
@@ -143,6 +143,18 @@ def test_nonzero_gfp_detected():
     p = peirce(b)
     res = greatest_fixed_subspace(b, p)
     assert res.gfp == Subspace([[0, 1, 0]], 3)  # the line through u
+
+
+def test_fixed_chain_keeps_its_repeat_and_power_chain_drops_it():
+    # V*I = I is recorded as a last, repeated term; a power chain stops
+    # before repeating
+    b = non_nilpotent_baric()
+    p = peirce(b)
+    res = greatest_fixed_subspace(b, p)
+    assert [t.dim for t in res.chain] == [2, 1, 1] and res.steps == 2
+    chain = power_chain(b.algebra, p.N, "principal")
+    assert [t.dim for t in chain.terms] == [2, 1]
+    assert chain.stabilized and chain.nil_index is None
 
 
 # ---------------------------------------------------------------- mult closure

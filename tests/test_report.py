@@ -4,6 +4,7 @@ import json
 from bernalg import BaricAlgebra, CommAlgebra, Identity, make_family
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
+from bernalg import nilpotence as nilpotence_module
 from bernalg.report import build_report, emit_report
 
 
@@ -59,8 +60,8 @@ def test_baric_report_computes_each_fact_once(monkeypatch):
     counting(bernstein_module, "check_identity", lambda a, ident, *rest: ident)
     counting(bernstein_module, "peirce", lambda *args: "peirce")
     counting(bernstein_module, "verify_weight", lambda *args: "verify_weight")
-    counting(algebra_module, "_first_order_chain",
-             lambda a, s, kind, *rest: (kind, s == n))
+    for module in (bernstein_module, nilpotence_module):
+        counting(module, "power_chain", lambda a, s, kind, *rest: (kind, s == n))
     counting(algebra_module, "_full_chain", lambda *args: "full")
     report, status = build_report("bdown3", b)
     assert status == 0 and report["certificate"]["n_nilpotent"] is True
