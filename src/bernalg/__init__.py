@@ -7,9 +7,9 @@ from .algebra import (CHAIN_KINDS, FULL, PLENARY, PRINCIPAL, CommAlgebra,
                       plenary_power, power_chain, subalgebra_on,
                       subspace_product, weight_of)
 from .bernstein import (Analysis, BaricAlgebra, ClassificationFlags,
-                        NotBernsteinError, PeirceData, check_peirce_relations,
-                        classify, find_idempotent, nuclear_core, peirce,
-                        quotient, verify_weight)
+                        NotBernsteinError, PeirceData, bernstein_witnesses,
+                        check_peirce_relations, classify, find_idempotent,
+                        nuclear_core, peirce, quotient, verify_weight)
 from .families import FAMILY_KINDS, make_family, plenary_trace
 from .fields import QQ, ModP, PrimeField
 from .fileformat import (AlgebraFile, ParseError, from_algebra, parse,

@@ -54,12 +54,10 @@ class CommAlgebra:
             if key in table and table[key] != coords:
                 raise ValueError(f"conflicting products for basis pair {key}")
             table[key] = coords
-        zero = field.zero
         # all-zero rows are dropped: unspecified pairs multiply to zero anyway
-        self._table = {key: coords for key, coords in table.items()
-                       if any(c != zero for c in coords)}
+        self._table = {key: coords for key, coords in table.items() if any(coords)}
         self._sparse = {
-            key: tuple((k, c) for k, c in enumerate(coords) if c != zero)
+            key: tuple((k, c) for k, c in enumerate(coords) if c)
             for key, coords in self._table.items()
         }
         self._products = {}
@@ -104,13 +102,12 @@ class CommAlgebra:
         return self._sparse.get((i, j) if i <= j else (j, i))
 
     def mul_coords(self, x, y) -> tuple:
-        zero = self.field.zero
-        acc = [zero] * self.dim
+        acc = [self.field.zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 row = self.table_row(i, j)
                 if not row:
@@ -153,12 +150,14 @@ class CommAlgebra:
         """Span of all products of basis vectors of s1 with basis vectors of s2.
 
         Products are memoised for the algebra's lifetime under the unordered
-        pair of RREF bases: the rows are canonical and the table never
-        changes, so a stored product cannot go stale.
+        pair of subspaces: their RREF rows are canonical and the table never
+        changes, so a stored product cannot go stale.  A subspace caches its
+        hash, and a lookup with the very objects of an earlier call matches
+        by identity without comparing rows.
         """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
-        key = frozenset((s1.rows, s2.rows))
+        key = frozenset((s1, s2))
         hit = self._products.get(key)
         if hit is None:
             prods = [self.mul_coords(u, v) for u in s1.rows for v in s2.rows]
@@ -210,22 +209,18 @@ class Element:
         return self.__mul__(other)
 
     def is_zero(self) -> bool:
-        zero = self.algebra.field.zero
-        return all(a == zero for a in self.coords)
+        return not any(self.coords)
 
     def __str__(self):
-        zero = self.algebra.field.zero
-        parts = [f"{c}*{n}" for c, n in zip(self.coords, self.algebra.basis_names)
-                 if c != zero]
+        parts = [f"{c}*{n}" for c, n in zip(self.coords, self.algebra.basis_names) if c]
         return " + ".join(parts) if parts else "0"
 
 
 def weight_of(weight, x: Element):
     """Value at x of the linear functional with the given basis values."""
-    zero = x.algebra.field.zero
-    acc = zero
+    acc = x.algebra.field.zero
     for w, c in zip(weight, x.coords):
-        if w != zero and c != zero:
+        if w and c:
             acc = acc + w * c
     return acc
 
@@ -275,11 +270,14 @@ def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
         i = pos + 1
         for r in range(1, i // 2 + 1):
             new = new.plus(a.subspace_product(terms[r - 1], terms[i - r - 1]))
-        terms.append(new)
         if new.is_zero():
+            terms.append(new)
             return terms, True, len(terms)
-        if new != terms[-2]:
-            plateau = len(terms) - 1
+        if new == terms[-1]:
+            new = terms[-1]  # the same object, so plateau products hit the memo by identity
+        else:
+            plateau = len(terms)
+        terms.append(new)
         if len(terms) >= 2 * (plateau + 1):
             return terms, True, None
 

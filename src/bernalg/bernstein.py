@@ -72,20 +72,23 @@ class ClassificationFlags:
 
 
 class NotBernsteinError(ValueError):
-    """A computation that needs a Bernstein algebra met one that is not."""
+    """A computation that needs a Bernstein algebra met one that is not.
+    witnesses holds the broken weight pair or Bernstein identity, keyed like
+    the witnesses of ClassificationFlags (see bernstein_witnesses)."""
 
-    def __init__(self, message: str, b: BaricAlgebra):
+    def __init__(self, message: str, witnesses: dict):
         super().__init__(message)
-        self.baric = b
+        self.witnesses = witnesses
 
-    def witnesses(self) -> dict:
-        """The broken weight pair or Bernstein identity, keyed like the
-        witnesses of ClassificationFlags; computed on demand."""
-        w = verify_weight(self.baric)
-        if w is not True:
-            return {"baric": w}
-        w = check_identity(self.baric.algebra, Identity.BERNSTEIN, self.baric.weight)
-        return {} if w is True else {"bernstein": w}
+
+def bernstein_witnesses(b: BaricAlgebra) -> dict:
+    """{} when the weight is valid and the Bernstein identity holds, else
+    {"baric": w} or {"bernstein": w} for the first check that fails."""
+    w = verify_weight(b)
+    if w is not True:
+        return {"baric": w}
+    w = check_identity(b.algebra, Identity.BERNSTEIN, b.weight)
+    return {} if w is True else {"bernstein": w}
 
 
 def verify_weight(b: BaricAlgebra):
@@ -122,7 +125,8 @@ def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
                 seed = a.basis_element(k)
                 break
         if seed is None:
-            raise NotBernsteinError("weight functional is zero; no idempotent seed exists", b)
+            raise NotBernsteinError("weight functional is zero; no idempotent seed exists",
+                                    bernstein_witnesses(b))
     w = weight_of(b.weight, seed)
     if w == zero:
         raise ValueError("seed element has weight zero")
@@ -130,7 +134,7 @@ def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
     e = x * x
     if e * e != e or weight_of(b.weight, e) != one:
         raise NotBernsteinError("squared seed is not an idempotent of weight one; "
-                                "the algebra is not Bernstein", b)
+                                "the algebra is not Bernstein", bernstein_witnesses(b))
     return e
 
 
@@ -150,7 +154,7 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     v = n.span_of_coords(eigenspace(le, b.field.zero))
     if u.dim + v.dim != n.dim or u.plus(v) != n:
         raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
-                                "the algebra is not Bernstein", b)
+                                "the algebra is not Bernstein", bernstein_witnesses(b))
     return PeirceData(e, u, v, n, _annihilator_in_u(a, u))
 
 

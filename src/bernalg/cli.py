@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import CHAIN_KINDS, ChainCapError, power_chain
-from .bernstein import (BaricAlgebra, NotBernsteinError, classify, find_idempotent,
-                        peirce, quotient)
+from .bernstein import (BaricAlgebra, NotBernsteinError, bernstein_witnesses, classify,
+                        find_idempotent, peirce, quotient)
 from .families import FAMILY_KINDS, make_family
 from .fileformat import (ParseError, from_algebra, parse, serialize,
                          to_algebra)
@@ -76,6 +76,17 @@ def _require_baric(alg) -> BaricAlgebra:
     if not isinstance(alg, BaricAlgebra):
         raise ValueError("this command needs a baric file (declare weight lines)")
     return alg
+
+
+def _require_bernstein(alg) -> BaricAlgebra:
+    """The baric algebra, once its weight and the Bernstein identity are
+    verified: a Peirce split can succeed on an algebra that is not Bernstein."""
+    b = _require_baric(alg)
+    failed = bernstein_witnesses(b)
+    if failed:
+        step = "weight" if "baric" in failed else "Bernstein identity"
+        raise NotBernsteinError(f"the {step} check fails; the algebra is not Bernstein", failed)
+    return b
 
 
 def cmd_check(args) -> int:
@@ -151,7 +162,7 @@ def cmd_classify(args) -> int:
 
 def cmd_peirce(args) -> int:
     _, alg = _load(args.file)
-    b = _require_baric(alg)
+    b = _require_bernstein(alg)
     seed = _element_from_expr(b.algebra, args.seed) if args.seed else None
     e = find_idempotent(b, seed)
     p = peirce(b, e)
@@ -199,7 +210,7 @@ def cmd_powers(args) -> int:
 
 def cmd_fixedspace(args) -> int:
     _, alg = _load(args.file)
-    b = _require_baric(alg)
+    b = _require_bernstein(alg)
     res = greatest_fixed_subspace(b, peirce(b))
     payload = {
         "chain_dims": [t.dim for t in res.chain],
@@ -216,7 +227,7 @@ def cmd_fixedspace(args) -> int:
 
 def cmd_multalg(args) -> int:
     _, alg = _load(args.file)
-    b = _require_baric(alg)
+    b = _require_bernstein(alg)
     closure = mult_closure_nilpotent(b, peirce(b))
     payload = {
         "generator_count": len(closure.generators),
@@ -234,7 +245,7 @@ def cmd_multalg(args) -> int:
 
 def cmd_stability(args) -> int:
     _, alg = _load(args.file)
-    b = _require_baric(alg)
+    b = _require_bernstein(alg)
     s = _subspace_from_spec(b.algebra, args.subspace)
     rep = stable_subspace_check(b, peirce(b), s)
     payload = {
@@ -284,7 +295,7 @@ def cmd_quotient(args) -> int:
     _, alg = _load(args.file)
     b = _require_baric(alg)
     if args.by == "annU":
-        ideal = peirce(b).annU
+        ideal = peirce(_require_bernstein(b)).annU
     else:
         ideal = _subspace_from_spec(b.algebra, args.by)
     q = quotient(b, ideal)
@@ -374,7 +385,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except NotBernsteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        witnesses = {k: check_json(w) for k, w in exc.witnesses().items()}
+        witnesses = {k: check_json(w) for k, w in exc.witnesses.items()}
         _out(args, {"error": str(exc), "witnesses": witnesses},
              [f"witness[{k}]: {w}" for k, w in witnesses.items()])
         return 1

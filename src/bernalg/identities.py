@@ -8,12 +8,24 @@ characteristic 0) this is equivalent to the identity holding for every
 element.  A failing tuple is turned into a concrete witness by evaluating
 the original identity at subset sums of the tuple; inclusion-exclusion
 guarantees one of them has a nonzero defect.
+
+The scans run in exact integer arithmetic.  Each scan clears denominators
+once: the table is scaled by D, the lcm of its denominators, and the
+weight by Dw, the lcm of the weight's.  Every term of a tuple's sum is then
+weighted by a positive integer chosen so that the whole integer sum is one
+fixed positive multiple of the rational sum (D^3 Dw^2 for the quartic
+forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive multiple is
+zero exactly when the rational sum is, so each tuple gets the same verdict
+as in rational arithmetic, the tuples are visited in the same order, and
+the first failing tuple is the same.  Only the witness, built from that
+tuple, is evaluated with rationals.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -96,72 +108,138 @@ def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=No
     raise ValueError(f"unknown identity {ident!r}")
 
 
-def _pair_products(a: CommAlgebra):
-    basis = [a.basis_element(i) for i in range(a.dim)]
-    prods = [[None] * a.dim for _ in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            p = basis[i] * basis[j]
-            prods[i][j] = p
-            prods[j][i] = p
-    return basis, prods
+class _ClearedTable:
+    """The multiplication table times D, the lcm of its denominators, as
+    sparse integer rows.  Vectors are sparse {index: int} dicts without
+    zero entries, so an empty dict is the zero vector; for integer vectors
+    x and y, `mul(x, y)` is D times their rational product."""
+
+    def __init__(self, a: CommAlgebra):
+        rational = [[a.table_row(i, j) for j in range(a.dim)] for i in range(a.dim)]
+        den = self.den = math.lcm(*(c.denominator for rs in rational for row in rs if row
+                                    for _, c in row))
+        self.rows = [[row and tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
+                      for row in rs] for rs in rational]
+        # D e_i e_j, the integer pair products every scan starts from
+        self.pairs = [[dict(row or ()) for row in rs] for rs in self.rows]
+        self.units = [{k: 1} for k in range(a.dim)]
+
+    def mul(self, x: dict, y: dict) -> dict:
+        rows = self.rows
+        acc = {}
+        for i, xi in x.items():
+            ri = rows[i]
+            for j, yj in y.items():
+                row = ri[j]
+                if row:
+                    c = xi * yj
+                    for k, t in row:
+                        acc[k] = acc.get(k, 0) + c * t
+        return {k: v for k, v in acc.items() if v}
 
 
-def _scan_degree4(a, weight, with_weight):
+def _cleared_weight(weight):
+    """(weight times Dw, Dw) with Dw the lcm of the weight's denominators."""
+    dw = math.lcm(*(w.denominator for w in weight))
+    return [w.numerator * (dw // w.denominator) for w in weight], dw
+
+
+def _add_to(acc: dict, vec: dict, c: int) -> None:
+    for k, v in vec.items():
+        acc[k] = acc.get(k, 0) + c * v
+
+
+def _scan_degree4(a, weight):
     """First basis 4-tuple where the linearized quartic form is nonzero.
 
     The multilinear component of (x^2)^2 is, up to a positive factor, the
-    sum over the three pair-pairings; the weight part linearizes to the sum
-    over the six ways of splitting the tuple into a weight pair and a
-    product pair.
+    sum over the three pair-pairings; the weight part (when a weight is
+    given) linearizes to the sum over the six ways of splitting the tuple
+    into a weight pair and a product pair.  With P = D e_p e_q and
+    W = Dw w, the pair-pair terms 2 Dw^2 P P and the weight terms
+    D^2 W W P are each D^3 Dw^2 times their rational values.
     """
-    basis, prods = _pair_products(a)
-    zero = a.field.zero
-    two = a.field.of(2)
+    tab = _ClearedTable(a)
+    pairs = tab.pairs
+    ws, dw = _cleared_weight(weight) if weight is not None else (None, 1)
+    c_pair, c_weight = 2 * dw * dw, tab.den ** 2
     for t in itertools.combinations_with_replacement(range(a.dim), 4):
         i, j, k, l = t
-        acc = two * ((prods[i][j] * prods[k][l])
-                     + (prods[i][k] * prods[j][l])
-                     + (prods[i][l] * prods[j][k]))
-        if with_weight:
+        acc = {}
+        for p, q in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
+            x, y = pairs[p[0]][p[1]], pairs[q[0]][q[1]]
+            if x and y:
+                _add_to(acc, tab.mul(x, y), c_pair)
+        if ws is not None:
             for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
                                    ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
-                c = weight[p] * weight[q]
-                if c != zero:
-                    acc = acc - c * prods[r][s]
-        if not acc.is_zero():
+                c = ws[p] * ws[q]
+                if c:
+                    _add_to(acc, pairs[r][s], -c_weight * c)
+        if any(acc.values()):
             return t
     return None
 
 
-def _scan_degree3(a, weight, with_weight):
-    """First basis triple where the linearized cubic form is nonzero."""
-    basis, prods = _pair_products(a)
-    zero = a.field.zero
+def _scan_degree3(a, weight):
+    """First basis triple where the linearized cubic form is nonzero.
+
+    The product terms Dw (D e_p e_q) e_r and the weight terms D W P are
+    each D^2 Dw times their rational values.
+    """
+    tab = _ClearedTable(a)
+    pairs, units = tab.pairs, tab.units
+    ws, dw = _cleared_weight(weight) if weight is not None else (None, 1)
     for t in itertools.combinations_with_replacement(range(a.dim), 3):
         i, j, k = t
-        acc = (prods[i][j] * basis[k]) + (prods[i][k] * basis[j]) + (prods[j][k] * basis[i])
-        if with_weight:
-            for p, (r, s) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                c = weight[p]
-                if c != zero:
-                    acc = acc - c * prods[r][s]
-        if not acc.is_zero():
+        acc = {}
+        for r, (p, q) in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
+            x = pairs[p][q]
+            if x:
+                _add_to(acc, tab.mul(x, units[r]), dw)
+        if ws is not None:
+            for r, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+                c = ws[r]
+                if c:
+                    _add_to(acc, pairs[p][q], -tab.den * c)
+        if any(acc.values()):
             return t
     return None
 
 
 def _scan_jordan(a):
-    """First ((x-triple), y) where the linearized Jordan form is nonzero."""
-    basis, prods = _pair_products(a)
+    """First ((x-triple), y) where the linearized Jordan form is nonzero.
+
+    Both terms e_m (P e_y) and P (D e_m e_y) of each summand are D^3 times
+    their rational values, so the form needs no further weighting.
+    """
+    tab = _ClearedTable(a)
+    pairs, units, mul = tab.pairs, tab.units, tab.mul
+    # P e_y and P (D e_m e_y) recur across tuples, so each is computed once
+    # per scan; e_m (P e_y) is met by one (tuple, y) only and is not kept
+    xys, pps = {}, {}
     for t in itertools.combinations_with_replacement(range(a.dim), 3):
         i, j, k = t
         for y in range(a.dim):
-            by = basis[y]
-            acc = (basis[i] * (prods[j][k] * by) - prods[j][k] * (basis[i] * by)
-                   + basis[j] * (prods[i][k] * by) - prods[i][k] * (basis[j] * by)
-                   + basis[k] * (prods[i][j] * by) - prods[i][j] * (basis[k] * by))
-            if not acc.is_zero():
+            acc = {}
+            for m, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+                x = pairs[p][q]
+                if not x:
+                    continue
+                xy = xys.get((p, q, y))
+                if xy is None:
+                    xy = xys[p, q, y] = mul(x, units[y])
+                if xy:
+                    _add_to(acc, mul(units[m], xy), 1)
+                my = pairs[m][y]
+                if my:
+                    pq, ym = (p, q), (min(m, y), max(m, y))
+                    key = (pq, ym) if pq <= ym else (ym, pq)
+                    pp = pps.get(key)
+                    if pp is None:
+                        pp = pps[key] = mul(x, my)
+                    _add_to(acc, pp, -1)
+            if any(acc.values()):
                 return t, y
     return None
 
@@ -208,12 +286,12 @@ def check_identity(a: CommAlgebra, ident: Identity, weight=None):
         raise ValueError("identity checking is only supported over the rationals")
     weight = _weight_for(a, ident, weight)
     if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
-        bad = _scan_degree4(a, weight, ident is Identity.BERNSTEIN)
+        bad = _scan_degree4(a, weight)
         if bad is None:
             return True
         return _witness_from_tuple(a, ident, weight, bad, None)
     if ident in (Identity.CUBE_WEIGHT, Identity.CUBE_ZERO, Identity.JACOBI):
-        bad = _scan_degree3(a, weight, ident is Identity.CUBE_WEIGHT)
+        bad = _scan_degree3(a, weight)
         if bad is None:
             return True
         return _witness_from_tuple(a, ident, weight, bad, None)

@@ -27,7 +27,7 @@ def _rref_rows(rows, cols, field):
     for col in range(cols):
         pick = None
         for r in range(piv_r, len(m)):
-            if m[r][col] != zero:
+            if m[r][col]:
                 pick = r
                 break
         if pick is None:
@@ -37,7 +37,7 @@ def _rref_rows(rows, cols, field):
         if inv != field.one:
             m[piv_r] = [x / inv for x in m[piv_r]]
         for r in range(len(m)):
-            if r != piv_r and m[r][col] != zero:
+            if r != piv_r and m[r][col]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[piv_r])]
         pivots.append(col)
@@ -46,7 +46,7 @@ def _rref_rows(rows, cols, field):
             break
     reduced = [tuple(r) for r in m]
     # move zero rows to the bottom, preserving the order of nonzero rows
-    nonzero = [r for r in reduced if any(x != zero for x in r)]
+    nonzero = [r for r in reduced if any(r)]
     n_zero = len(reduced) - len(nonzero)
     width = len(reduced[0]) if reduced else cols
     reduced = nonzero + [tuple([zero] * width)] * n_zero
@@ -115,7 +115,7 @@ class Matrix:
                 acc = zero
                 for k in range(self.cols):
                     a = ri[k]
-                    if a != zero:
+                    if a:
                         acc = acc + a * other.at(k, j)
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out), self.field)
@@ -133,8 +133,7 @@ class Matrix:
                       tuple(c * x for x in self.entries), self.field)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.entries)
+        return not any(self.entries)
 
     def rref(self) -> "Matrix":
         reduced, _ = _rref_rows(self.row_list(), self.cols, self.field)
@@ -177,7 +176,7 @@ class Subspace:
     and the objects are hashable.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "field")
+    __slots__ = ("ambient_dim", "rows", "pivots", "field", "_hash")
 
     def __init__(self, vectors, ambient_dim: int, field=QQ):
         vs = []
@@ -188,14 +187,14 @@ class Subspace:
             vs.append(v)
         if vs:
             reduced, pivots = _rref_rows(vs, ambient_dim, field)
-            zero = field.zero
-            reduced = [r for r in reduced if any(x != zero for x in r)]
+            reduced = [r for r in reduced if any(r)]
         else:
             reduced, pivots = [], ()
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", tuple(reduced))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -225,14 +224,13 @@ class Subspace:
         v = [self.field.of(x) for x in vector]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
-        zero = self.field.zero
         coeffs = []
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             coeffs.append(c)
-            if c != zero:
+            if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        if any(x != zero for x in v):
+        if any(v):
             return None
         return tuple(coeffs)
 
@@ -272,13 +270,15 @@ class Subspace:
             raise ValueError("ambient dimension (or field) mismatch")
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.field == other.field
-                and self.rows == other.rows)
+        return self is other or (isinstance(other, Subspace)
+                                 and self.ambient_dim == other.ambient_dim
+                                 and self.field == other.field
+                                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.rows)))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -286,10 +286,9 @@ class Subspace:
 
 def combine_rows(coeffs, rows, field=QQ) -> list:
     """sum(c_i * rows_i) for rows of equal length; there must be a row."""
-    zero = field.zero
-    v = [zero] * len(rows[0])
+    v = [field.zero] * len(rows[0])
     for c, row in zip(coeffs, rows):
-        if c != zero:
+        if c:
             v = [a + c * b for a, b in zip(v, row)]
     return v
 

@@ -176,6 +176,8 @@ def test_squareshift3_full_chain_has_plateau():
         a.full_space(), span_named(a, "e1", "e2"), span_named(a, "e1"),
         span_named(a, "e1"), a.zero_space()]
     assert chain.nil_index == 5
+    # a plateau keeps one object, so its memoised products match by identity
+    assert chain.terms[3] is chain.terms[2]
 
 
 def test_zero_multiplication_algebra_chains():

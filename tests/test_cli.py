@@ -9,6 +9,7 @@ import pytest
 
 from bernalg import Identity, identity_defect, make_family, parse, to_algebra
 from bernalg import algebra as algebra_module
+from bernalg import bernstein as bernstein_module
 from bernalg.cli import main
 from bernalg.fileformat import from_algebra, serialize
 
@@ -206,14 +207,28 @@ SKEWED_BDOWN2 = (open(path("bdown2.alg"), encoding="utf-8").read()
                  .replace("prod e u1 = 1/2 u1", "prod e u1 = 1 u1"))
 
 
-@pytest.mark.parametrize("argv", [
+PEIRCE_COMMANDS = [
     ["peirce"], ["fixedspace"], ["multalg"],
     ["stability", "--subspace", "0,0,0,0"], ["quotient", "--by", "annU"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", PEIRCE_COMMANDS)
 def test_peirce_commands_exit_1_with_witness_on_non_bernstein(argv, tmp_path, capsys):
-    f = tmp_path / "skewed.alg"
-    f.write_text(SKEWED_BDOWN2)
-    b = to_algebra(parse(SKEWED_BDOWN2))
+    _assert_exit_1_with_bernstein_witness(SKEWED_BDOWN2, argv, tmp_path, capsys)
+
+
+# corrupted.alg: the Peirce split succeeds, but the Bernstein identity fails
+@pytest.mark.parametrize("argv", PEIRCE_COMMANDS)
+def test_peirce_commands_exit_1_with_witness_on_corrupted(argv, tmp_path, capsys):
+    text = open(path("corrupted.alg"), encoding="utf-8").read()
+    _assert_exit_1_with_bernstein_witness(text, argv, tmp_path, capsys)
+
+
+def _assert_exit_1_with_bernstein_witness(text, argv, tmp_path, capsys):
+    f = tmp_path / "input.alg"
+    f.write_text(text)
+    b = to_algebra(parse(text))
     code, out, err = run_cli([argv[0], str(f), "--json"] + argv[1:], capsys=capsys)
     assert code == 1
     assert "not Bernstein" in err
@@ -225,6 +240,20 @@ def test_peirce_commands_exit_1_with_witness_on_non_bernstein(argv, tmp_path, ca
     code, out, _ = run_cli([argv[0], str(f)] + argv[1:], capsys=capsys)
     assert code == 1
     assert out.startswith("witness[bernstein]: ")
+
+
+def test_non_bernstein_error_path_checks_the_identity_once(monkeypatch, capsys):
+    calls = []
+    real = bernstein_module.check_identity
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bernstein_module, "check_identity", counting)
+    code, out, _ = run_cli(["peirce", path("corrupted.alg")], capsys=capsys)
+    assert code == 1 and out.startswith("witness[bernstein]: ")
+    assert calls == [Identity.BERNSTEIN]
 
 
 def test_zero_weight_seed_still_exits_2(capsys):

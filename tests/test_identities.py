@@ -1,12 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from bernalg import (CommAlgebra, Identity, Witness, check_identity,
-                     identity_defect, make_family, plenary_power,
-                     random_identity_probe, subalgebra_on)
+from bernalg import (CommAlgebra, Identity, Subspace, Witness,
+                     check_identity, from_algebra, identity_defect, make_family,
+                     parse, plenary_power, random_identity_probe, serialize,
+                     subalgebra_on, to_algebra)
+from bernalg import identities
+from bernalg.algebra import induced_table
 
-from conftest import fresh_rng
+from conftest import fresh_rng, non_nilpotent_baric
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -52,6 +56,79 @@ def slow_identity_check(a, ident, weight=None):
             if not total.is_zero():
                 return False
     return True
+
+
+def _pair_products(a):
+    basis = [a.basis_element(i) for i in range(a.dim)]
+    prods = [[None] * a.dim for _ in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(i, a.dim):
+            prods[i][j] = prods[j][i] = basis[i] * basis[j]
+    return basis, prods
+
+
+def rational_scan_degree4(a, weight):
+    basis, prods = _pair_products(a)
+    two = a.field.of(2)
+    for t in itertools.combinations_with_replacement(range(a.dim), 4):
+        i, j, k, l = t
+        acc = two * ((prods[i][j] * prods[k][l])
+                     + (prods[i][k] * prods[j][l])
+                     + (prods[i][l] * prods[j][k]))
+        if weight is not None:
+            for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
+                                   ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
+                acc = acc - (weight[p] * weight[q]) * prods[r][s]
+        if not acc.is_zero():
+            return t, None
+    return None
+
+
+def rational_scan_degree3(a, weight):
+    basis, prods = _pair_products(a)
+    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+        i, j, k = t
+        acc = (prods[i][j] * basis[k]) + (prods[i][k] * basis[j]) + (prods[j][k] * basis[i])
+        if weight is not None:
+            for p, (r, s) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+                acc = acc - weight[p] * prods[r][s]
+        if not acc.is_zero():
+            return t, None
+    return None
+
+
+def rational_scan_jordan(a, weight):
+    basis, prods = _pair_products(a)
+    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+        i, j, k = t
+        for y in range(a.dim):
+            by = basis[y]
+            acc = (basis[i] * (prods[j][k] * by) - prods[j][k] * (basis[i] * by)
+                   + basis[j] * (prods[i][k] * by) - prods[i][k] * (basis[j] * by)
+                   + basis[k] * (prods[i][j] * by) - prods[i][j] * (basis[k] * by))
+            if not acc.is_zero():
+                return t, y
+    return None
+
+
+RATIONAL_SCANS = {
+    Identity.BERNSTEIN: rational_scan_degree4,
+    Identity.SQUARE_SQUARE_ZERO: rational_scan_degree4,
+    Identity.CUBE_WEIGHT: rational_scan_degree3,
+    Identity.CUBE_ZERO: rational_scan_degree3,
+    Identity.JACOBI: rational_scan_degree3,
+    Identity.JORDAN: rational_scan_jordan,
+}
+
+
+def rational_check_identity(a, ident, weight=None):
+    """check_identity decided in Element (Fraction) arithmetic: the scans
+    the integer kernel replaced, kept as its reference."""
+    weight = identities._weight_for(a, ident, weight)
+    bad = RATIONAL_SCANS[ident](a, weight)
+    if bad is None:
+        return True
+    return identities._witness_from_tuple(a, ident, weight, *bad)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -182,3 +259,94 @@ def test_cube_zero_implies_jacobi_jordan_and_fast_solvability(baric_corpus, plai
 def test_square_square_zero_holds_on_bernstein_barideals(baric_corpus):
     for name, a in barideal_algebras(baric_corpus):
         assert check_identity(a, Identity.SQUARE_SQUARE_ZERO) is True, name
+
+
+# ---------------------------------------------------------------- integer kernel
+
+
+def _rebased(a, weight, rows):
+    """The algebra and weight in the basis given by `rows` (old coordinates)."""
+    table = induced_table(a, rows, rows)
+    assert table is not None
+    b = CommAlgebra([f"f{i}" for i in range(a.dim)], table)
+    if weight is None:
+        return b, None
+    return b, tuple(sum((w * c for w, c in zip(weight, row)), Fraction(0)) for row in rows)
+
+
+def change_of_basis_copy(a, weight, seed):
+    """A seeded copy in a random invertible basis with entries in [-2, 2]."""
+    rng = fresh_rng(seed)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
+        if Subspace(rows, a.dim).dim == a.dim:
+            return _rebased(a, weight, rows)
+
+
+SCALES = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(-3, 4), Fraction(7, 5))
+
+
+def scaled_copy(a, weight):
+    """A copy with basis vector i scaled by SCALES[i % 5], so the table and
+    the weight both carry denominators."""
+    rows = [[SCALES[i % len(SCALES)] if j == i else 0 for j in range(a.dim)]
+            for i in range(a.dim)]
+    return _rebased(a, weight, rows)
+
+
+def _skewed_bdown2():
+    """bdown2 with e*u1 = u1: the weight stays multiplicative, Bernstein fails."""
+    text = serialize(from_algebra(make_family("bdown", 2), "bdown2"))
+    assert "prod e u1 = 1/2 u1" in text
+    return to_algebra(parse(text.replace("prod e u1 = 1/2 u1", "prod e u1 = 1 u1")))
+
+
+def kernel_cases():
+    """(name, algebra, weight or None) for families small enough for the
+    rational reference; plain algebras get an arbitrary rational weight so
+    the weighted scans run (and fail) on them too."""
+    out = []
+    for kind in ("bdown", "bup"):
+        for n in (2, 3, 4):
+            b = make_family(kind, n)
+            out.append((f"{kind}{n}", b.algebra, b.weight))
+    for name, b in (("jordan3", make_family("jordan3")),
+                    ("non_nilpotent", non_nilpotent_baric()),
+                    ("skewed_bdown2", _skewed_bdown2())):
+        out.append((name, b.algebra, b.weight))
+    for kind in ("squareshift", "zhevlakov"):
+        for n in (2, 3, 4):
+            a = make_family(kind, n)
+            out.append((f"{kind}{n}", a, tuple(Fraction(k + 1, 2) for k in range(a.dim))))
+    return out
+
+
+def _assert_same_checks(a, weight, label):
+    for ident in ALL_IDENTITIES:
+        got = check_identity(a, ident, weight)
+        want = rational_check_identity(a, ident, weight)
+        assert got == want, (label, ident)
+
+
+KERNEL_CASES = kernel_cases()
+SMALL_CASES = [c for c in KERNEL_CASES if c[1].dim <= 5]
+
+
+@pytest.mark.parametrize("name, a, weight", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_integer_kernel_returns_the_rational_witness_on_families(name, a, weight):
+    _assert_same_checks(a, weight, name)
+
+
+@pytest.mark.parametrize("name, a, weight", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
+def test_integer_kernel_returns_the_rational_witness_on_changed_bases(name, a, weight):
+    for seed in (1, 2):
+        _assert_same_checks(*change_of_basis_copy(a, weight, seed), f"{name}@{seed}")
+
+
+@pytest.mark.parametrize("name, a, weight", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_integer_kernel_returns_the_rational_witness_on_scaled_bases(name, a, weight):
+    b, w = scaled_copy(a, weight)
+    assert any(x.denominator > 1 for x in w)
+    assert any(c.denominator > 1 for i in range(b.dim) for j in range(i, b.dim)
+               for _, c in b.table_row(i, j) or ())
+    _assert_same_checks(b, w, name)
