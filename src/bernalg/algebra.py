@@ -11,8 +11,10 @@ reporting.  Every first-order chain T -> step(T) goes through
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import QQ
 from .linalg import Matrix, Subspace, solve_row_combinations
@@ -22,9 +24,12 @@ PRINCIPAL = "principal"
 PLENARY = "plenary"
 CHAIN_KINDS = (FULL, PRINCIPAL, PLENARY)
 
-# Unbounded full chains get a hard safety cap; exceeding it means the input
-# violated the subalgebra contract badly enough to defeat plateau detection.
-_HARD_CAP = 10_000
+# Unbounded full chains get a hard safety cap on their number of runs of
+# equal terms.  The full chain of a subalgebra shrinks strictly from run to
+# run, so it has at most dim + 1 runs; the chain of a subspace that is not
+# closed under the product need not stabilize at all, and its cost grows
+# with the cube of its run count.
+_HARD_CAP = 200
 
 
 class ChainCapError(RuntimeError):
@@ -153,14 +158,18 @@ class CommAlgebra:
         pair of subspaces: their RREF rows are canonical and the table never
         changes, so a stored product cannot go stale.  A subspace caches its
         hash, and a lookup with the very objects of an earlier call matches
-        by identity without comparing rows.
+        by identity without comparing rows.  A square S*S multiplies each
+        unordered pair of rows once, and zero or repeated products are
+        dropped before the reduction.
         """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
         key = frozenset((s1, s2))
         hit = self._products.get(key)
         if hit is None:
-            prods = [self.mul_coords(u, v) for u in s1.rows for v in s2.rows]
+            pairs = (itertools.combinations_with_replacement(s1.rows, 2) if len(key) == 1
+                     else itertools.product(s1.rows, s2.rows))
+            prods = dict.fromkeys(p for p in itertools.starmap(self.mul_coords, pairs) if any(p))
             hit = self._products[key] = Subspace(prods, self.dim, self.field)
         return hit
 
@@ -229,57 +238,104 @@ def subspace_product(a: CommAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
     return a.subspace_product(s1, s2)
 
 
+class Run(NamedTuple):
+    """Chain positions start..end (1-based, inclusive) that all hold term."""
+
+    start: int
+    end: int
+    term: Subspace
+
+
 @dataclass(frozen=True)
 class PowerChain:
-    """One computed power chain; terms[0] is the starting subspace itself.
+    """One computed power chain, held as runs of equal terms; position 1 is
+    the starting subspace itself.
 
     nil_index is the 1-based position of the first zero term, so for the
     full and principal chains it equals the usual nilpotency index (power
     nil_index of the subspace vanishes).  stabilized means the chain's tail
     is known: either a zero term was reached or the remaining terms provably
-    repeat the last stored one forever.
+    repeat the last stored one forever.  A first-order chain has runs of
+    length 1; a full chain's runs can be exponentially long.
     """
 
     kind: str
-    terms: tuple
+    runs: tuple
     stabilized: bool
     nil_index: int | None
 
+    def term(self, i: int) -> Subspace:
+        """The term at position i; past the last stored position only when
+        the tail is known."""
+        last = self.runs[-1]
+        if i > last.end and self.stabilized:
+            return last.term
+        if not 1 <= i <= last.end:
+            raise IndexError(f"chain position {i} is not stored")
+        return self.runs[bisect.bisect_right(self.runs, i, key=lambda r: r.start) - 1].term
 
-def _full_chain(a: CommAlgebra, s: Subspace, max_steps: int | None):
-    """Full powers S^i = sum over r+s=i of S^r * S^s, computed by DP.
+    @property
+    def terms(self) -> tuple:
+        """One term per stored position; its length grows with the nil index."""
+        return tuple(r.term for r in self.runs for _ in range(r.start, r.end + 1))
 
-    Consecutive equal terms do not end a full chain: a plateau of value T
-    starting at position p is only permanent once it has held through
-    position 2p, because from then on the recurrence reproduces the constant
-    value sum(S^r * T, r < p) + T * T at every later position.  Stopping on
-    a single repeat would truncate chains that drop after a plateau.
+
+def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
+    """Full powers S^i = sum over r+s=i of S^r * S^s, as runs of equal terms.
+
+    S^i sums T_j * T_l over the run pairs (j, l) that hold some r and s
+    with r + s = i.  Taking the last run k as open (it goes on as long as
+    the terms repeat), a pair of closed runs contributes exactly at
+    a_j + a_l <= i <= b_j + b_l, and a pair (j, k) from i = a_j + a_k on.
+    The term can therefore change only at the breakpoints a_j + a_l,
+    b_j + b_l + 1 and a_j + a_k, and is computed only there.  The last
+    breakpoint is 2 * a_k: a plateau that has held through twice its start
+    position repeats forever, so a single repeated term does not end the
+    chain but running out of breakpoints does.
     """
-    terms = [s]
+    runs = [Run(1, 1, s)]
     if s.is_zero():
-        return terms, True, 1
-    plateau = 0  # 0-based index where the current run of equal terms starts
+        return runs, True, 1
     while True:
-        pos = len(terms)  # about to compute the (pos+1)-th power
-        if max_steps is not None and pos >= max_steps:
-            return terms, False, None
-        if max_steps is None and pos >= _HARD_CAP:
+        last = runs[-1]
+        pos = _next_breakpoint(runs, last.end)
+        if pos is None:
+            return runs, True, None
+        if max_steps is not None and pos > max_steps:
+            runs[-1] = last._replace(end=max_steps)
+            return runs, False, None
+        new = _full_term(a, runs, pos)
+        if new == last.term:
+            runs[-1] = last._replace(end=pos)
+            continue
+        if max_steps is None and len(runs) >= _HARD_CAP:
             raise ChainCapError("full power chain did not stabilize within the "
                                 "safety cap; pass max_steps to truncate")
-        new = Subspace.zero(a.dim, a.field)
-        i = pos + 1
-        for r in range(1, i // 2 + 1):
-            new = new.plus(a.subspace_product(terms[r - 1], terms[i - r - 1]))
+        runs[-1] = last._replace(end=pos - 1)
+        runs.append(Run(pos, pos, new))
         if new.is_zero():
-            terms.append(new)
-            return terms, True, len(terms)
-        if new == terms[-1]:
-            new = terms[-1]  # the same object, so plateau products hit the memo by identity
-        else:
-            plateau = len(terms)
-        terms.append(new)
-        if len(terms) >= 2 * (plateau + 1):
-            return terms, True, None
+            return runs, True, pos
+
+
+def _next_breakpoint(runs, pos: int) -> int | None:
+    """The first position after pos where the contributing run pairs change."""
+    *closed, last = runs
+    points = [r.start + last.start for r in runs]
+    for rj, rl in itertools.combinations_with_replacement(closed, 2):
+        points += (rj.start + rl.start, rj.end + rl.end + 1)
+    return min((p for p in points if p > pos), default=None)
+
+
+def _full_term(a: CommAlgebra, runs, pos: int) -> Subspace:
+    """S^pos, each distinct product of a contributing run pair summed once."""
+    *closed, last = runs
+    products = {a.subspace_product(r.term, last.term): None
+                for r in runs if r.start + last.start <= pos}
+    for rj, rl in itertools.combinations_with_replacement(closed, 2):
+        if rj.start + rl.start <= pos <= rj.end + rl.end:
+            products[a.subspace_product(rj.term, rl.term)] = None
+    rows = dict.fromkeys(row for p in products for row in p.rows)
+    return Subspace(rows, a.dim, a.field)
 
 
 def iterate_chain(start: Subspace, step, cap: int | None = None):
@@ -309,14 +365,15 @@ def power_chain(a: CommAlgebra, s: Subspace, kind: str, max_steps: int | None = 
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if kind == FULL:
-        terms, stable, nil = _full_chain(a, s, max_steps)
+        runs, stable, nil = _full_runs(a, s, max_steps)
     else:
         # principal T -> T*S, plenary T -> T*T
         terms, stable = iterate_chain(
             s, lambda t: a.subspace_product(t, s if kind == PRINCIPAL else t),
             a.dim + 2 if max_steps is None else max_steps)
+        runs = [Run(i, i, t) for i, t in enumerate(terms, 1)]
         nil = len(terms) if terms[-1].is_zero() else None
-    return PowerChain(kind, tuple(terms), stable, nil)
+    return PowerChain(kind, tuple(runs), stable, nil)
 
 
 def generated_subalgebra(a: CommAlgebra, gens) -> Subspace:

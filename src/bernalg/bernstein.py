@@ -308,7 +308,7 @@ class Analysis:
         chain = self.chain(PRINCIPAL)
         nilpotent = chain.nil_index is not None
         if not nilpotent:
-            witnesses["barideal_nilpotent"] = chain.terms[-1]
+            witnesses["barideal_nilpotent"] = chain.runs[-1].term
         return ClassificationFlags(True, True, jordan is True, nuclear, nilpotent, witnesses)
 
 

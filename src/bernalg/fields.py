@@ -22,7 +22,8 @@ class RationalField:
 
     @staticmethod
     def of(value) -> Fraction:
-        return Fraction(value)
+        # a Fraction is immutable and already reduced, so it is its own image
+        return value if type(value) is Fraction else Fraction(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -183,17 +183,13 @@ def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
         raise ValueError("generated subalgebra is not nilpotent; "
                          "the decomposition does not apply")
     m = f_chain.nil_index
-    f_powers = f_chain.terms  # F^1 .. F^m, the last one zero
-    n_powers = _first_powers(f_chain if f == n else power_chain(a, n, FULL, m + 1), m + 1)
-    for i in range(1, m + 1):
-        if not n_powers[i - 1].leq(f_powers[i - 1].plus(n_powers[i])):
+    n_chain = f_chain if f == n else power_chain(a, n, FULL, m + 1)
+    # the inclusion N^i <= F^i + N^{i+1} can only change where one of its
+    # three terms starts a new run, so it is checked at those exponents alone
+    n_starts = {r.start for r in n_chain.runs}
+    exponents = n_starts | {t - 1 for t in n_starts} | {r.start for r in f_chain.runs}
+    for i in sorted(e for e in exponents if 1 <= e <= m):
+        if not n_chain.term(i).leq(f_chain.term(i).plus(n_chain.term(i + 1))):
             raise AssertionError(f"power inclusion failed at exponent {i}")
-    n_m = n_powers[m - 1]
+    n_m = n_chain.term(m)
     return DecompositionCertificate(f, m, m, n == f.plus(n_m), n_m.is_zero())
-
-
-def _first_powers(chain: PowerChain, count: int) -> list:
-    """The first `count` terms of a chain that was cut at `count` terms or
-    whose tail repeats its last term (a zero term or a proven plateau)."""
-    terms = list(chain.terms[:count])
-    return terms + [terms[-1]] * (count - len(terms))

@@ -71,6 +71,24 @@ def random_subspace_in(rng, space: Subspace):
     return Subspace(vecs, space.ambient_dim, space.field)
 
 
+def random_table_algebra(rng, dim):
+    """A seeded random commutative table with small integer coefficients.
+    Most tables only map into lower basis indices, which makes them
+    nilpotent, often with plateaus in their full chains; the rest are
+    unrestricted."""
+    triangular = rng.random() < 0.7
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < 0.5:
+                continue
+            top = min(i, j) if triangular else dim
+            coords = [rng.choice((0, 0, 1, -1, 2)) if k < top else 0
+                      for k in range(dim)]
+            products[(i, j)] = coords
+    return CommAlgebra([f"b{k}" for k in range(dim)], products)
+
+
 def span_elements(space: Subspace):
     """Every element of a subspace over a prime field, as a frozenset."""
     field = space.field

@@ -6,8 +6,11 @@ from bernalg import (CommAlgebra, Matrix, Subspace, generated_ideal,
                      generated_subalgebra, is_ideal, make_family,
                      nilpotency_report, power_chain, plenary_power,
                      subalgebra_on)
+from bernalg import algebra as algebra_module
+from bernalg.algebra import ChainCapError
 
-from conftest import fresh_rng, random_vector_in
+from conftest import (fresh_rng, random_subspace_in, random_table_algebra,
+                      random_vector_in)
 
 
 def span_named(a, *names):
@@ -197,11 +200,20 @@ def squareshift_full_nil_oracle(n):
     return 2 ** (n - 1) + 1
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_squareshift_full_nil_index_matches_counting_oracle(n):
     a = make_family("squareshift", n)
     chain = power_chain(a, a.full_space(), "full")
     assert chain.nil_index == squareshift_full_nil_oracle(n)
+    assert len(chain.runs) == n + 1  # one run per dimension, then zero
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_zhevlakov_full_nil_index_is_exponential(n):
+    a = make_family("zhevlakov", n)
+    chain = power_chain(a, a.full_space(), "full")
+    assert chain.nil_index == 2 ** (n - 1) + 1
+    assert len(chain.runs) == n + 1
 
 
 def test_full_chain_respects_max_steps():
@@ -237,6 +249,108 @@ def test_full_chain_terms_decrease_for_subalgebras(baric_corpus):
         chain = power_chain(a, n, "full")
         for earlier, later in zip(chain.terms, chain.terms[1:]):
             assert later.leq(earlier)
+
+
+def reference_full_chain(a, s, max_steps=None):
+    """The position-by-position recurrence, kept as an oracle: S^i sums the
+    product over every split r + s = i, and a plateau that starts at
+    position p ends the chain once it has held through position 2p.
+    Returns (terms, stabilized, nil_index) like a PowerChain."""
+    terms = [s]
+    if s.is_zero():
+        return terms, True, 1
+    plateau = 0  # 0-based index where the current run of equal terms starts
+    while True:
+        if max_steps is not None and len(terms) >= max_steps:
+            return terms, False, None
+        i = len(terms) + 1
+        new = Subspace.zero(a.dim, a.field)
+        for r in range(1, i // 2 + 1):
+            new = new.plus(a.subspace_product(terms[r - 1], terms[i - r - 1]))
+        if new.is_zero():
+            return terms + [new], True, i
+        if new != terms[-1]:
+            plateau = len(terms)
+        terms.append(new)
+        if len(terms) >= 2 * (plateau + 1):
+            return terms, True, None
+
+
+def assert_full_chain_matches_reference(a, s, max_steps=None):
+    chain = power_chain(a, s, "full", max_steps)
+    terms, stabilized, nil_index = reference_full_chain(a, s, max_steps)
+    assert chain.terms == tuple(terms)
+    assert (chain.stabilized, chain.nil_index) == (stabilized, nil_index)
+    assert [chain.term(i) for i in range(1, len(terms) + 1)] == terms
+    return chain
+
+
+@pytest.mark.parametrize("kind", ["squareshift", "zhevlakov", "bdown", "bup"])
+def test_full_chain_matches_reference_on_families(kind):
+    for n in range(1, 9):
+        fam = make_family(kind, n)
+        a = getattr(fam, "algebra", fam)
+        assert_full_chain_matches_reference(a, a.full_space())
+        if a is not fam:
+            assert_full_chain_matches_reference(a, fam.barideal())
+
+
+def test_full_chain_matches_reference_on_baric_corpus_and_plateau(baric_corpus):
+    for _, b in baric_corpus:
+        assert_full_chain_matches_reference(b.algebra, b.barideal())
+        assert_full_chain_matches_reference(b.algebra, b.algebra.full_space())
+    # u*v = u: a nonzero plateau from position 2 on
+    a = CommAlgebra.from_table(["u", "v"], {("u", "v"): {"u": 1}})
+    chain = assert_full_chain_matches_reference(a, a.full_space())
+    assert chain.stabilized and chain.nil_index is None
+
+
+def test_full_chain_matches_reference_on_random_tables():
+    rng = fresh_rng(17)
+    for _ in range(240):
+        a = random_table_algebra(rng, rng.randint(2, 5))
+        assert_full_chain_matches_reference(a, a.full_space())
+        # a random start subspace need not be a subalgebra: its runs need
+        # not shrink, a term can come back, and the chain need not stabilize
+        start = random_subspace_in(rng, a.full_space())
+        assert_full_chain_matches_reference(a, start, max_steps=40)
+
+
+def test_truncated_full_chains_match_reference():
+    rng = fresh_rng(5)
+    cases = [make_family("squareshift", 5), make_family("zhevlakov", 4),
+             make_family("bdown", 4).algebra,
+             CommAlgebra.from_table(["u", "v"], {("u", "v"): {"u": 1}})]
+    cases += [random_table_algebra(rng, 4) for _ in range(4)]
+    for a in cases:
+        length = len(power_chain(a, a.full_space(), "full").terms)
+        for max_steps in range(1, length + 2):
+            chain = assert_full_chain_matches_reference(a, a.full_space(), max_steps)
+            assert len(chain.terms) == min(max_steps, length)
+
+
+def test_full_chain_term_past_the_stored_positions():
+    a = make_family("squareshift", 4)
+    chain = power_chain(a, a.full_space(), "full")
+    assert [(r.start, r.end) for r in chain.runs] == [(1, 1), (2, 2), (3, 4), (5, 8), (9, 9)]
+    assert chain.term(1000).is_zero()
+    cut = power_chain(a, a.full_space(), "full", max_steps=6)
+    assert cut.term(6) == chain.term(6)
+    for i in (0, 7):
+        with pytest.raises(IndexError):
+            cut.term(i)
+
+
+def test_full_chain_of_a_non_subalgebra_need_not_stabilize(monkeypatch):
+    # b0 acts as minus the identity, so the line through x = b0 - 3/2 b1
+    # has the powers S^i = <x^i>, a new line at every position
+    a = CommAlgebra(["b0", "b1"], {(0, 0): (-1, 0), (0, 1): (0, -1)})
+    s = Subspace([(1, Fraction(-3, 2))], 2)
+    chain = assert_full_chain_matches_reference(a, s, max_steps=30)
+    assert len(chain.runs) == 30 and not chain.stabilized
+    monkeypatch.setattr(algebra_module, "_HARD_CAP", 20)
+    with pytest.raises(ChainCapError):
+        power_chain(a, s, "full")
 
 
 # ---------------------------------------------------------------- closures

@@ -266,7 +266,17 @@ def test_zero_weight_seed_still_exits_2(capsys):
 def test_full_chain_cap_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     f = tmp_path / "sq4.alg"
     f.write_text(serialize(from_algebra(make_family("squareshift", 4), "sq4")))
-    monkeypatch.setattr(algebra_module, "_HARD_CAP", 5)
+    # the cap counts runs of equal terms, and this chain has five
+    monkeypatch.setattr(algebra_module, "_HARD_CAP", 3)
     code, out, err = run_cli(["powers", str(f), "--kind", "full"], capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: full power chain did not stabilize")
+
+
+def test_check_json_reaches_an_exponential_full_nil_index(tmp_path, capsys):
+    # squareshift(15) holds 16 runs of equal terms over 16385 positions
+    f = tmp_path / "sq15.alg"
+    f.write_text(serialize(from_algebra(make_family("squareshift", 15), "sq15")))
+    code, out, err = run_cli(["check", str(f), "--json"], capsys=capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["chains"]["full_nil_index"] == 2 ** 14 + 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import (Matrix, PrimeField, Subspace, eigenspace,
+from bernalg import (QQ, Matrix, PrimeField, Subspace, eigenspace,
                      solve_row_combination)
 
 from conftest import all_subspaces_within, fresh_rng, span_elements
@@ -206,3 +206,13 @@ def test_prime_field_validation():
 def test_gf5_rational_coercion(gf5):
     # 1/2 = 3 mod 5
     assert gf5.of(Fraction(1, 2)) == gf5.of(3)
+
+
+def test_rational_coercion_keeps_fractions_and_converts_the_rest(gf5):
+    x = Fraction(3, 6)
+    assert QQ.of(x) is x
+    for value, want in ((2, Fraction(2)), ("3/6", Fraction(1, 2)), (True, Fraction(1))):
+        got = QQ.of(value)
+        assert type(got) is Fraction and got == want
+    with pytest.raises(TypeError):
+        QQ.of(gf5.of(2))

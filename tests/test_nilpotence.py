@@ -1,14 +1,15 @@
 import pytest
 
 from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
-                     generated_ideal, greatest_fixed_subspace, is_ideal,
+                     generated_ideal, generated_subalgebra,
+                     greatest_fixed_subspace, is_ideal,
                      make_family, module_action, mult_closure_nilpotent,
                      nilpotency_report, peirce, power_chain,
                      stable_subspace_check, submodule_ideal_check)
 from bernalg.bernstein import BaricAlgebra
 
 from conftest import (all_subspaces_within, fresh_rng, non_nilpotent_baric,
-                      random_subspace_in)
+                      random_subspace_in, random_table_algebra)
 
 
 def span_named(a, *names):
@@ -321,3 +322,41 @@ def test_certificates_close_for_squareshift_and_bdown(n):
     cert = decompose_nilpotent_ideal(a, b.barideal(), gens)
     assert cert.n_equals_f_plus_nm and cert.n_nilpotent
     assert cert.m == n + 1
+
+
+def test_certificate_matches_a_check_at_every_exponent():
+    # ideals whose generated subalgebra F is smaller than N, so the two
+    # chains differ; the inclusions are checked here at every i = 1..m
+    rng = fresh_rng(3)
+    seen = 0
+    for _ in range(40):
+        a = random_table_algebra(rng, rng.randint(3, 5))
+        n = a.full_space()
+        for g in range(a.dim):
+            gens = [a.basis_element(g)]
+            f = generated_subalgebra(a, gens)
+            f_chain = power_chain(a, f, "full")
+            if generated_ideal(a, gens) != n or f == n or f_chain.nil_index is None:
+                continue
+            m = f_chain.nil_index
+            n_chain = power_chain(a, n, "full", m + 1)
+            n_powers = [n_chain.term(i) for i in range(1, m + 2)]
+            for i in range(1, m + 1):
+                assert n_powers[i - 1].leq(f_chain.term(i).plus(n_powers[i]))
+            cert = decompose_nilpotent_ideal(a, n, gens)
+            assert (cert.F, cert.m, cert.eq_checked_up_to) == (f, m, m)
+            assert cert.n_equals_f_plus_nm == (n == f.plus(n_powers[m - 1]))
+            assert cert.n_nilpotent == n_powers[m - 1].is_zero()
+            seen += 1
+    assert seen >= 10
+
+
+def test_certificate_checks_inclusions_per_run_not_per_exponent(monkeypatch):
+    a = make_family("squareshift", 12)
+    calls = []
+    leq = Subspace.leq
+    monkeypatch.setattr(Subspace, "leq", lambda s, t: calls.append(s) or leq(s, t))
+    cert = decompose_nilpotent_ideal(a, a.full_space(), [a.basis_element(11)])
+    assert cert.m == 2 ** 11 + 1 and cert.n_equals_f_plus_nm and cert.n_nilpotent
+    # F = N has 13 runs, so a few dozen inclusions stand for all 2049
+    assert len(calls) < 50

@@ -62,7 +62,7 @@ def test_baric_report_computes_each_fact_once(monkeypatch):
     counting(bernstein_module, "verify_weight", lambda *args: "verify_weight")
     for module in (bernstein_module, nilpotence_module):
         counting(module, "power_chain", lambda a, s, kind, *rest: (kind, s == n))
-    counting(algebra_module, "_full_chain", lambda *args: "full")
+    counting(algebra_module, "_full_runs", lambda *args: "full")
     report, status = build_report("bdown3", b)
     assert status == 0 and report["certificate"]["n_nilpotent"] is True
     assert all(calls[ident] == 1 for ident in Identity)
