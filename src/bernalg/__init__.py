@@ -14,8 +14,7 @@ from .families import FAMILY_KINDS, make_family, plenary_trace
 from .fields import QQ, ModP, PrimeField
 from .fileformat import (AlgebraFile, ParseError, from_algebra, parse,
                          serialize, to_algebra)
-from .identities import (Identity, Witness, check_identity, identity_defect,
-                         random_identity_probe)
+from .identities import Identity, Witness, check_identity, identity_defect
 from .linalg import Matrix, Subspace, eigenspace, solve_row_combination
 from .nilpotence import (DecompositionCertificate, FixedSubspaceResult,
                          MultClosure, StabilityReport, SubmoduleIdealReport,

@@ -7,6 +7,11 @@ provides memoised subspace products, the three power chains (full,
 principal, plenary), subalgebra and ideal closures, and nilpotency
 reporting.  Every first-order chain T -> step(T) goes through
 `iterate_chain`.
+
+Every product runs on one integer table, the structure constants times D
+(the lcm of their denominators; 1 over GF(p)), through one kernel: it
+serves `mul_coords`, `subspace_product` and the identity scans.  The
+field clears each operand to integers and maps results back.
 """
 
 from __future__ import annotations
@@ -60,11 +65,15 @@ class CommAlgebra:
                 raise ValueError(f"conflicting products for basis pair {key}")
             table[key] = coords
         # all-zero rows are dropped: unspecified pairs multiply to zero anyway
-        self._table = {key: coords for key, coords in table.items() if any(coords)}
-        self._sparse = {
-            key: tuple((k, c) for k, c in enumerate(coords) if c)
-            for key, coords in self._table.items()
-        }
+        table = {key: coords for key, coords in table.items() if any(coords)}
+        self._sparse = {key: tuple((k, c) for k, c in enumerate(coords) if c)
+                        for key, coords in table.items()}
+        # the integer table, D times the structure constants, indexed [i][j]
+        ints, self._den = field.clear([c for coords in table.values() for c in coords])
+        self._int_rows = [[()] * self.dim for _ in range(self.dim)]
+        for n, (i, j) in enumerate(table):
+            row = tuple((k, v) for k, v in enumerate(ints[n * self.dim:(n + 1) * self.dim]) if v)
+            self._int_rows[i][j] = self._int_rows[j][i] = row
         self._products = {}
 
     @classmethod
@@ -106,21 +115,36 @@ class CommAlgebra:
         """Sparse product of basis vectors i and j: ((k, coeff), ...) or None."""
         return self._sparse.get((i, j) if i <= j else (j, i))
 
+    def _clear(self, vec) -> tuple:
+        """(x, d): the sparse integer vector x = d * vec, with d > 0."""
+        ints, d = self.field.clear(vec)
+        return tuple((k, v) for k, v in enumerate(ints) if v), d
+
+    def _int_mul(self, x, y) -> tuple:
+        """D x y for sparse integer vectors x and y.
+
+        The integer kernel every product runs on.  A sparse vector is a
+        tuple of (index, int) pairs without zero entries, so () is zero.
+        """
+        rows = self._int_rows
+        acc = {}
+        for i, xi in x:
+            ri = rows[i]
+            for j, yj in y:
+                row = ri[j]
+                if row:
+                    c = xi * yj
+                    for k, t in row:
+                        acc[k] = acc.get(k, 0) + c * t
+        return tuple((k, v) for k, v in acc.items() if v)
+
     def mul_coords(self, x, y) -> tuple:
-        acc = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.table_row(i, j)
-                if not row:
-                    continue
-                c = xi * yj
-                for k, coeff in row:
-                    acc[k] = acc[k] + c * coeff
-        return tuple(acc)
+        (xs, dx), (ys, dy) = self._clear(x), self._clear(y)
+        scale, back = self._den * dx * dy, self.field.back
+        out = [self.field.zero] * self.dim
+        for k, v in self._int_mul(xs, ys):
+            out[k] = back(v, scale)
+        return tuple(out)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self or y.algebra is not self:
@@ -167,9 +191,14 @@ class CommAlgebra:
         key = frozenset((s1, s2))
         hit = self._products.get(key)
         if hit is None:
-            pairs = (itertools.combinations_with_replacement(s1.rows, 2) if len(key) == 1
-                     else itertools.product(s1.rows, s2.rows))
-            prods = dict.fromkeys(p for p in itertools.starmap(self.mul_coords, pairs) if any(p))
+            # each row is cleared once; an integer product is a positive
+            # multiple of the rational one and so spans the same line
+            rows = [self._clear(r)[0] for r in s1.rows]
+            pairs = (itertools.combinations_with_replacement(rows, 2) if len(key) == 1
+                     else itertools.product(rows, [self._clear(r)[0] for r in s2.rows]))
+            sparse = (dict(p) for p in itertools.starmap(self._int_mul, pairs) if p)
+            zeros = itertools.repeat(self.field.zero)
+            prods = dict.fromkeys(tuple(map(p.get, range(self.dim), zeros)) for p in sparse)
             hit = self._products[key] = Subspace(prods, self.dim, self.field)
         return hit
 

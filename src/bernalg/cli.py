@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .algebra import CHAIN_KINDS, ChainCapError, power_chain
 from .bernstein import (BaricAlgebra, NotBernsteinError, bernstein_witnesses, classify,
                         find_idempotent, peirce, quotient)
 from .families import FAMILY_KINDS, make_family
-from .fileformat import (ParseError, from_algebra, parse, serialize,
-                         to_algebra)
+from .fileformat import (MAX_DIM, ParseError, from_algebra, parse, serialize,
+                         spec_rational, to_algebra)
 from .linalg import Subspace
 from .nilpotence import (greatest_fixed_subspace, mult_closure_nilpotent,
                          stable_subspace_check)
@@ -53,7 +52,7 @@ def _element_from_expr(algebra, expr: str):
         raise ValueError(f"bad element expression {expr!r}")
     coords = [algebra.field.zero] * algebra.dim
     for i in range(0, len(tokens), 2):
-        coeff = Fraction(tokens[i])
+        coeff = spec_rational(tokens[i])
         idx = algebra.index_of(tokens[i + 1])
         coords[idx] += coeff
     return algebra.element(coords)
@@ -64,8 +63,12 @@ def _subspace_from_spec(algebra, spec: str) -> Subspace:
     rows = []
     spec = spec.strip()
     if spec:
-        for chunk in spec.split(";"):
-            row = [Fraction(tok) for tok in chunk.split(",")]
+        chunks = spec.split(";")
+        if len(chunks) > MAX_DIM:
+            raise ValueError(f"{len(chunks)} subspace rows exceed the dimension cap "
+                             f"MAX_DIM = {MAX_DIM}")
+        for chunk in chunks:
+            row = [spec_rational(tok) for tok in chunk.split(",")]
             if len(row) != algebra.dim:
                 raise ValueError("subspace row length does not match the dimension")
             rows.append(row)
@@ -304,7 +307,39 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = ("file", {})
+# name -> (handler, help, arguments as (flag, add_argument options)), in the
+# order `bernalg --help` lists them
+COMMANDS = {
+    "check": (cmd_check, "identities, flags and the full report", [_FILE]),
+    "classify": (cmd_classify, "classification flags", [_FILE]),
+    "peirce": (cmd_peirce, "Peirce decomposition", [_FILE, ("--seed", dict(
+        default=None, metavar="EXPR", help="weight-one seed element, e.g. '1 e + 1 u1'"))]),
+    "powers": (cmd_powers, "power chains", [
+        _FILE, ("--kind", dict(choices=CHAIN_KINDS, required=True)),
+        ("--barideal", dict(action="store_true",
+                            help="chain of the barideal instead of the whole space"))]),
+    "fixedspace": (cmd_fixedspace, "greatest subspace I with V*I = I", [_FILE]),
+    "multalg": (cmd_multalg, "multiplication closure of V on N", [_FILE]),
+    "stability": (cmd_stability, "compare N*I = I with V*I = I for a subspace I", [
+        _FILE, ("--subspace", dict(required=True, metavar="ROWS", help=(
+            "semicolon-separated coordinate rows, e.g. '0,0,1;0,1,0'")))]),
+    "decompose": (cmd_decompose, "decomposition certificate N = F + N^m", [_FILE, (
+        "--gens", dict(default=None, metavar="IDS",
+                       help="comma-separated basis names generating N as an ideal"))]),
+    "family": (cmd_family, "emit a family algebra file", [
+        ("kind", dict(choices=FAMILY_KINDS)), ("--n", dict(type=int, default=None)),
+        ("--out", dict(default=None))]),
+    "quotient": (cmd_quotient, "baric quotient file", [_FILE, ("--by", dict(
+        required=True, metavar="annU|ROWS",
+        help="'annU' or semicolon-separated coordinate rows"))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with the subparser of `command` only, or with
+    every subparser when `command` is not a subcommand (help, no command,
+    a typo), so that a call builds only what it parses."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
     common.add_argument("--max-steps", type=int, default=None, metavar="INT",
@@ -315,72 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bernalg",
         description="Exact structure analysis of commutative algebras "
                     "given by structure constants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="identities, flags and the full report")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("classify", parents=[common], help="classification flags")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("peirce", parents=[common], help="Peirce decomposition")
-    p.add_argument("file")
-    p.add_argument("--seed", default=None, metavar="EXPR",
-                   help="weight-one seed element, e.g. '1 e + 1 u1'")
-    p.set_defaults(fn=cmd_peirce)
-
-    p = sub.add_parser("powers", parents=[common], help="power chains")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=CHAIN_KINDS, required=True)
-    p.add_argument("--barideal", action="store_true",
-                   help="chain of the barideal instead of the whole space")
-    p.set_defaults(fn=cmd_powers)
-
-    p = sub.add_parser("fixedspace", parents=[common],
-                       help="greatest subspace I with V*I = I")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_fixedspace)
-
-    p = sub.add_parser("multalg", parents=[common],
-                       help="multiplication closure of V on N")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_multalg)
-
-    p = sub.add_parser("stability", parents=[common],
-                       help="compare N*I = I with V*I = I for a subspace I")
-    p.add_argument("file")
-    p.add_argument("--subspace", required=True, metavar="ROWS",
-                   help="semicolon-separated coordinate rows, e.g. '0,0,1;0,1,0'")
-    p.set_defaults(fn=cmd_stability)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="decomposition certificate N = F + N^m")
-    p.add_argument("file")
-    p.add_argument("--gens", default=None, metavar="IDS",
-                   help="comma-separated basis names generating N as an ideal")
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("family", parents=[common], help="emit a family algebra file")
-    p.add_argument("kind", choices=FAMILY_KINDS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_family)
-
-    p = sub.add_parser("quotient", parents=[common], help="baric quotient file")
-    p.add_argument("file")
-    p.add_argument("--by", required=True, metavar="annU|ROWS",
-                   help="'annU' or semicolon-separated coordinate rows")
-    p.set_defaults(fn=cmd_quotient)
-
+    single = command in COMMANDS
+    # a single subparser still lists every choice in the top-level usage,
+    # which errors such as unrecognized arguments print
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if single else None)
+    for name in [command] if single else COMMANDS:
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except NotBernsteinError as exc:

@@ -6,10 +6,14 @@ for free.  Prime fields (p >= 5, avoiding characteristics 2 and 3 so that
 halving stays invertible) exist only so that tests can run exhaustive
 enumeration oracles over a finite ambient space; they are never used for
 identity checks.
+
+For the integer product kernel of `CommAlgebra`, `clear` writes a vector
+as integers over a positive scale d and `back(n, d)` is n / d in the field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +28,17 @@ class RationalField:
     def of(value) -> Fraction:
         # a Fraction is immutable and already reduced, so it is its own image
         return value if type(value) is Fraction else Fraction(value)
+
+    @staticmethod
+    def clear(values) -> tuple[list, int]:
+        """(integers, d) with integers[k] = d * values[k], d the lcm of the
+        denominators."""
+        d = math.lcm(*[v.denominator for v in values])
+        return [v.numerator * (d // v.denominator) for v in values], d
+
+    @staticmethod
+    def back(n: int, d: int) -> Fraction:
+        return Fraction(n, d)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -146,6 +161,13 @@ class PrimeField:
         if isinstance(value, int):
             return ModP(value, self.p)
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
+
+    def clear(self, values) -> tuple[list, int]:
+        """(residues in 0..p-1, 1): GF(p) has no denominators to clear."""
+        return [self.of(v).value for v in values], 1
+
+    def back(self, n: int, d: int) -> ModP:
+        return ModP(n * pow(d, -1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -10,7 +10,8 @@ Grammar ('#' starts a comment, blank lines ignored):
 
 Unordered pairs not declared multiply to zero; symmetric closure is
 implied.  Duplicate declarations of the same pair are rejected unless they
-agree exactly.  Parsing canonicalizes term order and drops zero terms, so
+agree exactly.  A basis of more than MAX_DIM vectors and a rational written
+with more than MAX_DIGITS digits are refused up front.  Parsing canonicalizes term order and drops zero terms, so
 serialize(parse(text)) is stable after one pass and parse(serialize(f))
 returns f for canonical files.
 """
@@ -24,6 +25,11 @@ from fractions import Fraction
 from .algebra import CommAlgebra
 from .bernstein import BaricAlgebra
 from .fields import QQ
+
+# input bounds: the identity scans visit C(dim + 3, 4) tuples, and every
+# product pays for the digits of its rationals
+MAX_DIM = 64
+MAX_DIGITS = 1000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/([1-9]\d*))?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -56,6 +62,23 @@ class AlgebraFile:
 def parse_rational(token: str, line: int = 0, col: int = 0) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise ParseError(f"malformed rational {token!r}", line, col)
+    try:
+        return spec_rational(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, col) from None
+
+
+def spec_rational(token: str) -> Fraction:
+    """A rational in any form `Fraction` reads (CLI specs accept decimals
+    and exponents too), refused before it is built when it is written with
+    more than MAX_DIGITS digits, an exponent counting with its value."""
+    mantissa, _, exponent = token.lower().partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    if exponent.isdecimal():
+        digits += int(exponent) if len(exponent) <= 4 else MAX_DIGITS + 1
+    if digits > MAX_DIGITS:
+        raise ValueError(f"rational exceeds the digit cap MAX_DIGITS = {MAX_DIGITS}")
     return Fraction(token)
 
 
@@ -93,6 +116,9 @@ def parse(text: str) -> AlgebraFile:
                 raise ParseError("duplicate basis line", lineno, head_col)
             if not args:
                 raise ParseError("empty basis line", lineno, head_col)
+            if len(args) > MAX_DIM:
+                raise ParseError(f"basis of {len(args)} vectors exceeds the dimension cap "
+                                 f"MAX_DIM = {MAX_DIM}", lineno, args[MAX_DIM][1])
             for tok, col in args:
                 if not _NAME_RE.match(tok):
                     raise ParseError(f"bad basis identifier {tok!r}", lineno, col)
@@ -180,7 +206,6 @@ def serialize(f: AlgebraFile) -> str:
 
 def to_algebra(f: AlgebraFile, field=QQ):
     """Build a CommAlgebra (no weight lines) or BaricAlgebra from a file."""
-    order = {n: i for i, n in enumerate(f.basis)}
     table = {}
     for (na, nb), combo in f.products.items():
         table[(na, nb)] = {ident: coeff for coeff, ident in combo}

@@ -9,24 +9,23 @@ element.  A failing tuple is turned into a concrete witness by evaluating
 the original identity at subset sums of the tuple; inclusion-exclusion
 guarantees one of them has a nonzero defect.
 
-The scans run in exact integer arithmetic.  Each scan clears denominators
-once: the table is scaled by D, the lcm of its denominators, and the
-weight by Dw, the lcm of the weight's.  Every term of a tuple's sum is then
-weighted by a positive integer chosen so that the whole integer sum is one
-fixed positive multiple of the rational sum (D^3 Dw^2 for the quartic
-forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive multiple is
-zero exactly when the rational sum is, so each tuple gets the same verdict
-as in rational arithmetic, the tuples are visited in the same order, and
-the first failing tuple is the same.  Only the witness, built from that
-tuple, is evaluated with rationals.
+The scans run in exact integer arithmetic on the algebra's one integer
+table (the structure constants times D, the lcm of their denominators)
+through `CommAlgebra._int_mul`, the kernel every product uses; the weight
+is scaled by Dw, the lcm of its denominators.  Every term of a tuple's
+sum is weighted by a positive integer chosen so that the whole integer
+sum is one fixed positive multiple of the rational sum (D^3 Dw^2 for the
+quartic forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive
+multiple is zero exactly when the rational sum is, so each tuple gets the
+same verdict as in rational arithmetic, the tuples are visited in the
+same order, and the first failing tuple is the same.  Only the witness,
+built from that tuple, is evaluated as rational elements.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
-import random
 from dataclasses import dataclass, field
 
 from .algebra import CommAlgebra, Element, weight_of
@@ -108,44 +107,8 @@ def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=No
     raise ValueError(f"unknown identity {ident!r}")
 
 
-class _ClearedTable:
-    """The multiplication table times D, the lcm of its denominators, as
-    sparse integer rows.  Vectors are sparse {index: int} dicts without
-    zero entries, so an empty dict is the zero vector; for integer vectors
-    x and y, `mul(x, y)` is D times their rational product."""
-
-    def __init__(self, a: CommAlgebra):
-        rational = [[a.table_row(i, j) for j in range(a.dim)] for i in range(a.dim)]
-        den = self.den = math.lcm(*(c.denominator for rs in rational for row in rs if row
-                                    for _, c in row))
-        self.rows = [[row and tuple((k, c.numerator * (den // c.denominator)) for k, c in row)
-                      for row in rs] for rs in rational]
-        # D e_i e_j, the integer pair products every scan starts from
-        self.pairs = [[dict(row or ()) for row in rs] for rs in self.rows]
-        self.units = [{k: 1} for k in range(a.dim)]
-
-    def mul(self, x: dict, y: dict) -> dict:
-        rows = self.rows
-        acc = {}
-        for i, xi in x.items():
-            ri = rows[i]
-            for j, yj in y.items():
-                row = ri[j]
-                if row:
-                    c = xi * yj
-                    for k, t in row:
-                        acc[k] = acc.get(k, 0) + c * t
-        return {k: v for k, v in acc.items() if v}
-
-
-def _cleared_weight(weight):
-    """(weight times Dw, Dw) with Dw the lcm of the weight's denominators."""
-    dw = math.lcm(*(w.denominator for w in weight))
-    return [w.numerator * (dw // w.denominator) for w in weight], dw
-
-
-def _add_to(acc: dict, vec: dict, c: int) -> None:
-    for k, v in vec.items():
+def _add_to(acc: dict, vec, c: int) -> None:
+    for k, v in vec:
         acc[k] = acc.get(k, 0) + c * v
 
 
@@ -159,17 +122,16 @@ def _scan_degree4(a, weight):
     W = Dw w, the pair-pair terms 2 Dw^2 P P and the weight terms
     D^2 W W P are each D^3 Dw^2 times their rational values.
     """
-    tab = _ClearedTable(a)
-    pairs = tab.pairs
-    ws, dw = _cleared_weight(weight) if weight is not None else (None, 1)
-    c_pair, c_weight = 2 * dw * dw, tab.den ** 2
+    pairs, mul = a._int_rows, a._int_mul
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
+    c_pair, c_weight = 2 * dw * dw, a._den ** 2
     for t in itertools.combinations_with_replacement(range(a.dim), 4):
         i, j, k, l = t
         acc = {}
         for p, q in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
             x, y = pairs[p[0]][p[1]], pairs[q[0]][q[1]]
             if x and y:
-                _add_to(acc, tab.mul(x, y), c_pair)
+                _add_to(acc, mul(x, y), c_pair)
         if ws is not None:
             for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
                                    ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
@@ -187,21 +149,20 @@ def _scan_degree3(a, weight):
     The product terms Dw (D e_p e_q) e_r and the weight terms D W P are
     each D^2 Dw times their rational values.
     """
-    tab = _ClearedTable(a)
-    pairs, units = tab.pairs, tab.units
-    ws, dw = _cleared_weight(weight) if weight is not None else (None, 1)
+    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
     for t in itertools.combinations_with_replacement(range(a.dim), 3):
         i, j, k = t
         acc = {}
         for r, (p, q) in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
             x = pairs[p][q]
             if x:
-                _add_to(acc, tab.mul(x, units[r]), dw)
+                _add_to(acc, mul(x, units[r]), dw)
         if ws is not None:
             for r, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
                 c = ws[r]
                 if c:
-                    _add_to(acc, pairs[p][q], -tab.den * c)
+                    _add_to(acc, pairs[p][q], -a._den * c)
         if any(acc.values()):
             return t
     return None
@@ -213,8 +174,7 @@ def _scan_jordan(a):
     Both terms e_m (P e_y) and P (D e_m e_y) of each summand are D^3 times
     their rational values, so the form needs no further weighting.
     """
-    tab = _ClearedTable(a)
-    pairs, units, mul = tab.pairs, tab.units, tab.mul
+    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
     # P e_y and P (D e_m e_y) recur across tuples, so each is computed once
     # per scan; e_m (P e_y) is met by one (tuple, y) only and is not kept
     xys, pps = {}, {}
@@ -302,28 +262,3 @@ def check_identity(a: CommAlgebra, ident: Identity, weight=None):
         xs, y = hit
         return _witness_from_tuple(a, ident, weight, xs, y)
     raise ValueError(f"unknown identity {ident!r}")
-
-
-def random_element(a: CommAlgebra, rng: random.Random) -> Element:
-    coords = [a.field.of(rng.randint(-6, 6)) / a.field.of(rng.randint(1, 3))
-              for _ in range(a.dim)]
-    return a.element(coords)
-
-
-def random_identity_probe(a: CommAlgebra, ident: Identity, weight=None,
-                          trials: int = 100, rng=None, seed: int = 0):
-    """Sampling oracle: evaluate the identity at random rational elements,
-    returning the first witness found or True."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if a.field != QQ:
-        raise ValueError("identity probing is only supported over the rationals")
-    weight = _weight_for(a, ident, weight)
-    if rng is None:
-        rng = random.Random(seed)
-    for _ in range(trials):
-        assignment = {v: random_element(a, rng) for v in ident.variables}
-        residual = identity_defect(a, ident, assignment, weight)
-        if not residual.is_zero():
-            return Witness(tuple(assignment.items()), residual)
-    return True

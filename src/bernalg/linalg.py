@@ -34,12 +34,13 @@ def _rref_rows(rows, cols, field):
             continue
         m[piv_r], m[pick] = m[pick], m[piv_r]
         inv = m[piv_r][col]
+        # zero entries are kept as they are: sparse rows are common
         if inv != field.one:
-            m[piv_r] = [x / inv for x in m[piv_r]]
+            m[piv_r] = [x / inv if x else x for x in m[piv_r]]
         for r in range(len(m)):
             if r != piv_r and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv_r])]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[piv_r])]
         pivots.append(col)
         piv_r += 1
         if piv_r == len(m):

@@ -21,7 +21,6 @@ def module_action(p: PeirceData, word, u: Element) -> Element:
     Every word letter must lie in V and u in annU; the result stays in annU
     because annU is an ideal whose U-part products vanish.
     """
-    a = u.algebra
     if not p.annU.contains(u.coords):
         raise ValueError("element is not in annU")
     result = u

@@ -1,10 +1,14 @@
+import contextlib
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from bernalg import (BaricAlgebra, CommAlgebra, PrimeField, Subspace,
+from bernalg import (QQ, BaricAlgebra, CommAlgebra, PrimeField, Subspace,
                      make_family, peirce)
+from bernalg.algebra import induced_table
 
 
 def bernstein_corpus():
@@ -71,7 +75,7 @@ def random_subspace_in(rng, space: Subspace):
     return Subspace(vecs, space.ambient_dim, space.field)
 
 
-def random_table_algebra(rng, dim):
+def random_table_algebra(rng, dim, field=QQ):
     """A seeded random commutative table with small integer coefficients.
     Most tables only map into lower basis indices, which makes them
     nilpotent, often with plateaus in their full chains; the rest are
@@ -86,7 +90,72 @@ def random_table_algebra(rng, dim):
             coords = [rng.choice((0, 0, 1, -1, 2)) if k < top else 0
                       for k in range(dim)]
             products[(i, j)] = coords
-    return CommAlgebra([f"b{k}" for k in range(dim)], products)
+    return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
+
+
+def reference_mul_coords(a, x, y) -> tuple:
+    """The product of coordinate vectors by field multiply-add over the
+    rational table: `mul_coords` before the integer kernel, kept as its
+    reference."""
+    acc = [a.field.zero] * a.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            row = a.table_row(i, j)
+            if not row:
+                continue
+            c = xi * yj
+            for k, coeff in row:
+                acc[k] = acc[k] + c * coeff
+    return tuple(acc)
+
+
+def reference_subspace_product(a, s1: Subspace, s2: Subspace) -> Subspace:
+    return Subspace([reference_mul_coords(a, x, y) for x in s1.rows for y in s2.rows],
+                    a.dim, a.field)
+
+
+@contextlib.contextmanager
+def reference_products(a):
+    """Route the element products of `a` through `reference_mul_coords`."""
+    a.mul_coords = functools.partial(reference_mul_coords, a)
+    try:
+        yield a
+    finally:
+        del a.mul_coords
+
+
+def rebased(a, weight, rows):
+    """The algebra and weight in the basis given by `rows` (old coordinates)."""
+    table = induced_table(a, rows, rows)
+    assert table is not None
+    b = CommAlgebra([f"f{i}" for i in range(a.dim)], table)
+    if weight is None:
+        return b, None
+    return b, tuple(sum((w * c for w, c in zip(weight, row)), Fraction(0)) for row in rows)
+
+
+def change_of_basis_copy(a, weight, seed):
+    """A seeded copy in a random invertible basis with entries in [-2, 2]."""
+    rng = fresh_rng(seed)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
+        if Subspace(rows, a.dim).dim == a.dim:
+            return rebased(a, weight, rows)
+
+
+SCALES = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(-3, 4), Fraction(7, 5))
+
+
+def scaled_copy(a, weight):
+    """A copy with basis vector i scaled by SCALES[i % 5], so the table and
+    the weight both carry denominators."""
+    rows = [[SCALES[i % len(SCALES)] if j == i else 0 for j in range(a.dim)]
+            for i in range(a.dim)]
+    return rebased(a, weight, rows)
 
 
 def span_elements(space: Subspace):

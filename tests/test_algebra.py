@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (CommAlgebra, Matrix, Subspace, generated_ideal,
+from bernalg import (CommAlgebra, Matrix, PrimeField, Subspace, generated_ideal,
                      generated_subalgebra, is_ideal, make_family,
                      nilpotency_report, power_chain, plenary_power,
                      subalgebra_on)
 from bernalg import algebra as algebra_module
 from bernalg.algebra import ChainCapError
 
-from conftest import (fresh_rng, random_subspace_in, random_table_algebra,
-                      random_vector_in)
+from conftest import (change_of_basis_copy, fresh_rng, random_subspace_in,
+                      random_table_algebra, random_vector_in, reference_mul_coords,
+                      reference_subspace_product, scaled_copy)
 
 
 def span_named(a, *names):
@@ -131,8 +132,8 @@ def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
     calls = []
 
     def count_products(a):
-        original = a.mul_coords
-        monkeypatch.setattr(a, "mul_coords",
+        original = a._int_mul
+        monkeypatch.setattr(a, "_int_mul",
                             lambda x, y: calls.append(1) or original(x, y))
         return a
     a = count_products(b.algebra)
@@ -146,6 +147,63 @@ def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
     fresh = count_products(make_family("bdown", 3).algebra)
     assert fresh.subspace_product(n, fresh.full_space()) == first
     assert len(calls) == 2 * computed
+
+
+def kernel_algebras():
+    """(label, algebra) pairs for the integer product kernel: seeded random
+    tables, their copies with rationally scaled basis vectors (so that the
+    table's denominators make D > 1) and in a seeded random basis, and the
+    same random tables over GF(5) and GF(7)."""
+    rng = fresh_rng(29)
+    out = []
+    for n in range(12):
+        dim = rng.randint(2, 5)
+        a = random_table_algebra(fresh_rng(1000 + n), dim)
+        out += [(f"random{n}", a), (f"scaled{n}", scaled_copy(a, None)[0]),
+                (f"rebased{n}", change_of_basis_copy(a, None, n)[0])]
+        out += [(f"random{n}/GF({p})", random_table_algebra(fresh_rng(1000 + n), dim,
+                                                            PrimeField(p)))
+                for p in (5, 7)]
+    return out
+
+
+KERNEL_ALGEBRAS = kernel_algebras()
+
+
+def random_coords(rng, a):
+    """A random coordinate vector with zeros and, over the rationals, denominators."""
+    field = a.field
+    return tuple(field.of(rng.choice((0, 0, 1, -2, 3))) / field.of(rng.choice((1, 2, 3)))
+                 for _ in range(a.dim))
+
+
+def test_kernel_algebras_carry_denominators():
+    scaled = [a for label, a in KERNEL_ALGEBRAS if label.startswith("scaled")]
+    assert sum(a._den > 1 for a in scaled) >= len(scaled) // 2
+    assert all(a._den == 1 for label, a in KERNEL_ALGEBRAS if "GF" in label)
+
+
+@pytest.mark.parametrize("label, a", KERNEL_ALGEBRAS, ids=[c[0] for c in KERNEL_ALGEBRAS])
+def test_mul_coords_matches_the_field_reference(label, a):
+    rng = fresh_rng(len(label))
+    vectors = [a.basis_element(k).coords for k in range(a.dim)]
+    vectors += [a.zero_element().coords] + [random_coords(rng, a) for _ in range(6)]
+    for x in vectors:
+        for y in vectors:
+            assert a.mul_coords(x, y) == reference_mul_coords(a, x, y), (x, y)
+
+
+@pytest.mark.parametrize("label, a", KERNEL_ALGEBRAS, ids=[c[0] for c in KERNEL_ALGEBRAS])
+def test_subspace_product_matches_the_field_reference(label, a):
+    rng = fresh_rng(len(label) + 1)
+    full = a.full_space()
+    spaces = [full, a.zero_space()]
+    spaces += [Subspace([random_coords(rng, a) for _ in range(rng.randint(1, a.dim))],
+                        a.dim, a.field) for _ in range(4)]
+    spaces += [random_subspace_in(rng, full) for _ in range(2)]
+    for s1 in spaces:
+        for s2 in spaces:
+            assert a.subspace_product(s1, s2) == reference_subspace_product(a, s1, s2)
 
 
 def test_product_monotone():

@@ -1,3 +1,4 @@
+import argparse
 import glob
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from bernalg import Identity, identity_defect, make_family, parse, to_algebra
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
+from bernalg import cli
 from bernalg.cli import main
 from bernalg.fileformat import from_algebra, serialize
 
@@ -280,3 +282,50 @@ def test_check_json_reaches_an_exponential_full_nil_index(tmp_path, capsys):
     code, out, err = run_cli(["check", str(f), "--json"], capsys=capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["chains"]["full_nil_index"] == 2 ** 14 + 1
+
+
+def _help_of_subparser(parser, name):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name].format_help()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_single_subcommand_parser_matches_the_full_build(name):
+    full = cli.build_parser()
+    single = cli.build_parser(name)
+    assert _help_of_subparser(single, name) == _help_of_subparser(full, name)
+    # the top-level usage, which errors such as unrecognized arguments print
+    assert single.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("argv", [["check", path("bdown3.alg"), "extra"],
+                                  ["powers", path("bdown3.alg"), "--kind", "weird"],
+                                  ["bogus"], ["--json"], []])
+def test_argparse_errors_exit_2_with_the_full_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err
+    if argv[:1] != ["powers"]:
+        assert cli.build_parser().format_usage() in err
+
+
+def test_oversized_input_exits_2_naming_the_cap(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "big.alg"
+    f.write_text("algebra big\nbasis x\nweight x " + "1" * 1001 + "\n")
+    code, out, err = run_cli(["check", str(f)], capsys=capsys)
+    assert code == 2 and out == ""
+    assert "MAX_DIGITS = 1000" in err
+    f.write_text(serialize(from_algebra(make_family("bdown", 3), "bdown3")))
+    code, _, err = run_cli(["peirce", str(f), "--seed", "1e99999999 e"], capsys=capsys)
+    assert code == 2 and "MAX_DIGITS" in err
+    code, _, err = run_cli(["stability", str(f), "--subspace", "1" * 1001 + ",0,0,0,0"],
+                           capsys=capsys)
+    assert code == 2 and "MAX_DIGITS" in err
+    monkeypatch.setattr(cli, "MAX_DIM", 2)
+    rows = "0,0,1,0,0;0,0,0,1,0;0,0,0,0,1"
+    code, _, err = run_cli(["stability", str(f), "--subspace", rows], capsys=capsys)
+    assert code == 2 and "MAX_DIM = 2" in err
+    code, _, err = run_cli(["quotient", str(f), "--by", rows], capsys=capsys)
+    assert code == 2 and "MAX_DIM = 2" in err

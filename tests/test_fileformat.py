@@ -6,6 +6,7 @@ import pytest
 
 from bernalg import (BaricAlgebra, ParseError, classify, from_algebra,
                      make_family, parse, serialize, to_algebra)
+from bernalg import fileformat
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -62,6 +63,39 @@ def test_malformed_rational_rejected():
     assert "1/0" in str(exc.value)
     with pytest.raises(ParseError):
         parse("algebra a\nbasis x\nweight x q\n")
+
+
+def test_basis_over_the_dimension_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+    parse("algebra a\nbasis x y z\n")
+    with pytest.raises(ParseError) as exc:
+        parse("algebra a\nbasis x y z w\nprod x x = 1 w\n")
+    assert "MAX_DIM = 3" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (2, 13)  # the first vector over the cap
+
+
+def test_rational_over_the_digit_cap_is_refused():
+    cap = fileformat.MAX_DIGITS
+    half = cap // 2
+    parse(f"algebra a\nbasis x\nweight x {'7' * half}/{'3' * (cap - half)}\n")
+    for token in ("1" * (cap + 1), f"-1/{'3' * cap}"):
+        with pytest.raises(ParseError) as exc:
+            parse(f"algebra a\nbasis x y\nprod x x = {token} y\n")
+        assert f"MAX_DIGITS = {cap}" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (3, 12)
+
+
+def test_spec_rationals_keep_the_fraction_grammar_under_the_digit_cap():
+    cap = fileformat.MAX_DIGITS
+    for token in ("1/2", " -3 ", "1.5", "2e3", "1E-2", "7" * cap):
+        assert fileformat.spec_rational(token) == Fraction(token)
+    # an exponent is counted before the number is built
+    for token in ("1" * (cap + 1), "1e99999999", f"1e-{cap + 1}", "0." + "1" * cap):
+        with pytest.raises(ValueError) as exc:
+            fileformat.spec_rational(token)
+        assert f"MAX_DIGITS = {cap}" in str(exc.value)
+    with pytest.raises(ValueError):
+        fileformat.spec_rational("1e")
 
 
 def test_conflicting_duplicate_product_rejected():

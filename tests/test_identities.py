@@ -1,16 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from bernalg import (CommAlgebra, Identity, Subspace, Witness,
-                     check_identity, from_algebra, identity_defect, make_family,
-                     parse, plenary_power, random_identity_probe, serialize,
+from bernalg import (QQ, CommAlgebra, Identity, Witness, check_identity, from_algebra,
+                     identity_defect, make_family, parse, plenary_power, serialize,
                      subalgebra_on, to_algebra)
 from bernalg import identities
-from bernalg.algebra import induced_table
 
-from conftest import fresh_rng, non_nilpotent_baric
+from conftest import (change_of_basis_copy, fresh_rng, non_nilpotent_baric,
+                      reference_products, scaled_copy)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -122,13 +122,40 @@ RATIONAL_SCANS = {
 
 
 def rational_check_identity(a, ident, weight=None):
-    """check_identity decided in Element (Fraction) arithmetic: the scans
-    the integer kernel replaced, kept as its reference."""
+    """check_identity decided in Element (Fraction) arithmetic, with the
+    products of the reference `mul_coords`: the scans the integer kernel
+    replaced, kept as its reference."""
     weight = identities._weight_for(a, ident, weight)
-    bad = RATIONAL_SCANS[ident](a, weight)
-    if bad is None:
-        return True
-    return identities._witness_from_tuple(a, ident, weight, *bad)
+    with reference_products(a):
+        bad = RATIONAL_SCANS[ident](a, weight)
+        if bad is None:
+            return True
+        return identities._witness_from_tuple(a, ident, weight, *bad)
+
+
+def random_element(a, rng: random.Random):
+    coords = [a.field.of(rng.randint(-6, 6)) / a.field.of(rng.randint(1, 3))
+              for _ in range(a.dim)]
+    return a.element(coords)
+
+
+def random_identity_probe(a, ident, weight=None, trials: int = 100, rng=None, seed: int = 0):
+    """Sampling oracle: evaluate the identity at random rational elements,
+    returning the first witness found or True.  A True here is evidence,
+    not a verdict, so it stays in the tests."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if a.field != QQ:
+        raise ValueError("identity probing is only supported over the rationals")
+    weight = identities._weight_for(a, ident, weight)
+    if rng is None:
+        rng = random.Random(seed)
+    for _ in range(trials):
+        assignment = {v: random_element(a, rng) for v in ident.variables}
+        residual = identity_defect(a, ident, assignment, weight)
+        if not residual.is_zero():
+            return Witness(tuple(assignment.items()), residual)
+    return True
 
 
 # ---------------------------------------------------------------- verdicts
@@ -262,36 +289,6 @@ def test_square_square_zero_holds_on_bernstein_barideals(baric_corpus):
 
 
 # ---------------------------------------------------------------- integer kernel
-
-
-def _rebased(a, weight, rows):
-    """The algebra and weight in the basis given by `rows` (old coordinates)."""
-    table = induced_table(a, rows, rows)
-    assert table is not None
-    b = CommAlgebra([f"f{i}" for i in range(a.dim)], table)
-    if weight is None:
-        return b, None
-    return b, tuple(sum((w * c for w, c in zip(weight, row)), Fraction(0)) for row in rows)
-
-
-def change_of_basis_copy(a, weight, seed):
-    """A seeded copy in a random invertible basis with entries in [-2, 2]."""
-    rng = fresh_rng(seed)
-    while True:
-        rows = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
-        if Subspace(rows, a.dim).dim == a.dim:
-            return _rebased(a, weight, rows)
-
-
-SCALES = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(-3, 4), Fraction(7, 5))
-
-
-def scaled_copy(a, weight):
-    """A copy with basis vector i scaled by SCALES[i % 5], so the table and
-    the weight both carry denominators."""
-    rows = [[SCALES[i % len(SCALES)] if j == i else 0 for j in range(a.dim)]
-            for i in range(a.dim)]
-    return _rebased(a, weight, rows)
 
 
 def _skewed_bdown2():
