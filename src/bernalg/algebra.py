@@ -115,11 +115,6 @@ class CommAlgebra:
         """Sparse product of basis vectors i and j: ((k, coeff), ...) or None."""
         return self._sparse.get((i, j) if i <= j else (j, i))
 
-    def _clear(self, vec) -> tuple:
-        """(x, d): the sparse integer vector x = d * vec, with d > 0."""
-        ints, d = self.field.clear(vec)
-        return tuple((k, v) for k, v in enumerate(ints) if v), d
-
     def _int_mul(self, x, y) -> tuple:
         """D x y for sparse integer vectors x and y.
 
@@ -139,10 +134,10 @@ class CommAlgebra:
         return tuple((k, v) for k, v in acc.items() if v)
 
     def mul_coords(self, x, y) -> tuple:
-        (xs, dx), (ys, dy) = self._clear(x), self._clear(y)
+        (xs, dx), (ys, dy) = self.field.clear(x), self.field.clear(y)
         scale, back = self._den * dx * dy, self.field.back
         out = [self.field.zero] * self.dim
-        for k, v in self._int_mul(xs, ys):
+        for k, v in self._int_mul(_sparse(xs), _sparse(ys)):
             out[k] = back(v, scale)
         return tuple(out)
 
@@ -159,21 +154,12 @@ class CommAlgebra:
         With `restrict_to` the matrix is expressed in that subspace's RREF
         basis; the subspace must be invariant under multiplication by x.
         """
-        if restrict_to is None:
-            cols = [self.mul_coords(x.coords, self.basis_element(j).coords)
-                    for j in range(self.dim)]
-            entries = tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim))
-            return Matrix(self.dim, self.dim, entries, self.field)
-        k = restrict_to.dim
-        cols = []
-        for row in restrict_to.rows:
-            image = self.mul_coords(x.coords, row)
-            coords = restrict_to.coords_of(image)
-            if coords is None:
-                raise ValueError("restriction subspace is not invariant under this multiplication")
-            cols.append(coords)
-        entries = tuple(cols[j][i] for i in range(k) for j in range(k))
-        return Matrix(k, k, entries, self.field)
+        s = self.full_space() if restrict_to is None else restrict_to
+        cols = [s.coords_of(self.mul_coords(x.coords, row)) for row in s.rows]
+        if None in cols:
+            raise ValueError("restriction subspace is not invariant under this multiplication")
+        k = s.dim
+        return Matrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)), self.field)
 
     def subspace_product(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of all products of basis vectors of s1 with basis vectors of s2.
@@ -191,15 +177,15 @@ class CommAlgebra:
         key = frozenset((s1, s2))
         hit = self._products.get(key)
         if hit is None:
-            # each row is cleared once; an integer product is a positive
-            # multiple of the rational one and so spans the same line
-            rows = [self._clear(r)[0] for r in s1.rows]
+            # an integer row is a positive multiple of the rational one, and so
+            # is its integer product, which spans the same line
+            rows = [_sparse(r) for r in s1.int_rows]
             pairs = (itertools.combinations_with_replacement(rows, 2) if len(key) == 1
-                     else itertools.product(rows, [self._clear(r)[0] for r in s2.rows]))
+                     else itertools.product(rows, [_sparse(r) for r in s2.int_rows]))
             sparse = (dict(p) for p in itertools.starmap(self._int_mul, pairs) if p)
-            zeros = itertools.repeat(self.field.zero)
+            zeros = itertools.repeat(0)
             prods = dict.fromkeys(tuple(map(p.get, range(self.dim), zeros)) for p in sparse)
-            hit = self._products[key] = Subspace(prods, self.dim, self.field)
+            hit = self._products[key] = Subspace.of_int_rows(prods, self.dim, self.field)
         return hit
 
     def full_space(self) -> Subspace:
@@ -213,6 +199,11 @@ class CommAlgebra:
 
     def __repr__(self):
         return f"CommAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
+
+
+def _sparse(ints) -> tuple:
+    """The nonzero entries of an integer vector as (index, int) pairs."""
+    return tuple((k, v) for k, v in enumerate(ints) if v)
 
 
 @dataclass(frozen=True)
@@ -363,8 +354,8 @@ def _full_term(a: CommAlgebra, runs, pos: int) -> Subspace:
     for rj, rl in itertools.combinations_with_replacement(closed, 2):
         if rj.start + rl.start <= pos <= rj.end + rl.end:
             products[a.subspace_product(rj.term, rl.term)] = None
-    rows = dict.fromkeys(row for p in products for row in p.rows)
-    return Subspace(rows, a.dim, a.field)
+    rows = dict.fromkeys(row for p in products for row in p.int_rows)
+    return Subspace.of_int_rows(rows, a.dim, a.field)
 
 
 def iterate_chain(start: Subspace, step, cap: int | None = None):
@@ -486,12 +477,6 @@ def induced_table(a: CommAlgebra, rows, basis_rows) -> dict | None:
 
 def _subspace_names(a: CommAlgebra, s: Subspace):
     """Reuse parent basis names when the rows are standard basis vectors."""
-    zero, one = a.field.zero, a.field.one
-    names = []
-    for row in s.rows:
-        hot = [k for k, x in enumerate(row) if x != zero]
-        if len(hot) == 1 and row[hot[0]] == one:
-            names.append(a.basis_names[hot[0]])
-        else:
-            return [f"s{i + 1}" for i in range(s.dim)]
-    return names
+    if all(sum(map(bool, r)) == 1 for r in s.int_rows):
+        return [a.basis_names[p] for p in s.pivots]
+    return [f"s{i + 1}" for i in range(s.dim)]

@@ -160,15 +160,9 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
 
 def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
     """{x in U : x*U = 0}, solved as one linear system over U's coordinates."""
-    k = u.dim
-    if k == 0:
-        return Subspace.zero(a.dim, a.field)
-    prods = [[a.mul_coords(u.rows[i], u.rows[j]) for j in range(k)] for i in range(k)]
-    rows = []
-    for j in range(k):
-        for t in range(a.dim):
-            rows.append([prods[i][j][t] for i in range(k)])
-    return u.span_of_coords(Matrix.from_rows(rows, k, a.field).kernel())
+    prods = [[a.mul_coords(x, y) for x in u.rows] for y in u.rows]
+    system = [[p[t] for p in row] for row in prods for t in range(a.dim)]
+    return u.span_of_coords(Matrix.from_rows(system, u.dim, a.field).kernel())
 
 
 def check_peirce_relations(b: BaricAlgebra, p: PeirceData):
@@ -328,22 +322,15 @@ def quotient(b: BaricAlgebra, ideal: Subspace) -> BaricAlgebra:
         raise ValueError("subspace is not an ideal")
     if not ideal.leq(b.barideal()):
         raise ValueError("ideal is not contained in the kernel of the weight")
-    chosen = []
-    work = ideal
-    for k in range(a.dim):
-        if not work.contains(_unit(a, k)):
-            chosen.append(k)
-            work = work.plus(Subspace([_unit(a, k)], a.dim, a.field))
-    units = [_unit(a, k) for k in chosen]
+    # e_k lies in the ideal plus the earlier e_j exactly when some vector of
+    # the ideal ends at k, that is when k is a pivot with the columns reversed
+    ends = Subspace.of_int_rows([r[::-1] for r in ideal.int_rows], a.dim, a.field).pivots
+    chosen = [k for k in range(a.dim) if a.dim - 1 - k not in ends]
+    units = [[int(t == k) for t in range(a.dim)] for k in chosen]
     table = induced_table(a, units, list(ideal.rows) + units)
     products = {pair: coords[ideal.dim:] for pair, coords in table.items()}
     qa = CommAlgebra([a.basis_names[k] for k in chosen], products, a.field)
     return BaricAlgebra(qa, [b.weight[k] for k in chosen])
-
-
-def _unit(a: CommAlgebra, k: int):
-    zero, one = a.field.zero, a.field.one
-    return tuple(one if t == k else zero for t in range(a.dim))
 
 
 def nuclear_core(b: BaricAlgebra, p: PeirceData | None = None) -> BaricAlgebra:

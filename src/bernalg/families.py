@@ -26,6 +26,7 @@ from fractions import Fraction
 from .algebra import CommAlgebra, Element
 from .bernstein import BaricAlgebra
 from .fields import QQ
+from .fileformat import MAX_DIM
 
 FAMILY_KINDS = ("zhevlakov", "squareshift", "bdown", "bup", "jordan3")
 
@@ -39,6 +40,10 @@ def make_family(kind: str, n: int | None = None, field=QQ):
         return _jordan3(field)
     if n is None or n < 1:
         raise ValueError(f"family {kind!r} needs a size n >= 1")
+    dim = n + 2 if kind in ("bdown", "bup") else n
+    if dim > MAX_DIM:
+        raise ValueError(f"family {kind!r} at n = {n} has dimension {dim}, over the "
+                         f"dimension cap MAX_DIM = {MAX_DIM}")
     if kind == "zhevlakov":
         return _zhevlakov(n, field)
     if kind == "squareshift":

@@ -7,8 +7,11 @@ halving stays invertible) exist only so that tests can run exhaustive
 enumeration oracles over a finite ambient space; they are never used for
 identity checks.
 
-For the integer product kernel of `CommAlgebra`, `clear` writes a vector
-as integers over a positive scale d and `back(n, d)` is n / d in the field.
+Integer hooks: `clear` writes a vector as integers over a positive scale d,
+`back(n, d)` is n / d in the field, `reduce(row)` shrinks an integer row on
+its line (gcd division over QQ, residues over GF(p)) and `normalize(row,
+col)` picks the canonical multiple: primitive with row[col] > 0 over QQ,
+row[col] = 1 over GF(p).
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ class RationalField:
     @staticmethod
     def back(n: int, d: int) -> Fraction:
         return Fraction(n, d)
+
+    @staticmethod
+    def reduce(row):
+        g = math.gcd(*row)
+        return row if g <= 1 else [x // g for x in row]
+
+    @staticmethod
+    def normalize(row, col: int):
+        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
+        return row if g == 1 else [x // g for x in row]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -168,6 +181,13 @@ class PrimeField:
 
     def back(self, n: int, d: int) -> ModP:
         return ModP(n * pow(d, -1, self.p), self.p)
+
+    def reduce(self, row) -> list:
+        return [x % self.p for x in row]
+
+    def normalize(self, row, col: int):
+        inv = pow(row[col], -1, self.p)
+        return row if inv == 1 else [x * inv % self.p for x in row]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,57 +1,72 @@
 """Exact linear algebra over an exact field: matrices, reduced row-echelon
 forms, kernels, and canonically represented subspaces.
 
-A subspace is always stored by the unique reduced row-echelon basis of its
-row space, so equality of subspaces is plain equality of representations
-and chain-stabilisation tests need no tolerances.  Everything is immutable
-after construction; all operations are pure.
+A subspace is stored by the unique RREF basis of its row space, each row
+scaled to a primitive integer row with a positive pivot (over GF(p):
+residues with pivot 1), so equality of subspaces is equality of integer
+tuples and chain-stabilisation tests need no tolerances; `Subspace.rows` is
+the rational view.  Elimination is fraction-free: row r is cleared by the
+pivot row p as a*r - b*p, and the field's `reduce` keeps the coefficients
+small, so QQ and GF(p) share one path.  Scalars are coerced only at the
+public constructors.  Everything is immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .fields import QQ
 
 
-def _rref_rows(rows, cols, field):
-    """Gauss-Jordan over the given field; returns (reduced rows, pivot cols).
+def _eliminate(r, p, col, reduce) -> list:
+    """Row r with column col cleared by the pivot row p: a*r - b*p reduced,
+    where a/b = p[col]/r[col] in lowest terms."""
+    a, b = p[col], r[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return reduce([a * x - b * y for x, y in zip(r, p)])
 
-    The reduction is full (pivots are 1, cleared above and below), so the
-    output rows are the unique RREF of the input row space, zero rows last.
-    """
-    m = [list(r) for r in rows]
-    zero = field.zero
-    piv_r = 0
-    pivots = []
+
+def _echelon(rows, cols, field):
+    """Fraction-free Gauss-Jordan on integer rows, pivoting in the first
+    `cols` columns: (pivot rows, pivot columns, other rows).  Each pivot row
+    is the field's canonical multiple (`normalize`) of an RREF row, zero in
+    every other pivot column; the other rows vanish in the first `cols`."""
+    reduce = field.reduce
+    pending = [reduce(r) for r in rows]
+    done, pivots = [], []
     for col in range(cols):
-        pick = None
-        for r in range(piv_r, len(m)):
-            if m[r][col]:
-                pick = r
+        for i, r in enumerate(pending):
+            if r[col]:
                 break
-        if pick is None:
+        else:
             continue
-        m[piv_r], m[pick] = m[pick], m[piv_r]
-        inv = m[piv_r][col]
-        # zero entries are kept as they are: sparse rows are common
-        if inv != field.one:
-            m[piv_r] = [x / inv if x else x for x in m[piv_r]]
-        for r in range(len(m)):
-            if r != piv_r and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[piv_r])]
+        p = field.normalize(pending.pop(i), col)
+        for block in (done, pending):
+            for i, r in enumerate(block):
+                if r[col]:
+                    block[i] = _eliminate(r, p, col, reduce)
+        done.append(p)
         pivots.append(col)
-        piv_r += 1
-        if piv_r == len(m):
-            break
-    reduced = [tuple(r) for r in m]
-    # move zero rows to the bottom, preserving the order of nonzero rows
-    nonzero = [r for r in reduced if any(r)]
-    n_zero = len(reduced) - len(nonzero)
-    width = len(reduced[0]) if reduced else cols
-    reduced = nonzero + [tuple([zero] * width)] * n_zero
-    return reduced, tuple(pivots)
+    return done, pivots, pending
+
+
+def _cleared(vector, n: int, field) -> tuple:
+    """(x, d): the integer vector x = d * vector, its entries coerced first."""
+    v = [field.of(x) for x in vector]
+    if len(v) != n:
+        raise ValueError("vector length does not match the ambient dimension")
+    return field.clear(v)
+
+
+def combine_rows(coeffs, rows) -> list:
+    """sum(c_i * rows_i) for rows of equal length; there must be a row."""
+    v = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            v = [a + c * b for a, b in zip(v, row)]
+    return v
 
 
 @dataclass(frozen=True)
@@ -121,42 +136,20 @@ class Matrix:
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out), self.field)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix difference")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)),
-                      self.field)
-
-    def scaled(self, c) -> "Matrix":
-        c = self.field.of(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(c * x for x in self.entries), self.field)
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
     def rref(self) -> "Matrix":
-        reduced, _ = _rref_rows(self.row_list(), self.cols, self.field)
-        return Matrix.from_rows(reduced, self.cols, self.field)
+        s = Subspace(self.row_list(), self.cols, self.field)
+        zeros = [[self.field.zero] * self.cols] * (self.rows - s.dim)
+        return Matrix.from_rows(list(s.rows) + zeros, self.cols, self.field)
 
     def rank(self) -> int:
-        _, pivots = _rref_rows(self.row_list(), self.cols, self.field)
-        return len(pivots)
+        return Subspace(self.row_list(), self.cols, self.field).dim
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a canonical subspace of K^cols."""
-        reduced, pivots = _rref_rows(self.row_list(), self.cols, self.field)
-        zero, one = self.field.zero, self.field.one
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for r, p in enumerate(pivots):
-                v[p] = -reduced[r][f]
-            basis.append(v)
-        return Subspace(basis, self.cols, self.field)
+        return Subspace(self.row_list(), self.cols, self.field).null_space()
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -167,104 +160,125 @@ def eigenspace(m: Matrix, lam) -> "Subspace":
     """Kernel of (m - lam * id); m must be square."""
     if m.rows != m.cols:
         raise ValueError("eigenspace needs a square matrix")
-    return (m - Matrix.identity(m.rows, m.field).scaled(lam)).kernel()
+    lam = m.field.of(lam)
+    shifted = [[x - lam if i == j else x for j, x in enumerate(m.row(i))] for i in range(m.rows)]
+    return Subspace(shifted, m.cols, m.field).null_space()
 
 
 class Subspace:
     """A linear subspace of K^n held by its unique RREF basis (no zero rows).
 
-    Because the representation is canonical, `==` decides subspace equality
-    and the objects are hashable.
+    `int_rows` holds each RREF row scaled to a primitive integer row with a
+    positive pivot (over GF(p): residues with pivot 1); `rows` is the RREF
+    as field scalars, built on first read.  The form is canonical, so `==`
+    decides subspace equality and the objects are hashable.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "field", "_hash")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "field", "_rows", "_hash")
 
     def __init__(self, vectors, ambient_dim: int, field=QQ):
-        vs = []
-        for v in vectors:
-            v = tuple(field.of(x) for x in v)
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match the ambient dimension")
-            vs.append(v)
-        if vs:
-            reduced, pivots = _rref_rows(vs, ambient_dim, field)
-            reduced = [r for r in reduced if any(r)]
-        else:
-            reduced, pivots = [], ()
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(reduced))
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_hash", None)  # computed on first use
+        self._set([_cleared(v, ambient_dim, field)[0] for v in vectors], ambient_dim, field)
+
+    @classmethod
+    def of_int_rows(cls, rows, ambient_dim: int, field=QQ) -> "Subspace":
+        """The span of integer rows (over GF(p): of their residues), unchecked."""
+        s = object.__new__(cls)
+        s._set(rows, ambient_dim, field)
+        return s
+
+    def _set(self, int_rows, ambient_dim, field):
+        rows, pivots, _ = _echelon(int_rows, ambient_dim, field)
+        # the rational view and the hash are built on first use
+        for name, value in zip(self.__slots__, (ambient_dim, tuple(map(tuple, rows)),
+                                                tuple(pivots), field, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
     def zero(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace([], ambient_dim, field)
+        return Subspace.of_int_rows([], ambient_dim, field)
 
     @staticmethod
     def full(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace(Matrix.identity(ambient_dim, field).row_list(),
-                        ambient_dim, field)
+        return Subspace.of_int_rows([[int(i == j) for j in range(ambient_dim)]
+                                     for i in range(ambient_dim)], ambient_dim, field)
+
+    @property
+    def rows(self) -> tuple:
+        """The RREF basis rows as field scalars, pivots 1."""
+        if self._rows is None:
+            back, zero = self.field.back, self.field.zero
+            object.__setattr__(self, "_rows", tuple(
+                tuple(back(x, r[p]) if x else zero for x in r)
+                for r, p in zip(self.int_rows, self.pivots)))
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def basis(self) -> Matrix:
-        return Matrix.from_rows(list(self.rows), self.ambient_dim, self.field)
+        return len(self.int_rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.int_rows
 
     def coords_of(self, vector):
-        """Coefficients of `vector` over the RREF basis, or None if outside."""
-        v = [self.field.of(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
+        """Coefficients of `vector` over the RREF basis, or None if outside:
+        its entries in the pivot columns, as an RREF row is 0 at the others'."""
+        x, d = _cleared(vector, self.ambient_dim, self.field)
+        if not self.contains_int(x):
             return None
-        return tuple(coeffs)
+        return tuple(self.field.back(x[p], d) for p in self.pivots)
 
     def contains(self, vector) -> bool:
         return self.coords_of(vector) is not None
 
+    def contains_int(self, x) -> bool:
+        """Whether the integer vector x (over GF(p): its residues) lies in
+        the subspace."""
+        reduce = self.field.reduce
+        x = reduce(x)
+        for r, p in zip(self.int_rows, self.pivots):
+            if x[p]:
+                x = _eliminate(x, r, p, reduce)
+        return not any(x)
+
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(r) for r in self.rows)
+        return self.dim <= other.dim and all(map(other.contains_int, self.int_rows))
 
     def plus(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(list(self.rows) + list(other.rows),
-                        self.ambient_dim, self.field)
+        return Subspace.of_int_rows(self.int_rows + other.int_rows,
+                                    self.ambient_dim, self.field)
+
+    def _common_pivot_rows(self) -> tuple:
+        """(rows, L): the RREF rows times L, the lcm of the integer pivots."""
+        scale = lcm(*(r[p] for r, p in zip(self.int_rows, self.pivots)))
+        return [[scale // r[p] * x for x in r] for r, p in zip(self.int_rows, self.pivots)], scale
+
+    def null_space(self) -> "Subspace":
+        """{x : r . x = 0 for every row r}, the right kernel of the basis."""
+        rows, scale = self._common_pivot_rows()
+        basis = []
+        for f in set(range(self.ambient_dim)).difference(self.pivots):
+            v = [0] * self.ambient_dim
+            v[f] = scale
+            for r, p in zip(rows, self.pivots):
+                v[p] = -r[f]
+            basis.append(v)
+        return Subspace.of_int_rows(basis, self.ambient_dim, self.field)
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked combination system."""
+        """Intersection: the null space of the sum of the two null spaces."""
         self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim, self.field)
-        k1, k2 = self.dim, other.dim
-        entries = []
-        for t in range(self.ambient_dim):
-            entries.extend(self.rows[i][t] for i in range(k1))
-            entries.extend(-other.rows[j][t] for j in range(k2))
-        system = Matrix(self.ambient_dim, k1 + k2, tuple(entries), self.field)
-        return Subspace([combine_rows(c[:k1], self.rows, self.field)
-                         for c in system.kernel().rows], self.ambient_dim, self.field)
+        return self.null_space().plus(other.null_space()).null_space()
 
     def span_of_coords(self, coords: "Subspace") -> "Subspace":
         """The subspace whose coordinates over this RREF basis span `coords`."""
-        return Subspace([combine_rows(c, self.rows, self.field) for c in coords.rows],
-                        self.ambient_dim, self.field)
+        rows, _ = self._common_pivot_rows()
+        return Subspace.of_int_rows([combine_rows(c, rows) for c in coords.int_rows],
+                                    self.ambient_dim, self.field)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
@@ -274,24 +288,15 @@ class Subspace:
         return self is other or (isinstance(other, Subspace)
                                  and self.ambient_dim == other.ambient_dim
                                  and self.field == other.field
-                                 and self.rows == other.rows)
+                                 and self.int_rows == other.int_rows)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.rows)))
+            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.int_rows)))
         return self._hash
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def combine_rows(coeffs, rows, field=QQ) -> list:
-    """sum(c_i * rows_i) for rows of equal length; there must be a row."""
-    v = [field.zero] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            v = [a + c * b for a, b in zip(v, row)]
-    return v
 
 
 def solve_row_combination(rows, target, ambient_dim: int, field=QQ):
@@ -308,17 +313,15 @@ def solve_row_combinations(rows, targets, ambient_dim: int, field=QQ) -> list:
     all; free coefficients are set to zero.
     """
     k = len(rows)
-    zero = field.zero
-    aug = [[field.of(r[t]) for r in rows] + [field.of(v[t]) for v in targets]
+    zero, back = field.zero, field.back
+    aug = [field.clear([field.of(r[t]) for r in rows] + [field.of(v[t]) for v in targets])[0]
            for t in range(ambient_dim)]
-    reduced, pivots = _rref_rows(aug, k, field)
+    reduced, pivots, rest = _echelon(aug, k, field)
     out = []
     for q in range(k, k + len(targets)):
-        if any(row[q] != zero for row in reduced[len(pivots):]):
-            out.append(None)  # inconsistent system
-            continue
         coeffs = [zero] * k
-        for r, p in enumerate(pivots):
-            coeffs[p] = reduced[r][q]
-        out.append(tuple(coeffs))
+        for row, p in zip(reduced, pivots):
+            coeffs[p] = back(row[q], row[p])
+        # a nonzero right-hand side in a row without pivot: inconsistent
+        out.append(None if any(row[q] for row in rest) else tuple(coeffs))
     return out

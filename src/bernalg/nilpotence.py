@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import (CommAlgebra, Element, FULL, PowerChain, generated_ideal,
                       generated_subalgebra, is_ideal, iterate_chain, power_chain)
 from .bernstein import BaricAlgebra, PeirceData
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, combine_rows
 
 
 def module_action(p: PeirceData, word, u: Element) -> Element:
@@ -83,45 +83,44 @@ class MultClosure:
     nil_index: int | None
 
 
-def _matrix_span(matrices, k, field) -> Subspace:
-    return Subspace([m.entries for m in matrices], k * k, field)
-
-
-def _span_matrices(span: Subspace, k, field):
-    return tuple(Matrix(k, k, row, field) for row in span.rows)
+def _compose(f, g, k) -> list:
+    """The flat k x k integer matrix f @ g, for f flat and g as its rows."""
+    return [x for i in range(0, k * k, k) for x in combine_rows(f[i:i + k], g)]
 
 
 def mult_closure_nilpotent(b: BaricAlgebra, p: PeirceData) -> MultClosure:
     """Build the operators L_v on N for a basis of V, close their span under
     composition, and decide nilpotency from the spans of fixed-length words
     (an operator algebra on a d-dimensional space that is nilpotent at all
-    must vanish on words of length d)."""
+    must vanish on words of length d).  Spans and products run on integer
+    matrices, positive multiples of the operators, which span the same lines.
+    """
     a = b.algebra
     k = p.N.dim
     field = a.field
-    gens = []
-    for row in p.V.rows:
-        gens.append(a.left_mult_matrix(a.element(row), restrict_to=p.N))
-    gen_span = _matrix_span(gens, k, field)
+    gens = tuple(a.left_mult_matrix(a.element(row), restrict_to=p.N) for row in p.V.rows)
+    flat = [field.clear(g.entries)[0] for g in gens]
+    ops = [[f[i:i + k] for i in range(0, k * k, k)] for f in flat]
+
+    def products(frontier) -> Subspace:
+        return Subspace.of_int_rows([_compose(f, g, k) for f in frontier for g in ops],
+                                    k * k, field)
+
+    gen_span = Subspace.of_int_rows(flat, k * k, field)
     # closure of the span under composition
     closure = gen_span
-    frontier_rows = list(gen_span.rows)
-    while frontier_rows:
-        products = [Matrix(k, k, f, field) @ g
-                    for f in frontier_rows for g in gens]
-        new_span = closure.plus(_matrix_span(products, k, field))
+    frontier = gen_span.int_rows
+    while frontier:
+        new_span = closure.plus(products(frontier))
         if new_span == closure:
             break
-        frontier_rows = [row for row in new_span.rows if not closure.contains(row)]
+        frontier = [row for row in new_span.int_rows if not closure.contains_int(row)]
         closure = new_span
     # word spans of exact length m = 1, 2, ...; a repeat never reaches zero
-    words, _ = iterate_chain(
-        gen_span, lambda w: _matrix_span([Matrix(k, k, f, field) @ g
-                                          for f in w.rows for g in gens], k, field),
-        max(k, 1) + 1)
+    words, _ = iterate_chain(gen_span, lambda w: products(w.int_rows), max(k, 1) + 1)
     nil_index = len(words) if words[-1].is_zero() else None
-    return MultClosure(tuple(gens), _span_matrices(closure, k, field),
-                       nil_index is not None, nil_index)
+    span_closure = tuple(Matrix(k, k, row, field) for row in closure.rows)
+    return MultClosure(gens, span_closure, nil_index is not None, nil_index)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,48 @@ def reference_subspace_product(a, s1: Subspace, s2: Subspace) -> Subspace:
                     a.dim, a.field)
 
 
+def reference_rref(rows, cols, field):
+    """Gauss-Jordan on field scalars; returns (reduced rows, pivot cols).
+
+    `linalg`'s elimination before it went fraction-free, kept as its
+    reference.  The reduction is full (pivots are 1, cleared above and
+    below), so the output rows are the unique RREF of the input row space,
+    zero rows last.
+    """
+    m = [list(r) for r in rows]
+    zero = field.zero
+    piv_r = 0
+    pivots = []
+    for col in range(cols):
+        pick = None
+        for r in range(piv_r, len(m)):
+            if m[r][col]:
+                pick = r
+                break
+        if pick is None:
+            continue
+        m[piv_r], m[pick] = m[pick], m[piv_r]
+        inv = m[piv_r][col]
+        # zero entries are kept as they are: sparse rows are common
+        if inv != field.one:
+            m[piv_r] = [x / inv if x else x for x in m[piv_r]]
+        for r in range(len(m)):
+            if r != piv_r and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[piv_r])]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == len(m):
+            break
+    reduced = [tuple(r) for r in m]
+    # move zero rows to the bottom, preserving the order of nonzero rows
+    nonzero = [r for r in reduced if any(r)]
+    n_zero = len(reduced) - len(nonzero)
+    width = len(reduced[0]) if reduced else cols
+    reduced = nonzero + [tuple([zero] * width)] * n_zero
+    return reduced, tuple(pivots)
+
+
 @contextlib.contextmanager
 def reference_products(a):
     """Route the element products of `a` through `reference_mul_coords`."""

@@ -204,6 +204,22 @@ def test_family_writes_file(tmp_path, capsys, monkeypatch):
     assert text.startswith("algebra bup2\n")
 
 
+@pytest.mark.parametrize("kind, n", [("squareshift", 65), ("zhevlakov", 70),
+                                     ("bdown", 63), ("bup", 100)])
+def test_family_over_the_dimension_cap_exits_2_naming_the_cap(kind, n, tmp_path, capsys):
+    target = tmp_path / "fam.alg"
+    code, out, err = run_cli(["family", kind, "--n", str(n), "--out", str(target)],
+                             capsys=capsys)
+    assert code == 2 and out == "" and "MAX_DIM = 64" in err
+    assert not target.exists()
+
+
+def test_family_at_the_dimension_cap_writes_a_file_the_parser_accepts(capsys):
+    for kind, n in (("squareshift", 64), ("bdown", 62)):
+        code, out, _ = run_cli(["family", kind, "--n", str(n)], capsys=capsys)
+        assert code == 0 and len(parse(out).basis) == 64
+
+
 # bdown2 with e*u1 = u1: the weight stays multiplicative, Bernstein fails
 SKEWED_BDOWN2 = (open(path("bdown2.alg"), encoding="utf-8").read()
                  .replace("prod e u1 = 1/2 u1", "prod e u1 = 1 u1"))

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernalg import (QQ, Matrix, PrimeField, Subspace, eigenspace,
                      solve_row_combination)
+from bernalg.linalg import solve_row_combinations
 
-from conftest import all_subspaces_within, fresh_rng, span_elements
+from conftest import all_subspaces_within, fresh_rng, reference_rref, span_elements
 
 
 def mat(rows):
@@ -216,3 +218,165 @@ def test_rational_coercion_keeps_fractions_and_converts_the_rest(gf5):
         assert type(got) is Fraction and got == want
     with pytest.raises(TypeError):
         QQ.of(gf5.of(2))
+
+
+# ---------------------------------------------------------------- integer core
+#
+# `Subspace` keeps primitive integer RREF rows and eliminates without
+# fractions; every operation must agree with Gauss-Jordan on field scalars
+# (`conftest.reference_rref`) on seeded matrices over QQ, GF(5) and GF(7).
+
+ORACLE_FIELDS = [QQ, PrimeField(5), PrimeField(7)]
+ORACLE_CASES = ("random", "rank_deficient", "zero_and_duplicate", "huge")
+
+
+def oracle_scalar(rng, field, case):
+    if case == "huge":  # numerators and denominators just under MAX_DIGITS
+        num = rng.choice((-1, 1)) * rng.randint(10 ** 997, 10 ** 998)
+        den = rng.randint(10 ** 996, 10 ** 997)
+        while field != QQ and den % field.p == 0:
+            den += 1
+        return field.of(Fraction(num, den)) if rng.random() < 0.8 else field.zero
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7 else field.zero
+    return field.of(rng.randrange(field.p))
+
+
+def oracle_rows(rng, field, case, cols):
+    """Seeded rows of one kind; `huge` rows are few so the reference stays fast."""
+    if case == "huge":
+        return [[oracle_scalar(rng, field, case) for _ in range(cols)]
+                for _ in range(rng.randint(1, 3))]
+    base = [[oracle_scalar(rng, field, case) for _ in range(cols)]
+            for _ in range(rng.randint(1, 5))]
+    if case == "random":
+        return base
+    # more rows than the base rows they combine (all but the last): rank-deficient
+    rows = [[sum((oracle_scalar(rng, field, "random") * b[t] for b in base[:-1]), field.zero)
+             for t in range(cols)] for _ in range(len(base) + 1)]
+    if case == "zero_and_duplicate":
+        rows += [[field.zero] * cols, list(rows[0]), [field.of(3) * x for x in rows[-1]]]
+        rng.shuffle(rows)
+    return rows
+
+
+def reference_span(rows, cols, field):
+    """(nonzero RREF rows, pivots) of the rows by the field-scalar reference."""
+    reduced, pivots = reference_rref(rows, cols, field) if rows else ([], ())
+    return tuple(r for r in reduced if any(r)), tuple(pivots)
+
+
+def reference_kernel(rows, cols, field):
+    """A basis of {x : r . x = 0} read off the reference RREF."""
+    reduced, pivots = reference_span(rows, cols, field)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [field.zero] * cols
+        v[f] = field.one
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[f]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, target, cols, field):
+    """Coefficients c with sum(c_i rows_i) == target (free ones zero), or None."""
+    k = len(rows)
+    aug = [[r[t] for r in rows] + [target[t]] for t in range(cols)]
+    reduced, pivots = reference_rref(aug, k, field)
+    if any(row[k] for row in reduced[len(pivots):]):
+        return None
+    coeffs = [field.zero] * k
+    for r, p in enumerate(pivots):
+        coeffs[p] = reduced[r][k]
+    return tuple(coeffs)
+
+
+def combination(rng, field, rows, cols):
+    v = [field.zero] * cols
+    for row in rows:
+        c = oracle_scalar(rng, field, "random")
+        v = [a + c * b for a, b in zip(v, row)]
+    return v
+
+
+@pytest.mark.parametrize("field, case", [(f, c) for f in ORACLE_FIELDS for c in ORACLE_CASES])
+def test_subspace_rows_and_pivots_match_the_reference(field, case):
+    for seed in range(4 if case == "huge" else 12):
+        rng = fresh_rng(seed)
+        cols = rng.randint(1, 6)
+        rows = oracle_rows(rng, field, case, cols)
+        s = Subspace(rows, cols, field)
+        want_rows, want_pivots = reference_span(rows, cols, field)
+        assert s.rows == want_rows and s.pivots == want_pivots
+        # the same span from another generating set: RREF rows scaled,
+        # reordered and mixed with combinations of themselves
+        other = [[oracle_scalar(rng, field, "random") or field.one] for _ in want_rows]
+        gens = [[c[0] * x for x in r] for c, r in zip(other, want_rows)]
+        gens += [combination(rng, field, want_rows, cols) for _ in range(2)] if want_rows else []
+        rng.shuffle(gens)
+        t = Subspace(gens, cols, field)
+        assert t == s and hash(t) == hash(s)
+        if want_rows:
+            smaller = Subspace(want_rows[1:], cols, field)
+            assert smaller != s and smaller.leq(s) and not s.leq(smaller)
+        # the stored form itself: primitive rows with a positive pivot over
+        # QQ, residues with pivot 1 over GF(p)
+        for r, p in zip(s.int_rows, s.pivots):
+            if field == QQ:
+                assert r[p] > 0 and gcd(*r) == 1
+            else:
+                assert r[p] == 1 and all(0 <= x < field.p for x in r)
+
+
+@pytest.mark.parametrize("field, case", [(f, c) for f in ORACLE_FIELDS for c in ORACLE_CASES])
+def test_membership_coordinates_and_solving_match_the_reference(field, case):
+    for seed in range(4 if case == "huge" else 12):
+        rng = fresh_rng(100 + seed)
+        cols = rng.randint(1, 6)
+        rows = oracle_rows(rng, field, case, cols)
+        s = Subspace(rows, cols, field)
+        want_rows, want_pivots = reference_span(rows, cols, field)
+        inside = combination(rng, field, rows, cols)
+        outside = [oracle_scalar(rng, field, case) for _ in range(cols)]
+        targets = [inside, outside]
+        for v in targets:
+            member = len(reference_span(rows + [v], cols, field)[0]) == len(want_rows)
+            assert s.contains(v) is member
+            coords = s.coords_of(v)
+            if member:
+                assert coords == tuple(v[p] for p in want_pivots)
+            else:
+                assert coords is None
+        assert solve_row_combinations(rows, targets, cols, field) == \
+            [reference_solve(rows, v, cols, field) for v in targets]
+        assert Matrix.from_rows(rows, cols, field).kernel() == \
+            Subspace(reference_kernel(rows, cols, field), cols, field)
+        assert Matrix.from_rows(rows, cols, field).kernel().rows == \
+            reference_span(reference_kernel(rows, cols, field), cols, field)[0]
+
+
+@pytest.mark.parametrize("field, case", [(f, c) for f in ORACLE_FIELDS for c in ORACLE_CASES])
+def test_lattice_operations_match_the_reference(field, case):
+    for seed in range(4 if case == "huge" else 12):
+        rng = fresh_rng(200 + seed)
+        cols = rng.randint(1, 6)
+        rows1, rows2 = (oracle_rows(rng, field, case, cols) for _ in range(2))
+        s1, s2 = Subspace(rows1, cols, field), Subspace(rows2, cols, field)
+        r1, r2 = (reference_span(r, cols, field)[0] for r in (rows1, rows2))
+        total = reference_span(list(r1) + list(r2), cols, field)[0]
+        assert s1.plus(s2).rows == total
+        assert s1.leq(s2) is (len(total) == len(r2))
+        assert s2.leq(s1) is (len(total) == len(r1))
+        # the meet: combinations of r1 whose coefficients solve the stacked
+        # system [r1 | -r2] c = 0
+        stacked = [[r[t] for r in r1] + [-r[t] for r in r2] for t in range(cols)]
+        if r1 and r2:
+            kernel = reference_kernel(stacked, len(r1) + len(r2), field)
+            meet = [[sum((c[i] * r1[i][t] for i in range(len(r1))), field.zero)
+                     for t in range(cols)] for c in kernel]
+        else:
+            meet = []
+        assert s1.meet(s2).rows == reference_span(meet, cols, field)[0]

@@ -1,11 +1,17 @@
 import collections
+import glob
 import json
+import os
 
-from bernalg import BaricAlgebra, CommAlgebra, Identity, make_family
+import pytest
+
+from bernalg import BaricAlgebra, CommAlgebra, Identity, make_family, parse, to_algebra
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
 from bernalg import nilpotence as nilpotence_module
 from bernalg.report import build_report, emit_report
+
+from conftest import change_of_basis_copy, fresh_rng, rebased, scaled_copy
 
 
 def test_one_dimensional_report_is_minimal():
@@ -69,3 +75,50 @@ def test_baric_report_computes_each_fact_once(monkeypatch):
     assert calls["peirce"] == 1 and calls["verify_weight"] == 1
     assert calls[("principal", True)] == 1 and calls[("plenary", True)] == 1
     assert calls["full"] == 1  # N's full chain, reused by the certificate
+
+
+# ---------------------------------------------------------------- metamorphic
+
+
+FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.alg")))
+
+
+def basis_independent(report: dict) -> dict:
+    """The `check --json` fields that no change of basis may move: dimensions,
+    verdicts and flags, Peirce dimensions, nil and solvability indices,
+    fixed-subspace chain dimensions, closure and certificate numbers."""
+    keep = {key: report.get(key) for key in ("dimension", "baric", "weight_ok", "flags",
+                                             "chains", "fixed_subspace", "mult_closure",
+                                             "certificate")}
+    keep["identities"] = {k: v is True for k, v in report.get("identities", {}).items()}
+    keep["witness_kinds"] = sorted(report.get("witnesses", {}))
+    peirce = report.get("peirce", {})
+    keep["peirce"] = {k: peirce.get(k) for k in ("n_dim", "u_dim", "v_dim", "ann_u_dim",
+                                                 "relations_ok")}
+    return keep
+
+
+def rebased_copies(alg):
+    """Seeded basis permutations, seeded rational changes of basis and a
+    copy with rational scales, each as (label, algebra)."""
+    a, weight = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
+    copies = []
+    for seed in range(2):
+        order = list(range(a.dim))
+        fresh_rng(seed).shuffle(order)
+        perm = [[int(j == i) for j in range(a.dim)] for i in order]
+        copies.append((f"permuted{seed}", rebased(a, weight, perm)))
+    copies += [(f"rebased{seed}", change_of_basis_copy(a, weight, seed)) for seed in range(3)]
+    copies.append(("scaled", scaled_copy(a, weight)))
+    return [(label, b if w is None else BaricAlgebra(b, w)) for label, (b, w) in copies]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=os.path.basename)
+def test_basis_independent_report_fields_survive_a_change_of_basis(fixture):
+    with open(fixture, encoding="utf-8") as fh:
+        alg = to_algebra(parse(fh.read()))
+    report, status = build_report("x", alg)
+    want = basis_independent(report)
+    for label, copy in rebased_copies(alg):
+        got, got_status = build_report("x", copy)
+        assert (basis_independent(got), got_status) == (want, status), label
