@@ -133,6 +133,12 @@ class CommAlgebra:
                         acc[k] = acc.get(k, 0) + c * t
         return tuple((k, v) for k, v in acc.items() if v)
 
+    def _int_operator(self, x) -> list:
+        """The columns D x e_n (n < dim) of multiplication by the sparse
+        integer vector x, each from `_int_mul` against a unit vector: D x y
+        is then the sum of y_n times column n."""
+        return [self._int_mul(x, ((n, 1),)) for n in range(self.dim)]
+
     def mul_coords(self, x, y) -> tuple:
         (xs, dx), (ys, dy) = self.field.clear(x), self.field.clear(y)
         scale, back = self._den * dx * dy, self.field.back

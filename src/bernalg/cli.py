@@ -67,7 +67,9 @@ def _subspace_from_spec(algebra, spec: str) -> Subspace:
         if len(chunks) > MAX_DIM:
             raise ValueError(f"{len(chunks)} subspace rows exceed the dimension cap "
                              f"MAX_DIM = {MAX_DIM}")
-        for chunk in chunks:
+        for n, chunk in enumerate(chunks, 1):
+            if not chunk.strip():
+                raise ValueError(f"subspace row {n} of {len(chunks)} is empty")
             row = [spec_rational(tok) for tok in chunk.split(",")]
             if len(row) != algebra.dim:
                 raise ValueError("subspace row length does not match the dimension")
@@ -376,7 +378,9 @@ def main(argv=None) -> int:
              [f"witness[{k}]: {w}" for k, w in witnesses.items()])
         return 1
     except (OSError, ValueError, KeyError, ZeroDivisionError, ChainCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

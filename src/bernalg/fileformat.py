@@ -79,7 +79,10 @@ def spec_rational(token: str) -> Fraction:
         digits += int(exponent) if len(exponent) <= 4 else MAX_DIGITS + 1
     if digits > MAX_DIGITS:
         raise ValueError(f"rational exceeds the digit cap MAX_DIGITS = {MAX_DIGITS}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError:
+        raise ValueError(f"malformed rational {token!r}") from None
 
 
 def _tokenize(line: str):

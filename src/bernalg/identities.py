@@ -20,6 +20,14 @@ multiple is zero exactly when the rational sum is, so each tuple gets the
 same verdict as in rational arithmetic, the tuples are visited in the
 same order, and the first failing tuple is the same.  Only the witness,
 built from that tuple, is evaluated as rational elements.
+
+The quartic scan applies pair operators instead of multiplying pairs: in
+lexicographic order every pairing's first pair holds the tuple's leading
+index i, so for each i it builds, through the same kernel, the integer
+operator of each nonzero D e_i e_b it meets (`CommAlgebra._int_operator`)
+and evaluates a pairing as a sum of that operator's columns.  On a dense
+table a pairing then costs dim^2 products instead of dim^3, and only one
+leading index's operators, O(dim^3) integers, are held at a time.
 """
 
 from __future__ import annotations
@@ -121,17 +129,29 @@ def _scan_degree4(a, weight):
     into a weight pair and a product pair.  With P = D e_p e_q and
     W = Dw w, the pair-pair terms 2 Dw^2 P P and the weight terms
     D^2 W W P are each D^3 Dw^2 times their rational values.
+
+    In each pairing (ij)(kl), (ik)(jl), (il)(jk) the first pair holds the
+    tuple's leading index i, so D P_ib P_cd is read off the integer
+    operator of P_ib as the sum of P_cd[n] times its column n.  The
+    operators of one leading index are built when first needed and
+    dropped when i moves on.
     """
-    pairs, mul = a._int_rows, a._int_mul
+    pairs, operator = a._int_rows, a._int_operator
     ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
     c_pair, c_weight = 2 * dw * dw, a._den ** 2
+    lead = None
     for t in itertools.combinations_with_replacement(range(a.dim), 4):
         i, j, k, l = t
+        if i != lead:
+            lead, row, ops = i, pairs[i], [None] * a.dim
         acc = {}
-        for p, q in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
-            x, y = pairs[p[0]][p[1]], pairs[q[0]][q[1]]
-            if x and y:
-                _add_to(acc, mul(x, y), c_pair)
+        for b, y in ((j, pairs[k][l]), (k, pairs[j][l]), (l, pairs[j][k])):
+            if row[b] and y:
+                op = ops[b]
+                if op is None:
+                    op = ops[b] = operator(row[b])
+                for n, v in y:
+                    _add_to(acc, op[n], c_pair * v)
         if ws is not None:
             for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
                                    ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):

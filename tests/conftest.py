@@ -160,6 +160,38 @@ def reference_rref(rows, cols, field):
     return reduced, tuple(pivots)
 
 
+def _add_to(acc: dict, vec, c: int) -> None:
+    for k, v in vec:
+        acc[k] = acc.get(k, 0) + c * v
+
+
+def reference_scan_degree4(a, weight):
+    """First basis 4-tuple where the linearized quartic form is nonzero.
+
+    `identities._scan_degree4` before it applied pair operators: one full
+    bilinear integer product per pairing, kept verbatim as its reference.
+    """
+    pairs, mul = a._int_rows, a._int_mul
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
+    c_pair, c_weight = 2 * dw * dw, a._den ** 2
+    for t in itertools.combinations_with_replacement(range(a.dim), 4):
+        i, j, k, l = t
+        acc = {}
+        for p, q in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))):
+            x, y = pairs[p[0]][p[1]], pairs[q[0]][q[1]]
+            if x and y:
+                _add_to(acc, mul(x, y), c_pair)
+        if ws is not None:
+            for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
+                                   ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
+                c = ws[p] * ws[q]
+                if c:
+                    _add_to(acc, pairs[r][s], -c_weight * c)
+        if any(acc.values()):
+            return t
+    return None
+
+
 @contextlib.contextmanager
 def reference_products(a):
     """Route the element products of `a` through `reference_mul_coords`."""

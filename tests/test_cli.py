@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import Identity, identity_defect, make_family, parse, to_algebra
+from bernalg import BaricAlgebra, Identity, identity_defect, make_family, parse, to_algebra
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
 from bernalg import cli
 from bernalg.cli import main
 from bernalg.fileformat import from_algebra, serialize
+
+from conftest import change_of_basis_copy
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -246,18 +248,58 @@ def test_peirce_commands_exit_1_with_witness_on_corrupted(argv, tmp_path, capsys
 def _assert_exit_1_with_bernstein_witness(text, argv, tmp_path, capsys):
     f = tmp_path / "input.alg"
     f.write_text(text)
-    b = to_algebra(parse(text))
     code, out, err = run_cli([argv[0], str(f), "--json"] + argv[1:], capsys=capsys)
     assert code == 1
     assert "not Bernstein" in err
     w = json.loads(out)["witnesses"]["bernstein"]
-    x = b.algebra.element([Fraction(c) for c in w["assignment"]["x"]])
-    defect = identity_defect(b.algebra, Identity.BERNSTEIN, {"x": x}, b.weight)
-    assert not defect.is_zero()
-    assert [str(c) for c in defect.coords] == w["residual"]
+    _assert_witness_reevaluates(to_algebra(parse(text)), Identity.BERNSTEIN, w)
     code, out, _ = run_cli([argv[0], str(f)] + argv[1:], capsys=capsys)
     assert code == 1
     assert out.startswith("witness[bernstein]: ")
+
+
+def _assert_witness_reevaluates(alg, ident, w):
+    """The JSON witness `w`, re-evaluated through `identity_defect`, gives
+    exactly its reported residual, and that residual is nonzero."""
+    a, weight = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
+    assignment = {var: a.element([Fraction(c) for c in coords])
+                  for var, coords in w["assignment"].items()}
+    defect = identity_defect(a, ident, assignment, weight)
+    assert not defect.is_zero()
+    assert [str(c) for c in defect.coords] == w["residual"]
+
+
+@pytest.mark.parametrize("fixture", sorted(glob.glob(path("*.alg"))), ids=os.path.basename)
+def test_every_identity_witness_reevaluates_to_its_residual(fixture, tmp_path, capsys):
+    with open(fixture, encoding="utf-8") as fh:
+        texts = [fh.read()]
+    alg = to_algebra(parse(texts[0]))
+    a, weight = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
+    for seed in (1, 2):
+        b, w = change_of_basis_copy(a, weight, seed)
+        copy = b if w is None else BaricAlgebra(b, w)
+        texts.append(serialize(from_algebra(copy, f"copy{seed}")))
+    peirce_argvs = [argv if argv[0] != "stability" else
+                    ["stability", "--subspace", ",".join(["0"] * a.dim)]
+                    for argv in PEIRCE_COMMANDS]
+    for text in texts:
+        f = tmp_path / "input.alg"
+        f.write_text(text)
+        alg = to_algebra(parse(text))
+        code, out, _ = run_cli(["check", str(f), "--json"], capsys=capsys)
+        report = json.loads(out)
+        found = [(Identity(k), w) for k, w in report["identities"].items() if w is not True]
+        assert found
+        if "bernstein" in report.get("witnesses", {}):
+            found.append((Identity.BERNSTEIN, report["witnesses"]["bernstein"]))
+        not_bernstein = report.get("flags", {}).get("bernstein") is False
+        for argv in peirce_argvs:
+            code, out, _ = run_cli([argv[0], str(f), "--json"] + argv[1:], capsys=capsys)
+            assert (code == 1) == not_bernstein, argv
+            if code == 1:
+                found.append((Identity.BERNSTEIN, json.loads(out)["witnesses"]["bernstein"]))
+        for ident, w in found:
+            _assert_witness_reevaluates(alg, ident, w)
 
 
 def test_non_bernstein_error_path_checks_the_identity_once(monkeypatch, capsys):
@@ -325,6 +367,25 @@ def test_argparse_errors_exit_2_with_the_full_usage(argv, capsys):
     assert "error: " in err
     if argv[:1] != ["powers"]:
         assert cli.build_parser().format_usage() in err
+
+
+@pytest.mark.parametrize("argv", [["decompose", path("bdown3.alg"), "--gens", "zz"],
+                                  ["peirce", path("bdown3.alg"), "--seed", "1 zz"]])
+def test_unknown_basis_name_exits_2_with_a_plain_message(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: unknown basis name 'zz'\n")
+
+
+@pytest.mark.parametrize("flag", ["--subspace", "--by"])
+@pytest.mark.parametrize("spec, message", [
+    ("1,0,0,0,0;", "subspace row 2 of 2 is empty"),
+    (";1,0,0,0,0", "subspace row 1 of 2 is empty"),
+    ("1,,0,0,0", "malformed rational ''"),
+])
+def test_malformed_subspace_spec_exits_2_naming_the_problem(flag, spec, message, capsys):
+    command = "stability" if flag == "--subspace" else "quotient"
+    code, out, err = run_cli([command, path("bdown3.alg"), flag, spec], capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_oversized_input_exits_2_naming_the_cap(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -9,8 +11,9 @@ from bernalg import (QQ, CommAlgebra, Identity, Witness, check_identity, from_al
                      subalgebra_on, to_algebra)
 from bernalg import identities
 
-from conftest import (change_of_basis_copy, fresh_rng, non_nilpotent_baric,
-                      reference_products, scaled_copy)
+from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
+                      non_nilpotent_baric, random_table_algebra, reference_products,
+                      reference_scan_degree4, scaled_copy)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -315,6 +318,18 @@ def kernel_cases():
         for n in (2, 3, 4):
             a = make_family(kind, n)
             out.append((f"{kind}{n}", a, tuple(Fraction(k + 1, 2) for k in range(a.dim))))
+    # seeded random tables in a rescaled basis, so that the table and the
+    # weight carry denominators
+    for seed in range(4):
+        rng = fresh_rng(seed)
+        a = random_table_algebra(rng, 3 + seed % 3)
+        weight = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(a.dim))
+        out.append((f"random{seed}", *scaled_copy(a, weight)))
+    # dense copies of Bernstein algebras: the Bernstein scan runs to the end
+    for kind in ("bdown", "bup"):
+        for n in (3, 4):
+            b = make_family(kind, n)
+            out.append((f"dense_{kind}{n}", *change_of_basis_copy(b.algebra, b.weight, n)))
     return out
 
 
@@ -347,3 +362,56 @@ def test_integer_kernel_returns_the_rational_witness_on_scaled_bases(name, a, we
     assert any(c.denominator > 1 for i in range(b.dim) for j in range(i, b.dim)
                for _, c in b.table_row(i, j) or ())
     _assert_same_checks(b, w, name)
+
+
+# ---------------------------------------------------------------- pair operators
+
+
+DENSE_CASES = [c for c in KERNEL_CASES if c[0].startswith("dense_")]
+
+
+@pytest.mark.parametrize("name, a, weight", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+def test_bernstein_scan_runs_to_the_end_on_dense_copies(name, a, weight):
+    nonzero = sum(1 for i in range(a.dim) for j in range(i, a.dim) if a.table_row(i, j))
+    assert nonzero > a.dim * (a.dim + 1) // 4
+    assert check_identity(a, Identity.BERNSTEIN, weight) is True
+
+
+def test_pair_operator_scan_matches_the_bilinear_scan_on_a_dense_dim10_copy():
+    b = make_family("bdown", 8)
+    a, weight = change_of_basis_copy(b.algebra, b.weight, 1)
+    assert a.dim == 10
+    assert all(a.table_row(i, j) for i in range(a.dim) for j in range(i, a.dim))
+    assert reference_scan_degree4(a, weight) is None
+    assert check_identity(a, Identity.BERNSTEIN, weight) is True
+    bad = reference_scan_degree4(a, None)
+    assert bad is not None and identities._scan_degree4(a, None) == bad
+    want = identities._witness_from_tuple(a, Identity.SQUARE_SQUARE_ZERO, None, bad, None)
+    assert check_identity(a, Identity.SQUARE_SQUARE_ZERO) == want
+
+
+def _fixture_cases():
+    out = []
+    for fixture in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.alg"))):
+        with open(fixture, encoding="utf-8") as fh:
+            alg = to_algebra(parse(fh.read()))
+        a = getattr(alg, "algebra", alg)
+        weight = getattr(alg, "weight", tuple(Fraction(k + 1, 2) for k in range(a.dim)))
+        out.append((os.path.basename(fixture), a, weight))
+    return out
+
+
+SCAN_CASES = (KERNEL_CASES + _fixture_cases()
+              + [(name, getattr(x, "algebra", x), getattr(x, "weight", None))
+                 for name, x in bernstein_corpus() + commutative_corpus()])
+
+
+@pytest.mark.parametrize("name, a, weight", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_pair_operator_scan_returns_the_bilinear_first_failing_tuple(name, a, weight):
+    copies = [(a, weight)]
+    if a.dim <= 6:
+        copies += [change_of_basis_copy(a, weight, seed) for seed in (1, 2)]
+        copies.append(scaled_copy(a, weight))
+    for b, w in copies:
+        for wt in dict.fromkeys((w, None)):
+            assert identities._scan_degree4(b, wt) == reference_scan_degree4(b, wt), (name, wt)
