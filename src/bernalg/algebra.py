@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import QQ
-from .linalg import Matrix, Subspace, solve_row_combinations
+from .linalg import Matrix, Subspace, combine_rows, solve_row_combinations
 
 FULL = "full"
 PRINCIPAL = "principal"
@@ -141,10 +141,13 @@ class CommAlgebra:
 
     def mul_coords(self, x, y) -> tuple:
         (xs, dx), (ys, dy) = self.field.clear(x), self.field.clear(y)
-        scale, back = self._den * dx * dy, self.field.back
+        return self._back(self._int_mul(_sparse(xs), _sparse(ys)), self._den * dx * dy)
+
+    def _back(self, v, scale: int) -> tuple:
+        """The coordinates of v / scale, for a sparse integer vector v."""
         out = [self.field.zero] * self.dim
-        for k, v in self._int_mul(_sparse(xs), _sparse(ys)):
-            out[k] = back(v, scale)
+        for k, c in v:
+            out[k] = self.field.back(c, scale)
         return tuple(out)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
@@ -154,18 +157,41 @@ class CommAlgebra:
 
     # -- operators and subspaces ------------------------------------------
 
+    def _int_operator_on(self, x, s: Subspace) -> tuple[list, int]:
+        """(M, c): multiplication by the integer vector x on s, in the
+        coordinates of s's RREF basis, as the rows of the integer matrix M,
+        c > 0 times the operator.
+
+        Column j is D x r_j for the common-pivot row r_j = L (RREF row j),
+        read at s's pivots, so c = D L.  s must be invariant under x: a
+        product y lies in s exactly when L y is the combination of the r_j
+        with y's pivot entries as coefficients.
+        """
+        rows, scale = s._common_pivot_rows()
+        xs, reduce = _sparse(x), self.field.reduce
+        cols = []
+        for r in rows:
+            y = [0] * self.dim
+            for k, v in self._int_mul(xs, _sparse(r)):
+                y[k] = v
+            col = [y[p] for p in s.pivots]
+            if any(reduce([scale * t - u for t, u in zip(y, combine_rows(col, rows))])):
+                raise ValueError("restriction subspace is not invariant under this multiplication")
+            cols.append(col)
+        return [[col[i] for col in cols] for i in range(s.dim)], self._den * scale
+
     def left_mult_matrix(self, x: "Element", restrict_to: Subspace | None = None) -> Matrix:
         """Matrix of multiplication by x, acting on coordinate columns.
 
         With `restrict_to` the matrix is expressed in that subspace's RREF
         basis; the subspace must be invariant under multiplication by x.
+        The rational view of `_int_operator_on`.
         """
         s = self.full_space() if restrict_to is None else restrict_to
-        cols = [s.coords_of(self.mul_coords(x.coords, row)) for row in s.rows]
-        if None in cols:
-            raise ValueError("restriction subspace is not invariant under this multiplication")
-        k = s.dim
-        return Matrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)), self.field)
+        xs, dx = self.field.clear(x.coords)
+        m, scale = self._int_operator_on(xs, s)
+        return Matrix(s.dim, s.dim, tuple(self.field.back(v, scale * dx)
+                                          for row in m for v in row), self.field)
 
     def subspace_product(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of all products of basis vectors of s1 with basis vectors of s2.

@@ -2,18 +2,24 @@
 decompositions, the annihilator ideal ann_U(U), classification flags,
 baric quotients, the nuclear core Ke + U + U^2, and the per-call
 `Analysis` that computes each of these facts at most once.
+
+The weight check, the Peirce split and annU run on the integer kernel
+(`CommAlgebra._int_mul` over `Subspace.int_rows`): the weight is compared
+on the integer table, U and V are kernels of the integer operator of e on N
+(`CommAlgebra._int_operator_on`), and annU is one integer system over U's
+rows.  Rationals are built only for what a report prints: the idempotent,
+the RREF views of the subspaces and the witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (CommAlgebra, Element, PRINCIPAL, PowerChain, induced_table,
+from .algebra import (CommAlgebra, Element, PRINCIPAL, PowerChain, _sparse, induced_table,
                       is_ideal, power_chain, weight_of)
 from .identities import Identity, Witness, check_identity
-from .linalg import Matrix, Subspace, eigenspace
+from .linalg import Subspace
 
 
 class BaricAlgebra:
@@ -36,8 +42,7 @@ class BaricAlgebra:
 
     def barideal(self) -> Subspace:
         """N = ker(weight), the codimension-one ideal of a valid weight."""
-        m = Matrix(1, self.dim, self.weight, self.field)
-        return m.kernel()
+        return Subspace([self.weight], self.dim, self.field).null_space()
 
     def __repr__(self):
         return f"BaricAlgebra(dim={self.dim}, basis={list(self.algebra.basis_names)})"
@@ -93,22 +98,23 @@ def bernstein_witnesses(b: BaricAlgebra) -> dict:
 
 def verify_weight(b: BaricAlgebra):
     """True iff the weight is nonzero and multiplicative on all basis pairs
-    (sufficient by bilinearity); otherwise a Witness."""
-    zero = b.field.zero
-    if all(w == zero for w in b.weight):
-        return Witness((), zero, note="weight functional is identically zero")
+    (sufficient by bilinearity); otherwise a Witness.
+
+    With the integer table D T and the integer weight ws = Dw w, both
+    Dw ws(D T_ij) and D ws_i ws_j are D Dw^2 times their rational values;
+    over GF(p) they are compared modulo p."""
+    field = b.field
+    if all(w == field.zero for w in b.weight):
+        return Witness((), field.zero, note="weight functional is identically zero")
     a = b.algebra
+    (ws, dw), den = field.clear(b.weight), a._den
     for i in range(a.dim):
         for j in range(i, a.dim):
-            lhs = zero
-            row = a.table_row(i, j)
-            if row:
-                for k, coeff in row:
-                    lhs = lhs + b.weight[k] * coeff
-            diff = lhs - b.weight[i] * b.weight[j]
-            if diff != zero:
+            diff = dw * sum(ws[k] * v for k, v in a._int_rows[i][j]) - den * ws[i] * ws[j]
+            if any(field.reduce([diff])):
                 return Witness((("x", a.basis_element(i)), ("y", a.basis_element(j))),
-                               diff, note="weight is not multiplicative on this pair")
+                               field.back(diff, den * dw * dw),
+                               note="weight is not multiplicative on this pair")
     return True
 
 
@@ -146,12 +152,14 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     input."""
     if e is None:
         e = find_idempotent(b)
-    a = b.algebra
-    n = b.barideal()
-    le = a.left_mult_matrix(e, restrict_to=n)
-    half = b.field.of(Fraction(1, 2))
-    u = n.span_of_coords(eigenspace(le, half))
-    v = n.span_of_coords(eigenspace(le, b.field.zero))
+    a, n, field = b.algebra, b.barideal(), b.field
+    xs, dx = field.clear(e.coords)
+    rows, scale = a._int_operator_on(xs, n)
+    # the rows are M = c L_e with c > 0, so V = ker M and U = ker(2M - c I)
+    shifted = [[2 * x - scale * dx if i == j else 2 * x for j, x in enumerate(r)]
+               for i, r in enumerate(rows)]
+    u, v = (n.span_of_coords(Subspace.of_int_rows(system, n.dim, field).null_space())
+            for system in (shifted, rows))
     if u.dim + v.dim != n.dim or u.plus(v) != n:
         raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
                                 "the algebra is not Bernstein", bernstein_witnesses(b))
@@ -159,10 +167,15 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
 
 
 def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
-    """{x in U : x*U = 0}, solved as one linear system over U's coordinates."""
-    prods = [[a.mul_coords(x, y) for x in u.rows] for y in u.rows]
-    system = [[p[t] for p in row] for row in prods for t in range(a.dim)]
-    return u.span_of_coords(Matrix.from_rows(system, u.dim, a.field).kernel())
+    """{x in U : x*U = 0}, solved as one integer system over U's
+    coordinates: sum_i c_i D r_i r_j = 0 for every j, with r_i the
+    common-pivot rows, one positive multiple L of the RREF rows."""
+    rows = [_sparse(r) for r in u._common_pivot_rows()[0]]
+    system = []
+    for y in rows:
+        prods = [dict(a._int_mul(x, y)) for x in rows]
+        system += [[p.get(t, 0) for p in prods] for t in set().union(*prods)]
+    return u.span_of_coords(Subspace.of_int_rows(system, u.dim, a.field).null_space())
 
 
 def check_peirce_relations(b: BaricAlgebra, p: PeirceData):

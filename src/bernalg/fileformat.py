@@ -81,7 +81,7 @@ def spec_rational(token: str) -> Fraction:
         raise ValueError(f"rational exceeds the digit cap MAX_DIGITS = {MAX_DIGITS}")
     try:
         return Fraction(token)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational {token!r}") from None
 
 
@@ -152,9 +152,9 @@ def parse(text: str) -> AlgebraFile:
         raise ParseError("missing 'algebra' line", max(1, text.count("\n") + 1), 1)
     if not basis:
         raise ParseError("missing 'basis' line", max(1, text.count("\n") + 1), 1)
-    ordered = {}
-    for key in sorted(products, key=lambda k: (index[k[0]], index[k[1]])):
-        ordered[key] = products[key]
+    # a pair whose terms all cancel multiplies to zero, which files leave out
+    order = sorted(products, key=lambda k: (index[k[0]], index[k[1]]))
+    ordered = {key: products[key] for key in order if products[key]}
     return AlgebraFile(name, tuple(basis), dict(weights), ordered)
 
 

@@ -18,8 +18,14 @@ sum is one fixed positive multiple of the rational sum (D^3 Dw^2 for the
 quartic forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive
 multiple is zero exactly when the rational sum is, so each tuple gets the
 same verdict as in rational arithmetic, the tuples are visited in the
-same order, and the first failing tuple is the same.  Only the witness,
-built from that tuple, is evaluated as rational elements.
+same order, and the first failing tuple is the same.
+
+Witnesses and `identity_defect` share one integer defect evaluator per
+identity (`_int_defect`).  The identities are homogeneous, so each
+variable is cleared to an integer vector, the evaluator returns a fixed
+positive multiple of the defect, and one division maps it back.  The
+witness search evaluates the subset sums of a failing tuple as integer
+vectors and builds rational elements only for the sum it returns.
 
 The quartic scan applies pair operators instead of multiplying pairs: in
 lexicographic order every pairing's first pair holds the tuple's leading
@@ -36,7 +42,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .algebra import CommAlgebra, Element, weight_of
+from .algebra import CommAlgebra, Element, _sparse
 from .fields import QQ
 
 
@@ -90,29 +96,58 @@ def _weight_for(a: CommAlgebra, ident: Identity, weight):
 
 
 def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=None) -> Element:
-    """Direct evaluation of the identity's defect at concrete elements."""
+    """Direct evaluation of the identity's defect at concrete elements.
+
+    The variables are cleared to integer vectors by one common
+    denominator d; the identity is homogeneous of total degree 3 or 4, so
+    the integer defect at the cleared vectors is m * d^degree times the
+    rational one."""
     weight = _weight_for(a, ident, weight)
-    x = assignment["x"]
-    if ident is Identity.BERNSTEIN:
-        sq = x * x
-        w = weight_of(weight, x)
-        return sq * sq - w * w * sq
-    if ident is Identity.JORDAN:
-        y = assignment["y"]
-        sq = x * x
-        return x * (sq * y) - sq * (x * y)
-    if ident is Identity.CUBE_WEIGHT:
-        sq = x * x
-        return sq * x - weight_of(weight, x) * sq
+    ws, dw = (None, 1) if weight is None else a.field.clear(weight)
+    ints, d = a.field.clear([c for var in ident.variables for c in assignment[var].coords])
+    xs = [_sparse(ints[i:i + a.dim]) for i in range(0, len(ints), a.dim)]
+    v, m = _int_defect(a, ident, xs, ws, dw)
+    cubic = ident in (Identity.CUBE_WEIGHT, Identity.CUBE_ZERO, Identity.JACOBI)
+    return Element(a, a._back(v, m * d ** (3 if cubic else 4)))
+
+
+def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
+    """(v, m): the defect of the identity at the sparse integer vectors xs
+    (in the order of `ident.variables`) as the sparse integer vector v = m
+    times it, m > 0.  The weight enters as the integers ws = Dw * weight.
+    With D x y the kernel's product, every term is weighted to the same
+    multiple m of the powers of D and Dw."""
+    mul, d = a._int_mul, a._den
+    x = xs[0]
     if ident is Identity.JACOBI:
-        y, z = assignment["y"], assignment["z"]
-        return (x * y) * z + (y * z) * x + (z * x) * y
+        y, z = xs[1], xs[2]
+        return _combination((1, mul(mul(x, y), z)), (1, mul(mul(y, z), x)),
+                            (1, mul(mul(z, x), y))), d * d
+    sq = mul(x, x)                      # D x^2
+    if ident is Identity.JORDAN:
+        y = xs[1]
+        return _combination((1, mul(x, mul(sq, y))), (-1, mul(sq, mul(x, y)))), d ** 3
+    if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
+        quad = mul(sq, sq)              # D^3 (x^2)^2
+        if ident is Identity.SQUARE_SQUARE_ZERO:
+            return quad, d ** 3
+        w = sum(ws[k] * c for k, c in x)    # Dw w(x)
+        return _combination((dw * dw, quad), (-d * d * w * w, sq)), d ** 3 * dw * dw
+    cube = mul(sq, x)                   # D^2 x^3
     if ident is Identity.CUBE_ZERO:
-        return (x * x) * x
-    if ident is Identity.SQUARE_SQUARE_ZERO:
-        sq = x * x
-        return sq * sq
+        return cube, d * d
+    if ident is Identity.CUBE_WEIGHT:
+        w = sum(ws[k] * c for k, c in x)
+        return _combination((dw, cube), (-d * w, sq)), d * d * dw
     raise ValueError(f"unknown identity {ident!r}")
+
+
+def _combination(*terms) -> tuple:
+    """sum c * vec over the (c, vec) terms, as a sparse integer vector."""
+    acc = {}
+    for c, vec in terms:
+        _add_to(acc, vec, c)
+    return tuple((k, v) for k, v in acc.items() if v)
 
 
 def _add_to(acc: dict, vec, c: int) -> None:
@@ -224,8 +259,9 @@ def _scan_jordan(a):
     return None
 
 
-def _subset_sums(a: CommAlgebra, positions: tuple[int, ...]):
-    """Distinct subset sums of basis vectors, smallest supports first."""
+def _subset_sums(positions: tuple[int, ...]):
+    """Distinct subset sums of basis vectors as sparse integer vectors,
+    smallest supports first."""
     seen = set()
     for size in range(1, len(positions) + 1):
         for combo in itertools.combinations(range(len(positions)), size):
@@ -233,28 +269,29 @@ def _subset_sums(a: CommAlgebra, positions: tuple[int, ...]):
             if multiset in seen:
                 continue
             seen.add(multiset)
-            e = a.zero_element()
-            for idx in multiset:
-                e = e + a.basis_element(idx)
-            yield e
+            yield tuple((k, multiset.count(k)) for k in sorted(set(multiset)))
 
 
 def _witness_from_tuple(a, ident, weight, xs, y_index):
     """Convert a failing linearized tuple into a witness for the identity
     itself.  The scans compute a positive multiple of the identity's
     multilinear component, so by polarization some subset sum of the tuple
-    has a nonzero defect; the final raise guards that argument."""
+    has a nonzero defect; the final raise guards that argument.  The sums
+    are evaluated as integer vectors; only the one returned is built as
+    rational elements."""
+    ws, dw = (None, 1) if weight is None else QQ.clear(weight)
     if ident is Identity.JACOBI:
-        i, j, k = xs
-        assignment = {"x": a.basis_element(i), "y": a.basis_element(j), "z": a.basis_element(k)}
-        residual = identity_defect(a, ident, assignment, weight)
-        return Witness(tuple(assignment.items()), residual)
-    y = {} if y_index is None else {"y": a.basis_element(y_index)}
-    for x in _subset_sums(a, xs):
-        assignment = {"x": x, **y}
-        residual = identity_defect(a, ident, assignment, weight)
-        if not residual.is_zero():
-            return Witness(tuple(assignment.items()), residual)
+        v, m = _int_defect(a, ident, [((i, 1),) for i in xs], ws, dw)
+        return Witness(tuple(zip(ident.variables, map(a.basis_element, xs))),
+                       Element(a, a._back(v, m)))
+    y = () if y_index is None else (((y_index, 1),),)
+    for x in _subset_sums(xs):
+        v, m = _int_defect(a, ident, (x, *y), ws, dw)
+        if v:
+            assignment = {"x": a.element([dict(x).get(k, 0) for k in range(a.dim)])}
+            if y_index is not None:
+                assignment["y"] = a.basis_element(y_index)
+            return Witness(tuple(assignment.items()), Element(a, a._back(v, m)))
     raise RuntimeError("linearized form is nonzero but no witness was found")
 
 

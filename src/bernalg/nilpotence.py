@@ -3,6 +3,11 @@ word action of V on annU, the submodule/ideal correspondence, the greatest
 subspace fixed by I -> V*I, nilpotency of the multiplication closure of V
 on N, stability checks for N*I = I versus V*I = I, and a constructive
 finiteness certificate for ideals with nilpotent generator closures.
+
+The multiplication closure runs on integer matrices: its generators L_v
+come from `CommAlgebra._int_operator_on` as integer positive multiples of
+the operators, and their spans and products stay integer.  Rational
+`Matrix` objects are built only for the RREF rows of the closure.
 """
 
 from __future__ import annotations
@@ -75,7 +80,12 @@ class MultClosure:
     """The associative operator algebra generated by multiplication by V
     on N.  nil_index k means every product of k generators vanishes (and
     so the k-th power of the closure is zero); with no generators the
-    closure is zero and the index is 1."""
+    closure is zero and the index is 1.
+
+    generators holds one operator L_v per RREF row v of V as a flat
+    row-major integer tuple in N's RREF coordinates, a positive multiple
+    of the operator (only the lines they span matter); span_closure holds
+    the closure's RREF basis as rational k x k `Matrix` objects."""
 
     generators: tuple
     span_closure: tuple
@@ -98,15 +108,14 @@ def mult_closure_nilpotent(b: BaricAlgebra, p: PeirceData) -> MultClosure:
     a = b.algebra
     k = p.N.dim
     field = a.field
-    gens = tuple(a.left_mult_matrix(a.element(row), restrict_to=p.N) for row in p.V.rows)
-    flat = [field.clear(g.entries)[0] for g in gens]
-    ops = [[f[i:i + k] for i in range(0, k * k, k)] for f in flat]
+    ops = [a._int_operator_on(row, p.N)[0] for row in p.V.int_rows]
+    gens = tuple(tuple(x for r in op for x in r) for op in ops)
 
     def products(frontier) -> Subspace:
         return Subspace.of_int_rows([_compose(f, g, k) for f in frontier for g in ops],
                                     k * k, field)
 
-    gen_span = Subspace.of_int_rows(flat, k * k, field)
+    gen_span = Subspace.of_int_rows(gens, k * k, field)
     # closure of the span under composition
     closure = gen_span
     frontier = gen_span.int_rows

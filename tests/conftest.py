@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (QQ, BaricAlgebra, CommAlgebra, PrimeField, Subspace,
-                     make_family, peirce)
+from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, Matrix, PeirceData,
+                     PrimeField, Subspace, Witness, bernstein_witnesses, eigenspace,
+                     find_idempotent, make_family, peirce, weight_of)
 from bernalg.algebra import induced_table
+from bernalg.bernstein import NotBernsteinError
+from bernalg.identities import _weight_for
 
 
 def bernstein_corpus():
@@ -56,6 +59,16 @@ def non_nilpotent_baric():
          ("e", "u"): {"u": Fraction(1, 2)},
          ("u", "v"): {"u": 1}})
     return BaricAlgebra(a, [1, 0, 0])
+
+
+def proper_ann_u_baric():
+    """A Bernstein algebra with 0 < annU < U: u1*u1 = v is the only
+    product inside N, so annU is the line through u2."""
+    a = CommAlgebra.from_table(
+        ["e", "u1", "u2", "v"],
+        {("e", "e"): {"e": 1}, ("e", "u1"): {"u1": Fraction(1, 2)},
+         ("e", "u2"): {"u2": Fraction(1, 2)}, ("u1", "u1"): {"v": 1}})
+    return BaricAlgebra(a, [1, 0, 0, 0])
 
 
 def random_vector_in(rng, space: Subspace, lo=-3, hi=3):
@@ -192,6 +205,108 @@ def reference_scan_degree4(a, weight):
     return None
 
 
+def reference_left_mult_matrix(a, x, restrict_to=None) -> Matrix:
+    """Multiplication by x in the RREF coordinates of `restrict_to` (the
+    whole space by default), read column by column through `coords_of`:
+    `CommAlgebra.left_mult_matrix` before the integer operator, kept as its
+    reference."""
+    s = a.full_space() if restrict_to is None else restrict_to
+    cols = [s.coords_of(a.mul_coords(x.coords, row)) for row in s.rows]
+    if None in cols:
+        raise ValueError("restriction subspace is not invariant under this multiplication")
+    k = s.dim
+    return Matrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)), a.field)
+
+
+def reference_annihilator(a, u: Subspace) -> Subspace:
+    """{x in U : x*U = 0} as one rational `Matrix` system, kept as the
+    reference of `bernstein._annihilator_in_u`."""
+    prods = [[a.mul_coords(x, y) for x in u.rows] for y in u.rows]
+    system = [[p[t] for p in row] for row in prods for t in range(a.dim)]
+    return u.span_of_coords(Matrix.from_rows(system, u.dim, a.field).kernel())
+
+
+def reference_peirce(b, e=None) -> PeirceData:
+    """The Peirce split through the rational left multiplication matrix and
+    `eigenspace`, kept as the reference of `bernstein.peirce`."""
+    if e is None:
+        e = find_idempotent(b)
+    a, n = b.algebra, b.barideal()
+    le = reference_left_mult_matrix(a, e, n)
+    u = n.span_of_coords(eigenspace(le, b.field.of(Fraction(1, 2))))
+    v = n.span_of_coords(eigenspace(le, b.field.zero))
+    if u.dim + v.dim != n.dim or u.plus(v) != n:
+        raise NotBernsteinError("barideal does not split", bernstein_witnesses(b))
+    return PeirceData(e, u, v, n, reference_annihilator(a, u))
+
+
+def reference_verify_weight(b):
+    """The weight check in field arithmetic, kept as the reference of
+    `bernstein.verify_weight`."""
+    zero = b.field.zero
+    if all(w == zero for w in b.weight):
+        return Witness((), zero, note="weight functional is identically zero")
+    a = b.algebra
+    for i in range(a.dim):
+        for j in range(i, a.dim):
+            lhs = zero
+            for k, coeff in a.table_row(i, j) or ():
+                lhs = lhs + b.weight[k] * coeff
+            diff = lhs - b.weight[i] * b.weight[j]
+            if diff != zero:
+                return Witness((("x", a.basis_element(i)), ("y", a.basis_element(j))),
+                               diff, note="weight is not multiplicative on this pair")
+    return True
+
+
+def reference_identity_defect(a, ident, assignment, weight=None):
+    """The defect in `Element` arithmetic: `identity_defect` before the
+    integer evaluator, kept as its reference."""
+    weight = _weight_for(a, ident, weight)
+    x = assignment["x"]
+    sq = x * x
+    if ident is Identity.BERNSTEIN:
+        w = weight_of(weight, x)
+        return sq * sq - w * w * sq
+    if ident is Identity.JORDAN:
+        y = assignment["y"]
+        return x * (sq * y) - sq * (x * y)
+    if ident is Identity.CUBE_WEIGHT:
+        return sq * x - weight_of(weight, x) * sq
+    if ident is Identity.JACOBI:
+        y, z = assignment["y"], assignment["z"]
+        return (x * y) * z + (y * z) * x + (z * x) * y
+    if ident is Identity.CUBE_ZERO:
+        return sq * x
+    return sq * sq
+
+
+def reference_witness_from_tuple(a, ident, weight, xs, y_index):
+    """The witness search evaluating one rational `reference_identity_defect`
+    per subset sum of basis elements, kept as the reference of
+    `identities._witness_from_tuple`."""
+    if ident is Identity.JACOBI:
+        assignment = dict(zip(ident.variables, map(a.basis_element, xs)))
+        residual = reference_identity_defect(a, ident, assignment, weight)
+        return Witness(tuple(assignment.items()), residual)
+    y = {} if y_index is None else {"y": a.basis_element(y_index)}
+    seen = set()
+    for size in range(1, len(xs) + 1):
+        for combo in itertools.combinations(xs, size):
+            multiset = tuple(sorted(combo))
+            if multiset in seen:
+                continue
+            seen.add(multiset)
+            x = a.zero_element()
+            for idx in multiset:
+                x = x + a.basis_element(idx)
+            assignment = {"x": x, **y}
+            residual = reference_identity_defect(a, ident, assignment, weight)
+            if not residual.is_zero():
+                return Witness(tuple(assignment.items()), residual)
+    raise RuntimeError("linearized form is nonzero but no witness was found")
+
+
 @contextlib.contextmanager
 def reference_products(a):
     """Route the element products of `a` through `reference_mul_coords`."""
@@ -219,6 +334,21 @@ def change_of_basis_copy(a, weight, seed):
         rows = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
         if Subspace(rows, a.dim).dim == a.dim:
             return rebased(a, weight, rows)
+
+
+def rebased_copies(alg):
+    """Seeded basis permutations, seeded rational changes of basis and a
+    copy with rational scales, each as (label, algebra)."""
+    a, weight = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
+    copies = []
+    for seed in range(2):
+        order = list(range(a.dim))
+        fresh_rng(seed).shuffle(order)
+        perm = [[int(j == i) for j in range(a.dim)] for i in order]
+        copies.append((f"permuted{seed}", rebased(a, weight, perm)))
+    copies += [(f"rebased{seed}", change_of_basis_copy(a, weight, seed)) for seed in range(3)]
+    copies.append(("scaled", scaled_copy(a, weight)))
+    return [(label, b if w is None else BaricAlgebra(b, w)) for label, (b, w) in copies]
 
 
 SCALES = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(-3, 4), Fraction(7, 5))

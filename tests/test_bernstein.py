@@ -1,14 +1,18 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
-from bernalg import (BaricAlgebra, CommAlgebra, Identity,
+from bernalg import (BaricAlgebra, CommAlgebra, Identity, PrimeField,
                      Subspace, Witness, check_identity, check_peirce_relations,
                      classify, find_idempotent, make_family, nilpotency_report,
                      nuclear_core, peirce, plenary_power, quotient,
                      subspace_product, verify_weight)
+from bernalg.bernstein import _annihilator_in_u
 
-from conftest import non_nilpotent_baric
+from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
+                      proper_ann_u_baric, reference_annihilator, reference_left_mult_matrix,
+                      reference_peirce, reference_verify_weight, scaled_copy)
 
 
 def span_named(a, *names):
@@ -307,3 +311,81 @@ def test_nuclear_core_is_nuclear_across_corpus(peirce_corpus):
     for name, b, p in peirce_corpus:
         core = nuclear_core(b, p)
         assert classify(core).is_nuclear is True, name
+
+
+# ---------------------------------------------------------------- integer routes
+
+
+def _reference_cases():
+    """(name, baric algebra): the corpus and an algebra with 0 < annU < U,
+    dense and scaled copies of their small members, and the families over
+    GF(5) and GF(7)."""
+    out = bernstein_corpus() + [("proper_ann_u", proper_ann_u_baric())]
+    for name, b in list(out):
+        if b.dim <= 6:
+            for seed in (1, 2, 3):
+                out.append((f"dense_{name}@{seed}",
+                            BaricAlgebra(*change_of_basis_copy(b.algebra, b.weight, seed))))
+        out.append((f"scaled_{name}", BaricAlgebra(*scaled_copy(b.algebra, b.weight))))
+    for p in (5, 7):
+        for kind in ("bdown", "bup"):
+            for n in (2, 3, 4, 5):
+                out.append((f"{kind}{n}_gf{p}", make_family(kind, n, PrimeField(p))))
+        out.append((f"jordan3_gf{p}", make_family("jordan3", None, PrimeField(p))))
+    return out
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name, b", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_integer_peirce_matches_the_rational_route(name, b):
+    assert not name.startswith("scaled") or any(w.denominator > 1 for w in b.weight)
+    p = peirce(b)
+    assert p == reference_peirce(b)
+    # the same system on a second subspace of the algebra
+    assert _annihilator_in_u(b.algebra, p.V) == reference_annihilator(b.algebra, p.V)
+    assert verify_weight(b) is True and reference_verify_weight(b) is True
+    seeded = find_idempotent(b, p.e + b.algebra.element(p.U.rows[0])) if p.U.dim else p.e
+    assert peirce(b, seeded) == reference_peirce(b, seeded)
+
+
+@pytest.mark.parametrize("name, b", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_left_mult_matrix_matches_the_rational_route(name, b):
+    a, p = b.algebra, peirce(b)
+    for x in [p.e] + [a.element(r) for r in p.V.rows + p.U.rows]:
+        assert a.left_mult_matrix(x, p.N) == reference_left_mult_matrix(a, x, p.N)
+        assert a.left_mult_matrix(x) == reference_left_mult_matrix(a, x)
+    if p.V.dim:
+        # e (e + v) = e leaves the line through e + v
+        line = Subspace([(p.e + a.element(p.V.rows[0])).coords], a.dim, a.field)
+        for route in (a.left_mult_matrix, functools.partial(reference_left_mult_matrix, a)):
+            with pytest.raises(ValueError, match="not invariant"):
+                route(p.e, line)
+
+
+@pytest.mark.parametrize("name, b", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_weight_witness_matches_the_rational_route(name, b):
+    a = b.algebra
+    for k in range(b.dim):
+        bent = list(b.weight)
+        bent[k] = bent[k] + b.field.one
+        broken = BaricAlgebra(a, bent)
+        got = verify_weight(broken)
+        assert got == reference_verify_weight(broken), k
+        assert got is True or got.note == reference_verify_weight(broken).note
+
+
+def test_weight_is_compared_modulo_p():
+    # weight 3 on x over GF(5): w(x*x) = 3 + 1 = 4 and w(x)^2 = 9 agree only mod 5
+    gf5 = PrimeField(5)
+    a = CommAlgebra.from_table(["x", "y"], {("x", "x"): {"x": 1, "y": 1},
+                                            ("x", "y"): {"x": 1}, ("y", "y"): {"y": 1}}, gf5)
+    b = BaricAlgebra(a, [3, 1])
+    assert verify_weight(b) is True and reference_verify_weight(b) is True
+    broken = BaricAlgebra(CommAlgebra.from_table(
+        ["x", "y"], {("x", "x"): {"x": 1, "y": 2}, ("x", "y"): {"x": 1},
+                     ("y", "y"): {"y": 1}}, gf5), [3, 1])
+    got = verify_weight(broken)
+    assert got == reference_verify_weight(broken)
+    assert got.residual == gf5.of(1)  # 3 + 2 - 9 = -4 = 1 mod 5

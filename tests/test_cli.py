@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import BaricAlgebra, Identity, identity_defect, make_family, parse, to_algebra
+from bernalg import (BaricAlgebra, Identity, bernstein_witnesses, identity_defect,
+                     make_family, parse, to_algebra)
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
 from bernalg import cli
 from bernalg.cli import main
 from bernalg.fileformat import from_algebra, serialize
 
-from conftest import change_of_basis_copy
+from conftest import change_of_basis_copy, rebased_copies
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -388,6 +389,16 @@ def test_malformed_subspace_spec_exits_2_naming_the_problem(flag, spec, message,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["peirce", path("bdown3.alg"), "--seed", "1 e + 1/0 u1"],
+    ["stability", path("bdown3.alg"), "--subspace", "1/0,0,0,0,0"],
+    ["quotient", path("bdown3.alg"), "--by", "0,0,0,0,1/0"],
+], ids=["seed", "subspace", "by"])
+def test_zero_denominator_in_a_spec_exits_2_as_a_malformed_rational(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: malformed rational '1/0'\n")
+
+
 def test_oversized_input_exits_2_naming_the_cap(tmp_path, capsys, monkeypatch):
     f = tmp_path / "big.alg"
     f.write_text("algebra big\nbasis x\nweight x " + "1" * 1001 + "\n")
@@ -406,3 +417,46 @@ def test_oversized_input_exits_2_naming_the_cap(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MAX_DIM = 2" in err
     code, _, err = run_cli(["quotient", str(f), "--by", rows], capsys=capsys)
     assert code == 2 and "MAX_DIM = 2" in err
+
+
+# ---------------------------------------------------------------- metamorphic
+
+
+def _bernstein_inputs():
+    """Every Bernstein fixture, then bdown and bup at n = 3..5."""
+    out = []
+    for fixture in sorted(glob.glob(os.path.join(DATA, "*.alg"))):
+        alg = to_algebra(parse(open(fixture, encoding="utf-8").read()))
+        if isinstance(alg, BaricAlgebra) and not bernstein_witnesses(alg):
+            out.append((os.path.basename(fixture), alg))
+    out += [(f"{kind}{n}", make_family(kind, n)) for kind in ("bdown", "bup")
+            for n in (3, 4, 5)]
+    return out
+
+
+BERNSTEIN_INPUTS = _bernstein_inputs()
+# the fields of each subcommand's --json payload that no change of basis may move
+BASIS_INDEPENDENT = {
+    "peirce": lambda p: ({k: p[k] for k in ("n_dim", "u_dim", "v_dim")},
+                         len(p["ann_u_basis"])),
+    "multalg": lambda p: p,
+    "fixedspace": lambda p: (p["chain_dims"], p["gfp_dim"]),
+}
+
+
+@pytest.mark.parametrize("name, alg", BERNSTEIN_INPUTS, ids=[c[0] for c in BERNSTEIN_INPUTS])
+def test_basis_independent_subcommand_fields_survive_a_change_of_basis(name, alg, tmp_path,
+                                                                       capsys):
+    def fields(x):
+        f = tmp_path / "input.alg"
+        f.write_text(serialize(from_algebra(x, "input")))
+        out = {}
+        for command, keep in BASIS_INDEPENDENT.items():
+            code, text, _ = run_cli([command, str(f), "--json"], capsys=capsys)
+            assert code == 0, command
+            out[command] = keep(json.loads(text))
+        return out
+
+    want = fields(alg)
+    for label, copy in rebased_copies(alg):
+        assert fields(copy) == want, label

@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernalg import (BaricAlgebra, ParseError, classify, from_algebra,
                      make_family, parse, serialize, to_algebra)
@@ -164,3 +165,51 @@ def test_golden_fixture_contents_pinned():
             "prod e u1 = 1/2 u1\n"
             "prod e u2 = 1/2 u2\n"
             "prod v1 u2 = 1 u1\n")
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+_TOKENS = st.sampled_from(["algebra", "basis", "weight", "prod", "=", "+", "#", "a", "b",
+                           "1", "-1/2", "1/0", "0", "3/", "x1", "\t", " ", "\n", "1" * 12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200),
+                 st.lists(_TOKENS, max_size=40).map(" ".join),
+                 st.lists(_TOKENS, max_size=40).map("".join)))
+def test_parse_raises_only_parse_error_on_arbitrary_text(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def algebra_texts(draw):
+    """Valid algebra files: a basis, some weights and products with
+    rational coefficients, in any order, possibly repeated and with
+    comments, blank lines and zero coefficients."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                          min_size=1, max_size=5, unique=True))
+    lines = [f"algebra {draw(st.sampled_from(['a', 'alg_1', 'B']))}", "basis " + " ".join(names)]
+    body = [f"weight {n} {draw(_RATIONALS)}" for n in draw(st.lists(st.sampled_from(names),
+                                                                     unique=True))]
+    for x, y in draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                              max_size=6, unique_by=lambda p: frozenset(p))):
+        terms = draw(st.lists(st.tuples(_RATIONALS, st.sampled_from(names)), min_size=1,
+                              max_size=4))
+        body.append(f"prod {x} {y} = " + " + ".join(f"{c} {n}" for c, n in terms))
+    body = draw(st.permutations(body))
+    body += draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
+    return "\n".join(lines + body) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_texts())
+def test_valid_files_round_trip_through_serialize(text):
+    f = parse(text)
+    assert parse(serialize(f)) == f

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (QQ, CommAlgebra, Identity, Witness, check_identity, from_algebra,
+from bernalg import (QQ, CommAlgebra, Identity, PrimeField, Witness, check_identity, from_algebra,
                      identity_defect, make_family, parse, plenary_power, serialize,
                      subalgebra_on, to_algebra)
 from bernalg import identities
 
 from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
-                      non_nilpotent_baric, random_table_algebra, reference_products,
-                      reference_scan_degree4, scaled_copy)
+                      non_nilpotent_baric, random_table_algebra, reference_identity_defect,
+                      reference_products, reference_scan_degree4,
+                      reference_witness_from_tuple, scaled_copy)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -133,7 +134,7 @@ def rational_check_identity(a, ident, weight=None):
         bad = RATIONAL_SCANS[ident](a, weight)
         if bad is None:
             return True
-        return identities._witness_from_tuple(a, ident, weight, *bad)
+        return reference_witness_from_tuple(a, ident, weight, *bad)
 
 
 def random_element(a, rng: random.Random):
@@ -415,3 +416,33 @@ def test_pair_operator_scan_returns_the_bilinear_first_failing_tuple(name, a, we
     for b, w in copies:
         for wt in dict.fromkeys((w, None)):
             assert identities._scan_degree4(b, wt) == reference_scan_degree4(b, wt), (name, wt)
+
+
+# ---------------------------------------------------------------- integer defects
+
+
+@pytest.mark.parametrize("name, a, weight", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
+def test_identity_defect_matches_element_arithmetic_at_rational_points(name, a, weight):
+    rng = fresh_rng(3)
+    for b, w in ((a, weight), scaled_copy(a, weight)):
+        w = w if w is not None else tuple(Fraction(k - 1, 3) for k in range(b.dim))
+        for ident in ALL_IDENTITIES:
+            for _ in range(3):
+                assignment = {v: random_element(b, rng) for v in ident.variables}
+                got = identity_defect(b, ident, assignment, w)
+                assert got == reference_identity_defect(b, ident, assignment, w), (name, ident)
+
+
+def test_identity_defect_matches_element_arithmetic_over_prime_fields():
+    for p in (5, 7):
+        field = PrimeField(p)
+        rng = fresh_rng(p)
+        for kind in ("bdown", "bup"):
+            b = make_family(kind, 3, field)
+            for ident in ALL_IDENTITIES:
+                assignment = {v: b.algebra.element([rng.randrange(p) for _ in range(b.dim)])
+                              for v in ident.variables}
+                got = identity_defect(b.algebra, ident, assignment, b.weight)
+                want = reference_identity_defect(b.algebra, ident, assignment, b.weight)
+                assert got == want, (p, kind, ident)
+

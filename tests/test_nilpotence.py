@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
@@ -9,7 +11,7 @@ from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
 from bernalg.bernstein import BaricAlgebra
 
 from conftest import (all_subspaces_within, fresh_rng, non_nilpotent_baric,
-                      random_subspace_in, random_table_algebra)
+                      random_subspace_in, random_table_algebra, reference_left_mult_matrix)
 
 
 def span_named(a, *names):
@@ -178,6 +180,19 @@ def test_closure_without_v_is_trivial():
     mc = mult_closure_nilpotent(b, peirce(b))
     assert mc.generators == () and mc.span_closure == ()
     assert mc.nilpotent and mc.nil_index == 1
+
+
+def test_closure_generators_are_positive_integer_multiples_of_the_operators(peirce_corpus):
+    for name, b, p in peirce_corpus:
+        a = b.algebra
+        mc = mult_closure_nilpotent(b, p)
+        assert len(mc.generators) == p.V.dim, name
+        for g, row in zip(mc.generators, p.V.rows):
+            want = reference_left_mult_matrix(a, a.element(row), p.N).entries
+            assert all(type(x) is int for x in g)
+            ratios = {Fraction(x) / y for x, y in zip(g, want) if y}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios), name
+            assert all(x == 0 for x, y in zip(g, want) if not y), name
 
 
 def test_bup4_closure_nilpotent_with_longest_word_three():

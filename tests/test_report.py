@@ -11,7 +11,7 @@ from bernalg import bernstein as bernstein_module
 from bernalg import nilpotence as nilpotence_module
 from bernalg.report import build_report, emit_report
 
-from conftest import change_of_basis_copy, fresh_rng, rebased, scaled_copy
+from conftest import rebased_copies
 
 
 def test_one_dimensional_report_is_minimal():
@@ -96,21 +96,6 @@ def basis_independent(report: dict) -> dict:
     keep["peirce"] = {k: peirce.get(k) for k in ("n_dim", "u_dim", "v_dim", "ann_u_dim",
                                                  "relations_ok")}
     return keep
-
-
-def rebased_copies(alg):
-    """Seeded basis permutations, seeded rational changes of basis and a
-    copy with rational scales, each as (label, algebra)."""
-    a, weight = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
-    copies = []
-    for seed in range(2):
-        order = list(range(a.dim))
-        fresh_rng(seed).shuffle(order)
-        perm = [[int(j == i) for j in range(a.dim)] for i in order]
-        copies.append((f"permuted{seed}", rebased(a, weight, perm)))
-    copies += [(f"rebased{seed}", change_of_basis_copy(a, weight, seed)) for seed in range(3)]
-    copies.append(("scaled", scaled_copy(a, weight)))
-    return [(label, b if w is None else BaricAlgebra(b, w)) for label, (b, w) in copies]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=os.path.basename)
