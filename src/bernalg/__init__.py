@@ -15,7 +15,7 @@ from .fields import QQ, ModP, PrimeField
 from .fileformat import (AlgebraFile, ParseError, from_algebra, parse,
                          serialize, to_algebra)
 from .identities import Identity, Witness, check_identity, identity_defect
-from .linalg import Matrix, Subspace, eigenspace, solve_row_combination
+from .linalg import Matrix, Subspace
 from .nilpotence import (DecompositionCertificate, FixedSubspaceResult,
                          MultClosure, StabilityReport, SubmoduleIdealReport,
                          decompose_nilpotent_ideal, greatest_fixed_subspace,

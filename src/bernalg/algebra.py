@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import QQ
-from .linalg import Matrix, Subspace, combine_rows, solve_row_combinations
+from .linalg import Subspace, combine_rows, solve_row_combinations
 
 FULL = "full"
 PRINCIPAL = "principal"
@@ -66,8 +66,6 @@ class CommAlgebra:
             table[key] = coords
         # all-zero rows are dropped: unspecified pairs multiply to zero anyway
         table = {key: coords for key, coords in table.items() if any(coords)}
-        self._sparse = {key: tuple((k, c) for k, c in enumerate(coords) if c)
-                        for key, coords in table.items()}
         # the integer table, D times the structure constants, indexed [i][j]
         ints, self._den = field.clear([c for coords in table.values() for c in coords])
         self._int_rows = [[()] * self.dim for _ in range(self.dim)]
@@ -113,7 +111,8 @@ class CommAlgebra:
 
     def table_row(self, i: int, j: int):
         """Sparse product of basis vectors i and j: ((k, coeff), ...) or None."""
-        return self._sparse.get((i, j) if i <= j else (j, i))
+        back, den = self.field.back, self._den
+        return tuple((k, back(v, den)) for k, v in self._int_rows[i][j]) or None
 
     def _int_mul(self, x, y) -> tuple:
         """D x y for sparse integer vectors x and y.
@@ -179,19 +178,6 @@ class CommAlgebra:
                 raise ValueError("restriction subspace is not invariant under this multiplication")
             cols.append(col)
         return [[col[i] for col in cols] for i in range(s.dim)], self._den * scale
-
-    def left_mult_matrix(self, x: "Element", restrict_to: Subspace | None = None) -> Matrix:
-        """Matrix of multiplication by x, acting on coordinate columns.
-
-        With `restrict_to` the matrix is expressed in that subspace's RREF
-        basis; the subspace must be invariant under multiplication by x.
-        The rational view of `_int_operator_on`.
-        """
-        s = self.full_space() if restrict_to is None else restrict_to
-        xs, dx = self.field.clear(x.coords)
-        m, scale = self._int_operator_on(xs, s)
-        return Matrix(s.dim, s.dim, tuple(self.field.back(v, scale * dx)
-                                          for row in m for v in row), self.field)
 
     def subspace_product(self, s1: Subspace, s2: Subspace) -> Subspace:
         """Span of all products of basis vectors of s1 with basis vectors of s2.

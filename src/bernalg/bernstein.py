@@ -13,6 +13,7 @@ the RREF views of the subspaces and the witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,44 +189,41 @@ def check_peirce_relations(b: BaricAlgebra, p: PeirceData):
         (p.U, p.U, p.V, "U*U is not contained in V"),
         (p.U, p.V, p.U, "U*V is not contained in U"),
         (p.V, p.V, p.U, "V*V is not contained in U"),
-        (p.U, v2, Subspace.zero(a.dim, a.field), "U*V^2 is nonzero"),
-        (p.annU, p.U.plus(u2), Subspace.zero(a.dim, a.field), "annU*(U + U^2) is nonzero"),
+        (p.U, v2, a.zero_space(), "U*V^2 is nonzero"),
+        (p.annU, p.U.plus(u2), a.zero_space(), "annU*(U + U^2) is nonzero"),
     )
     for left, right, target, note in checks:
         if not a.subspace_product(left, right).leq(target):
-            w = _product_witness(a, left, right, target, note)
-            if w is not None:
-                return w
+            return _product_witness(a, left, right, target, note, ("x", "y"))
     if not v2.leq(p.annU):
-        for row in v2.rows:
-            if not p.annU.contains(row):
-                return Witness((("v2", a.element(row)),), a.element(row),
-                               note="V^2 is not contained in annU")
+        return _row_witness(a, v2, p.annU, "v2", "V^2 is not contained in annU")
     return True
 
 
-def _product_witness(a: CommAlgebra, s1: Subspace, s2: Subspace, target: Subspace, note: str):
-    for x in s1.rows:
-        for y in s2.rows:
-            prod = a.mul_coords(x, y)
-            if not target.contains(prod):
-                return Witness((("x", a.element(x)), ("y", a.element(y))),
-                               a.element(prod), note=note)
-    return None
+def _product_witness(a: CommAlgebra, s1: Subspace, s2: Subspace, target: Subspace,
+                     note: str, names) -> Witness:
+    """The first product x*y of RREF rows of s1 and s2 outside target, with
+    x and y under the two names; the caller has seen s1*s2 leave target."""
+    for x, y in itertools.product(s1.rows, s2.rows):
+        prod = a.mul_coords(x, y)
+        if not target.contains(prod):
+            return Witness(tuple(zip(names, (a.element(x), a.element(y)))),
+                           a.element(prod), note=note)
+
+
+def _row_witness(a: CommAlgebra, s: Subspace, target: Subspace, name: str, note: str) -> Witness:
+    """The first RREF row of s outside target, as its own witness; the
+    caller has seen s leave target."""
+    x = a.element(next(r for r in s.rows if not target.contains(r)))
+    return Witness(((name, x),), x, note=note)
 
 
 def _jordan_structural(b: BaricAlgebra, p: PeirceData):
     """Condition: V^2 = 0 and (u v) v = 0, checked on basis tuples via the
     polarized form (u v) w + (u w) v (valid away from characteristic 2)."""
     a = b.algebra
-    v2 = a.subspace_product(p.V, p.V)
-    if not v2.is_zero():
-        for x in p.V.rows:
-            for y in p.V.rows:
-                prod = a.mul_coords(x, y)
-                if any(c != a.field.zero for c in prod):
-                    return Witness((("v", a.element(x)), ("w", a.element(y))),
-                                   a.element(prod), note="V*V is nonzero")
+    if not a.subspace_product(p.V, p.V).is_zero():
+        return _product_witness(a, p.V, p.V, a.zero_space(), "V*V is nonzero", ("v", "w"))
     for urow in p.U.rows:
         u = a.element(urow)
         for j in range(p.V.dim):
@@ -307,11 +305,7 @@ class Analysis:
         u2 = a.subspace_product(p.U, p.U)
         nuclear = u2 == p.V
         if not nuclear:
-            for row in p.V.rows:
-                if not u2.contains(row):
-                    witnesses["nuclear"] = Witness((("v", a.element(row)),), a.element(row),
-                                                   note="V is not exhausted by U*U")
-                    break
+            witnesses["nuclear"] = _row_witness(a, p.V, u2, "v", "V is not exhausted by U*U")
         chain = self.chain(PRINCIPAL)
         nilpotent = chain.nil_index is not None
         if not nilpotent:

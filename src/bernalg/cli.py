@@ -22,7 +22,7 @@ from .linalg import Subspace
 from .nilpotence import (greatest_fixed_subspace, mult_closure_nilpotent,
                          stable_subspace_check)
 from .report import (build_report, certificate_summary, check_json, coords_json,
-                     emit_report, flags_json, subspace_json)
+                     emit_report, flags_json, mult_closure_json, subspace_json)
 
 
 def _read_text(path: str) -> str:
@@ -233,17 +233,11 @@ def cmd_fixedspace(args) -> int:
 def cmd_multalg(args) -> int:
     _, alg = _load(args.file)
     b = _require_bernstein(alg)
-    closure = mult_closure_nilpotent(b, peirce(b))
-    payload = {
-        "generator_count": len(closure.generators),
-        "closure_dim": len(closure.span_closure),
-        "nilpotent": closure.nilpotent,
-        "nil_index": closure.nil_index,
-    }
+    payload = mult_closure_json(mult_closure_nilpotent(b, peirce(b)))
     _out(args, payload, [
         f"generators: {payload['generator_count']}, closure dim: "
         f"{payload['closure_dim']}",
-        f"nilpotent: {closure.nilpotent}, nil index: {closure.nil_index}",
+        f"nilpotent: {payload['nilpotent']}, nil index: {payload['nil_index']}",
     ])
     return 0
 

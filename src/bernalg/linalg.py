@@ -1,5 +1,7 @@
-"""Exact linear algebra over an exact field: matrices, reduced row-echelon
-forms, kernels, and canonically represented subspaces.
+"""Exact linear algebra over an exact field, on integer rows: canonically
+represented subspaces, fraction-free echelon forms, kernels and
+row-combination systems.  `Matrix`, a dense matrix of field scalars, is
+kept for callers of the package; no other module builds one.
 
 A subspace is stored by the unique RREF basis of its row space, each row
 scaled to a primitive integer row with a positive pivot (over GF(p):
@@ -156,15 +158,6 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
 
 
-def eigenspace(m: Matrix, lam) -> "Subspace":
-    """Kernel of (m - lam * id); m must be square."""
-    if m.rows != m.cols:
-        raise ValueError("eigenspace needs a square matrix")
-    lam = m.field.of(lam)
-    shifted = [[x - lam if i == j else x for j, x in enumerate(m.row(i))] for i in range(m.rows)]
-    return Subspace(shifted, m.cols, m.field).null_space()
-
-
 class Subspace:
     """A linear subspace of K^n held by its unique RREF basis (no zero rows).
 
@@ -297,11 +290,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def solve_row_combination(rows, target, ambient_dim: int, field=QQ):
-    """Coefficients c with sum(c_i * rows_i) == target, or None."""
-    return solve_row_combinations(rows, [target], ambient_dim, field)[0]
 
 
 def solve_row_combinations(rows, targets, ambient_dim: int, field=QQ) -> list:

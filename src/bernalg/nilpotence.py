@@ -6,18 +6,18 @@ finiteness certificate for ideals with nilpotent generator closures.
 
 The multiplication closure runs on integer matrices: its generators L_v
 come from `CommAlgebra._int_operator_on` as integer positive multiples of
-the operators, and their spans and products stay integer.  Rational
-`Matrix` objects are built only for the RREF rows of the closure.
+the operators, and the word spans and the closure are `Subspace`s of flat
+integer matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (CommAlgebra, Element, FULL, PowerChain, generated_ideal,
-                      generated_subalgebra, is_ideal, iterate_chain, power_chain)
+from .algebra import (CommAlgebra, Element, FULL, generated_ideal, generated_subalgebra,
+                      is_ideal, iterate_chain, power_chain)
 from .bernstein import BaricAlgebra, PeirceData
-from .linalg import Matrix, Subspace, combine_rows
+from .linalg import Subspace, combine_rows
 
 
 def module_action(p: PeirceData, word, u: Element) -> Element:
@@ -84,11 +84,11 @@ class MultClosure:
 
     generators holds one operator L_v per RREF row v of V as a flat
     row-major integer tuple in N's RREF coordinates, a positive multiple
-    of the operator (only the lines they span matter); span_closure holds
-    the closure's RREF basis as rational k x k `Matrix` objects."""
+    of the operator (only the lines they span matter); closure is the
+    span of all words in them, a subspace of the flat k x k matrices."""
 
     generators: tuple
-    span_closure: tuple
+    closure: Subspace
     nilpotent: bool
     nil_index: int | None
 
@@ -99,37 +99,30 @@ def _compose(f, g, k) -> list:
 
 
 def mult_closure_nilpotent(b: BaricAlgebra, p: PeirceData) -> MultClosure:
-    """Build the operators L_v on N for a basis of V, close their span under
-    composition, and decide nilpotency from the spans of fixed-length words
-    (an operator algebra on a d-dimensional space that is nilpotent at all
-    must vanish on words of length d).  Spans and products run on integer
-    matrices, positive multiples of the operators, which span the same lines.
-    """
+    """Build the operators L_v on N for a basis of V and the spans W_m of
+    their words of length m = 1, 2, ...; an operator algebra on a k-space
+    that is nilpotent at all vanishes on words of length k.  The closure
+    under composition is then the sum of the W_m, and otherwise the limit of
+    C -> gens + C*gens.  Spans and products run on integer matrices, positive
+    multiples of the operators, which span the same lines."""
     a = b.algebra
     k = p.N.dim
-    field = a.field
     ops = [a._int_operator_on(row, p.N)[0] for row in p.V.int_rows]
     gens = tuple(tuple(x for r in op for x in r) for op in ops)
 
-    def products(frontier) -> Subspace:
-        return Subspace.of_int_rows([_compose(f, g, k) for f in frontier for g in ops],
-                                    k * k, field)
+    def span(rows) -> Subspace:
+        return Subspace.of_int_rows(rows, k * k, a.field)
 
-    gen_span = Subspace.of_int_rows(gens, k * k, field)
-    # closure of the span under composition
-    closure = gen_span
-    frontier = gen_span.int_rows
-    while frontier:
-        new_span = closure.plus(products(frontier))
-        if new_span == closure:
-            break
-        frontier = [row for row in new_span.int_rows if not closure.contains_int(row)]
-        closure = new_span
-    # word spans of exact length m = 1, 2, ...; a repeat never reaches zero
-    words, _ = iterate_chain(gen_span, lambda w: products(w.int_rows), max(k, 1) + 1)
-    nil_index = len(words) if words[-1].is_zero() else None
-    span_closure = tuple(Matrix(k, k, row, field) for row in closure.rows)
-    return MultClosure(gens, span_closure, nil_index is not None, nil_index)
+    def products(s: Subspace) -> Subspace:
+        return span([_compose(f, g, k) for f in s.int_rows for g in ops])
+
+    gen_span = span(gens)
+    words, _ = iterate_chain(gen_span, products, max(k, 1) + 1)
+    if words[-1].is_zero():
+        return MultClosure(gens, span([r for w in words for r in w.int_rows]), True, len(words))
+    # not nilpotent: a repeated word span never reaches zero
+    closure, _ = iterate_chain(gen_span, lambda c: gen_span.plus(products(c)))
+    return MultClosure(gens, closure[-1], False, None)
 
 
 @dataclass(frozen=True)
@@ -153,6 +146,9 @@ def stable_subspace_check(b: BaricAlgebra, p: PeirceData, s: Subspace) -> Stabil
     return StabilityReport(ni, vi, conclusion)
 
 
+NOT_NILPOTENT = "generated subalgebra is not nilpotent; the decomposition does not apply"
+
+
 @dataclass(frozen=True)
 class DecompositionCertificate:
     """Checked decomposition N = F + N^m with F^m = 0 for the subalgebra F
@@ -167,14 +163,10 @@ class DecompositionCertificate:
 
 
 def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
-                              max_steps: int | None = None,
-                              n_chain: PowerChain | None = None) -> DecompositionCertificate:
+                              max_steps: int | None = None) -> DecompositionCertificate:
     """Certificate for: if the subalgebra F generated by ideal generators of
     N is nilpotent with F^m = 0, then N decomposes as F + N^m, and at finite
     dimension N^m itself vanishes so the certificate closes with N = F.
-
-    n_chain, when the caller already holds it, is the full power chain of N
-    under the same max_steps; it stands in for F's chain when F = N.
     """
     gens = list(gens)
     if not is_ideal(a, n):
@@ -182,13 +174,9 @@ def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
     if generated_ideal(a, gens) != n:
         raise ValueError("generators do not generate the ideal")
     f = generated_subalgebra(a, gens)
-    if n_chain is None or f != n:
-        f_chain = power_chain(a, f, FULL, max_steps)
-    else:
-        f_chain = n_chain
+    f_chain = power_chain(a, f, FULL, max_steps)
     if f_chain.nil_index is None:
-        raise ValueError("generated subalgebra is not nilpotent; "
-                         "the decomposition does not apply")
+        raise ValueError(NOT_NILPOTENT)
     m = f_chain.nil_index
     n_chain = f_chain if f == n else power_chain(a, n, FULL, m + 1)
     # the inclusion N^i <= F^i + N^{i+1} can only change where one of its

@@ -8,11 +8,11 @@ basis rows.
 Each build_report call makes one fresh `bernstein.Analysis` for its input
 and renders every section from it, so the weight verdict, each identity
 verdict, the Peirce data and each power chain of the start subspace (N for
-baric input, the whole space otherwise) are computed once per report.  The
-Analysis dies with the call.  Subspace products are memoised on the
-algebra itself for its lifetime, so a product that several sections need
-(U*U, V*V, N*N, ...) is computed once per algebra; nothing is cached at
-module level.
+baric input, the whole space otherwise) are computed once per report, and
+the certificate is read from N's full chain.  The Analysis dies with the
+call.  Subspace products are memoised on the algebra itself for its
+lifetime, so a product that several sections need (U*U, V*V, N*N, ...) is
+computed once per algebra; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .bernstein import Analysis, check_peirce_relations
 # bench/tests reads report.check_identity, so the name stays importable here
 from .identities import Witness, check_identity  # noqa: F401
 from .linalg import Subspace
-from .nilpotence import (decompose_nilpotent_ideal, greatest_fixed_subspace,
+from .nilpotence import (NOT_NILPOTENT, DecompositionCertificate, MultClosure,
+                         decompose_nilpotent_ideal, greatest_fixed_subspace,
                          mult_closure_nilpotent)
 
 
@@ -125,28 +126,42 @@ def build_report(name: str, alg, max_steps=None) -> tuple[dict, int]:
         "chain_dims": [t.dim for t in gfp.chain],
         "gfp_dim": gfp.gfp.dim,
     }
-    closure = mult_closure_nilpotent(alg, p)
-    report["mult_closure"] = {
-        "generator_count": len(closure.generators),
-        "closure_dim": len(closure.span_closure),
-        "nilpotent": closure.nilpotent,
-        "nil_index": closure.nil_index,
-    }
-    report["certificate"] = certificate_summary(algebra, p.N, None, max_steps,
-                                                an.chain(FULL, max_steps))
+    report["mult_closure"] = mult_closure_json(mult_closure_nilpotent(alg, p))
+    report["certificate"] = chain_certificate(p.N, an.chain(FULL, max_steps))
     return report, status
 
 
-def certificate_summary(algebra, n: Subspace, gens, max_steps=None, n_chain=None) -> dict:
-    """Decomposition certificate summary; by default the ideal generators
-    are the RREF basis rows of N itself.  n_chain is N's full power chain
-    when the caller already holds it."""
+def mult_closure_json(closure: MultClosure) -> dict:
+    return {
+        "generator_count": len(closure.generators),
+        "closure_dim": closure.closure.dim,
+        "nilpotent": closure.nilpotent,
+        "nil_index": closure.nil_index,
+    }
+
+
+def chain_certificate(n: Subspace, n_chain) -> dict:
+    """`certificate_summary` of the barideal N of a Bernstein algebra and its
+    own rows, read from N's full power chain: N is an ideal and a subalgebra,
+    so F = N, m is N's full nil index and every check holds by construction."""
+    m = n_chain.nil_index
+    if m is None:
+        return {"error": NOT_NILPOTENT}
+    return certificate_json(DecompositionCertificate(n, m, m, True, True))
+
+
+def certificate_summary(algebra, n: Subspace, gens, max_steps=None) -> dict:
+    """Decomposition certificate summary, fully checked; by default the
+    ideal generators are the RREF basis rows of N itself."""
     if gens is None:
         gens = [algebra.element(row) for row in n.rows]
     try:
-        cert = decompose_nilpotent_ideal(algebra, n, gens, max_steps, n_chain)
+        return certificate_json(decompose_nilpotent_ideal(algebra, n, gens, max_steps))
     except (ValueError, AssertionError, RuntimeError) as exc:
         return {"error": str(exc)}
+
+
+def certificate_json(cert: DecompositionCertificate) -> dict:
     return {
         "f_dim": cert.F.dim,
         "m": cert.m,

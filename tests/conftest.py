@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, Matrix, PeirceData,
-                     PrimeField, Subspace, Witness, bernstein_witnesses, eigenspace,
+                     PrimeField, Subspace, Witness, bernstein_witnesses,
                      find_idempotent, make_family, peirce, weight_of)
 from bernalg.algebra import induced_table
 from bernalg.bernstein import NotBernsteinError
@@ -208,8 +208,8 @@ def reference_scan_degree4(a, weight):
 def reference_left_mult_matrix(a, x, restrict_to=None) -> Matrix:
     """Multiplication by x in the RREF coordinates of `restrict_to` (the
     whole space by default), read column by column through `coords_of`:
-    `CommAlgebra.left_mult_matrix` before the integer operator, kept as its
-    reference."""
+    the rational route, kept as the reference of
+    `CommAlgebra._int_operator_on`."""
     s = a.full_space() if restrict_to is None else restrict_to
     cols = [s.coords_of(a.mul_coords(x.coords, row)) for row in s.rows]
     if None in cols:
@@ -218,12 +218,32 @@ def reference_left_mult_matrix(a, x, restrict_to=None) -> Matrix:
     return Matrix(k, k, tuple(cols[j][i] for i in range(k) for j in range(k)), a.field)
 
 
+def operator_matrix(a, x, s=None) -> Matrix:
+    """`CommAlgebra._int_operator_on` for the element x on s (the whole
+    space by default) as a rational `Matrix`: its integer rows divided by
+    c and by the denominator cleared from x."""
+    s = a.full_space() if s is None else s
+    xs, dx = a.field.clear(x.coords)
+    rows, c = a._int_operator_on(xs, s)
+    return Matrix(s.dim, s.dim, tuple(a.field.back(v, c * dx) for r in rows for v in r), a.field)
+
+
 def reference_annihilator(a, u: Subspace) -> Subspace:
     """{x in U : x*U = 0} as one rational `Matrix` system, kept as the
     reference of `bernstein._annihilator_in_u`."""
     prods = [[a.mul_coords(x, y) for x in u.rows] for y in u.rows]
     system = [[p[t] for p in row] for row in prods for t in range(a.dim)]
     return u.span_of_coords(Matrix.from_rows(system, u.dim, a.field).kernel())
+
+
+def eigenspace(m: Matrix, lam) -> Subspace:
+    """Kernel of (m - lam * id); m must be square.  The rational route of
+    `reference_peirce`."""
+    if m.rows != m.cols:
+        raise ValueError("eigenspace needs a square matrix")
+    lam = m.field.of(lam)
+    shifted = [[x - lam if i == j else x for j, x in enumerate(m.row(i))] for i in range(m.rows)]
+    return Subspace(shifted, m.cols, m.field).null_space()
 
 
 def reference_peirce(b, e=None) -> PeirceData:

@@ -9,7 +9,7 @@ from bernalg import (CommAlgebra, Matrix, PrimeField, Subspace, generated_ideal,
 from bernalg import algebra as algebra_module
 from bernalg.algebra import ChainCapError
 
-from conftest import (change_of_basis_copy, fresh_rng, random_subspace_in,
+from conftest import (change_of_basis_copy, fresh_rng, operator_matrix, random_subspace_in,
                       random_table_algebra, random_vector_in, reference_mul_coords,
                       reference_subspace_product, scaled_copy)
 
@@ -77,7 +77,7 @@ def test_left_mult_of_idempotent_is_diagonal():
     b = make_family("bdown", 2)
     a = b.algebra
     e = a.basis_element(0)
-    m = a.left_mult_matrix(e)
+    m = operator_matrix(a, e)
     h = Fraction(1, 2)
     expected = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0],
                                  [0, 0, h, 0], [0, 0, 0, h]])
@@ -86,14 +86,14 @@ def test_left_mult_of_idempotent_is_diagonal():
 
 def test_left_mult_of_zero():
     a = make_family("squareshift", 3)
-    assert a.left_mult_matrix(a.zero_element()).is_zero()
+    assert operator_matrix(a, a.zero_element()).is_zero()
 
 
 def test_left_mult_restricted_shift():
     a = make_family("bdown", 3).algebra
     u_span = span_named(a, "u1", "u2", "u3")
     v1 = a.basis_element(a.index_of("v1"))
-    m = a.left_mult_matrix(v1, restrict_to=u_span)
+    m = operator_matrix(a, v1, u_span)
     # in the basis (u1, u2, u3): u1 -> 0, u2 -> u1, u3 -> u2
     assert m == Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -102,7 +102,7 @@ def test_left_mult_restriction_must_be_invariant():
     a = make_family("bdown", 3).algebra
     v1 = a.basis_element(a.index_of("v1"))
     with pytest.raises(ValueError):
-        a.left_mult_matrix(v1, restrict_to=span_named(a, "u2"))
+        operator_matrix(a, v1, span_named(a, "u2"))
 
 
 # ---------------------------------------------------------------- subspace products

@@ -1,18 +1,22 @@
 import functools
+import glob
+import os
 from fractions import Fraction
 
 import pytest
 
-from bernalg import (BaricAlgebra, CommAlgebra, Identity, PrimeField,
+from bernalg import (BaricAlgebra, CommAlgebra, Identity, PeirceData, PrimeField,
                      Subspace, Witness, check_identity, check_peirce_relations,
                      classify, find_idempotent, make_family, nilpotency_report,
-                     nuclear_core, peirce, plenary_power, quotient,
-                     subspace_product, verify_weight)
+                     nuclear_core, parse, peirce, plenary_power, quotient,
+                     subspace_product, to_algebra, verify_weight, weight_of)
 from bernalg.bernstein import _annihilator_in_u
 
 from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
-                      proper_ann_u_baric, reference_annihilator, reference_left_mult_matrix,
-                      reference_peirce, reference_verify_weight, scaled_copy)
+                      operator_matrix, proper_ann_u_baric, rebased_copies,
+                      reference_annihilator, reference_identity_defect,
+                      reference_left_mult_matrix, reference_mul_coords, reference_peirce,
+                      reference_subspace_product, reference_verify_weight, scaled_copy)
 
 
 def span_named(a, *names):
@@ -157,6 +161,48 @@ def test_corrupted_table_breaks_relations():
     w = check_peirce_relations(cb, p)
     assert isinstance(w, Witness)
     assert w.note == "U*U is not contained in V"
+
+
+# hand-made Peirce data (products, U, V, annU by basis names, note) on which
+# every relation checked before `note` holds and the one named by it fails
+RELATION_CASES = [
+    ({("u", "u"): {"u": 1}}, "u", "", "", "U*U is not contained in V"),
+    ({("u", "v"): {"w": 1}}, "u", "v", "", "U*V is not contained in U"),
+    ({("v", "v"): {"w": 1}}, "", "v", "", "V*V is not contained in U"),
+    ({("v", "v"): {"u2": 1}, ("u1", "u2"): {"v": 1}}, "u1 u2", "v", "", "U*V^2 is nonzero"),
+    ({("u", "u"): {"v": 1}}, "u", "v", "u", "annU*(U + U^2) is nonzero"),
+    # V^2 = span(u1, u2) and only its second row leaves annU
+    ({("v", "v"): {"u1": 1}, ("w", "w"): {"u2": 1}}, "u1 u2", "v w", "u1",
+     "V^2 is not contained in annU"),
+]
+
+
+@pytest.mark.parametrize("products, u, v, ann_u, note", RELATION_CASES,
+                         ids=[c[-1] for c in RELATION_CASES])
+def test_each_relation_witness_reevaluates_outside_its_target(products, u, v, ann_u, note):
+    a = CommAlgebra.from_table(["u", "u1", "u2", "v", "w"], products)
+    U, V, annU = (span_named(a, *names.split()) for names in (u, v, ann_u))
+    p = PeirceData(a.zero_element(), U, V, U.plus(V), annU)
+    w = check_peirce_relations(BaricAlgebra(a, [0] * a.dim), p)
+    assert isinstance(w, Witness) and w.note == note
+    mul = functools.partial(reference_subspace_product, a)
+    u2, v2, zero = mul(U, U), mul(V, V), a.zero_space()
+    if note == "V^2 is not contained in annU":
+        (name, x), = w.assignment
+        assert name == "v2" and w.residual == x
+        assert v2.contains(x.coords) and not annU.contains(x.coords)
+        return
+    left, right, target = {
+        "U*U is not contained in V": (U, U, V),
+        "U*V is not contained in U": (U, V, U),
+        "V*V is not contained in U": (V, V, U),
+        "U*V^2 is nonzero": (U, v2, zero),
+        "annU*(U + U^2) is nonzero": (annU, U.plus(u2), zero),
+    }[note]
+    (nx, x), (ny, y) = w.assignment
+    assert (nx, ny) == ("x", "y") and left.contains(x.coords) and right.contains(y.coords)
+    prod = reference_mul_coords(a, x.coords, y.coords)
+    assert w.residual.coords == prod and not target.contains(prod)
 
 
 # ---------------------------------------------------------------- classification
@@ -354,12 +400,13 @@ def test_integer_peirce_matches_the_rational_route(name, b):
 def test_left_mult_matrix_matches_the_rational_route(name, b):
     a, p = b.algebra, peirce(b)
     for x in [p.e] + [a.element(r) for r in p.V.rows + p.U.rows]:
-        assert a.left_mult_matrix(x, p.N) == reference_left_mult_matrix(a, x, p.N)
-        assert a.left_mult_matrix(x) == reference_left_mult_matrix(a, x)
+        assert operator_matrix(a, x, p.N) == reference_left_mult_matrix(a, x, p.N)
+        assert operator_matrix(a, x) == reference_left_mult_matrix(a, x)
     if p.V.dim:
         # e (e + v) = e leaves the line through e + v
         line = Subspace([(p.e + a.element(p.V.rows[0])).coords], a.dim, a.field)
-        for route in (a.left_mult_matrix, functools.partial(reference_left_mult_matrix, a)):
+        for route in (functools.partial(operator_matrix, a),
+                      functools.partial(reference_left_mult_matrix, a)):
             with pytest.raises(ValueError, match="not invariant"):
                 route(p.e, line)
 
@@ -389,3 +436,94 @@ def test_weight_is_compared_modulo_p():
     got = verify_weight(broken)
     assert got == reference_verify_weight(broken)
     assert got.residual == gf5.of(1)  # 3 + 2 - 9 = -4 = 1 mod 5
+
+
+# ---------------------------------------------------------------- flag witnesses
+
+
+def _flag_witness_inputs():
+    """Every baric fixture with its rebased copies, then bdown/bup(3..5)."""
+    out = []
+    for fixture in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.alg"))):
+        with open(fixture, encoding="utf-8") as fh:
+            alg = to_algebra(parse(fh.read()))
+        if isinstance(alg, BaricAlgebra):
+            name = os.path.basename(fixture)
+            out += [(name, alg)] + [(f"{name}_{label}", c) for label, c in rebased_copies(alg)]
+    out += [(f"{kind}{n}", make_family(kind, n)) for kind in ("bdown", "bup") for n in (3, 4, 5)]
+    return out
+
+
+def _v_squared_nonzero():
+    """A Bernstein algebra with v*v = u, so V*V is nonzero."""
+    a = CommAlgebra.from_table(["e", "u", "v"], {("e", "e"): {"e": 1},
+                                                 ("e", "u"): {"u": Fraction(1, 2)},
+                                                 ("v", "v"): {"u": 1}})
+    return BaricAlgebra(a, [1, 0, 0])
+
+
+def _bent_weight():
+    b = make_family("bdown", 3)
+    return BaricAlgebra(b.algebra, [2] + list(b.weight[1:]))
+
+
+# one generated input per witness kind, with the kinds it must show
+FLAG_FAILING = [
+    ("v_squared_nonzero", _v_squared_nonzero(), {"V*V is nonzero"}),
+    ("bdown3", make_family("bdown", 3), {"(u v) v does not vanish",
+                                         "V is not exhausted by U*U"}),
+    ("non_nilpotent", non_nilpotent_baric(), {"barideal_nilpotent"}),
+    ("bent_weight", _bent_weight(), {"weight is not multiplicative on this pair"}),
+]
+FLAG_INPUTS = _flag_witness_inputs() + [case[:2] for case in FLAG_FAILING]
+
+
+def flag_witness_kinds(b) -> set:
+    """Re-evaluate every witness of classify(b) through the reference
+    products and return their kinds: the note, or the flag for a subspace."""
+    a, flags = b.algebra, classify(b)
+    mul = functools.partial(reference_mul_coords, a)
+    kinds = set()
+    for key, w in flags.witnesses.items():
+        kinds.add(key if isinstance(w, Subspace) else w.note)
+        if key == "baric":
+            (_, x), (_, y) = w.assignment
+            xy = a.element(mul(x.coords, y.coords))
+            got = weight_of(b.weight, xy) - weight_of(b.weight, x) * weight_of(b.weight, y)
+            assert w.residual == got != 0
+            continue
+        if key == "bernstein":
+            got = reference_identity_defect(a, Identity.BERNSTEIN, dict(w.assignment), b.weight)
+            assert w.residual == got and not got.is_zero()
+            continue
+        p = reference_peirce(b)
+        if key == "barideal_nilpotent":
+            assert not w.is_zero() and reference_subspace_product(a, w, p.N) == w
+            continue
+        args = dict(w.assignment)
+        assert all(p.V.contains(args[k].coords) for k in ("v", "w") if k in args)
+        if w.note == "V is not exhausted by U*U":
+            assert w.residual == args["v"]
+            assert not reference_subspace_product(a, p.U, p.U).contains(args["v"].coords)
+            continue
+        if w.note == "V*V is nonzero":
+            got = mul(args["v"].coords, args["w"].coords)
+        else:
+            assert w.note == "(u v) v does not vanish" and p.U.contains(args["u"].coords)
+            u, v = args["u"].coords, args["v"].coords
+            vw = args.get("w", args["v"]).coords
+            got = mul(mul(u, v), vw)
+            if "w" in args:
+                got = tuple(s + t for s, t in zip(got, mul(mul(u, vw), v)))
+        assert w.residual.coords == got and any(got)
+    return kinds
+
+
+@pytest.mark.parametrize("name, b", FLAG_INPUTS, ids=[c[0] for c in FLAG_INPUTS])
+def test_flag_witnesses_reevaluate_through_the_reference_products(name, b):
+    flag_witness_kinds(b)
+
+
+@pytest.mark.parametrize("name, b, kinds", FLAG_FAILING, ids=[c[0] for c in FLAG_FAILING])
+def test_each_flag_witness_kind_fires_on_a_generated_input(name, b, kinds):
+    assert kinds <= flag_witness_kinds(b)

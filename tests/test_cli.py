@@ -460,3 +460,36 @@ def test_basis_independent_subcommand_fields_survive_a_change_of_basis(name, alg
     want = fields(alg)
     for label, copy in rebased_copies(alg):
         assert fields(copy) == want, label
+
+
+def _sweep_argv(command, fixture):
+    """Arguments for `command` on one fixture; `family` takes the fixture's
+    family kind and size from its file name, which `corrupted` lacks."""
+    stem = os.path.basename(fixture)[:-len(".alg")]
+    with open(fixture, encoding="utf-8") as fh:
+        dim = len(parse(fh.read()).basis)
+    extra = {
+        "powers": ["--kind", "full"],
+        "stability": ["--subspace", ",".join(["0"] * (dim - 1) + ["1"])],
+        "quotient": ["--by", "annU"],
+    }.get(command, [])
+    if command == "family":
+        kind = stem.rstrip("0123456789")
+        return ["family", stem] if stem == "jordan3" else ["family", kind, "--n", stem[len(kind):]]
+    return [command, fixture] + extra
+
+
+@pytest.mark.parametrize("fixture", sorted(glob.glob(path("*.alg"))), ids=os.path.basename)
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_every_subcommand_on_every_fixture_exits_by_the_contract(command, fixture, json_flag,
+                                                                 capsys):
+    try:
+        code = main(_sweep_argv(command, fixture) + json_flag)
+    except SystemExit as exc:  # argparse refusing the arguments
+        code = exc.code
+    assert code in (0, 1, 2)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if json_flag and code != 2 and command not in ("family", "quotient"):
+        json.loads(out)

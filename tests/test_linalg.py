@@ -4,11 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import (QQ, Matrix, PrimeField, Subspace, eigenspace,
-                     solve_row_combination)
+from bernalg import QQ, Matrix, PrimeField, Subspace
 from bernalg.linalg import solve_row_combinations
 
-from conftest import all_subspaces_within, fresh_rng, reference_rref, span_elements
+from conftest import all_subspaces_within, eigenspace, fresh_rng, reference_rref, span_elements
 
 
 def mat(rows):
@@ -168,9 +167,9 @@ def test_eigenspace_diagonal():
 
 def test_solve_row_combination():
     rows = [(F(1), F(1), F(0)), (F(0), F(1), F(1))]
-    coeffs = solve_row_combination(rows, (F(2), F(3), F(1)), 3)
+    coeffs, outside = solve_row_combinations(rows, [(F(2), F(3), F(1)), (F(0), F(0), F(1))], 3)
     assert coeffs == (F(2), F(1))
-    assert solve_row_combination(rows, (F(0), F(0), F(1)), 3) is None
+    assert outside is None
 
 
 # ---------------------------------------------------------------- GF(p) oracle

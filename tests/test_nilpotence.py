@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
+from bernalg import (CommAlgebra, Matrix, Subspace, decompose_nilpotent_ideal,
                      generated_ideal, generated_subalgebra,
                      greatest_fixed_subspace, is_ideal,
                      make_family, module_action, mult_closure_nilpotent,
@@ -10,8 +10,9 @@ from bernalg import (CommAlgebra, Subspace, decompose_nilpotent_ideal,
                      stable_subspace_check, submodule_ideal_check)
 from bernalg.bernstein import BaricAlgebra
 
-from conftest import (all_subspaces_within, fresh_rng, non_nilpotent_baric,
-                      random_subspace_in, random_table_algebra, reference_left_mult_matrix)
+from conftest import (all_subspaces_within, change_of_basis_copy, fresh_rng,
+                      non_nilpotent_baric, proper_ann_u_baric, random_subspace_in,
+                      random_table_algebra, reference_left_mult_matrix)
 
 
 def span_named(a, *names):
@@ -167,7 +168,7 @@ def test_bdown3_closure_is_nilpotent_shift():
     b = make_family("bdown", 3)
     mc = mult_closure_nilpotent(b, peirce(b))
     assert len(mc.generators) == 1
-    assert len(mc.span_closure) == 2  # L and L^2 span everything generated
+    assert mc.closure.dim == 2  # L and L^2 span everything generated
     assert mc.nilpotent
     # L^3 = 0 and L^2 != 0, so the operator algebra cubes to zero
     assert mc.nil_index == 3
@@ -178,7 +179,7 @@ def test_closure_without_v_is_trivial():
         ["e", "u"], {("e", "e"): {"e": 1}, ("e", "u"): {"u": "1/2"}})
     b = BaricAlgebra(a, [1, 0])
     mc = mult_closure_nilpotent(b, peirce(b))
-    assert mc.generators == () and mc.span_closure == ()
+    assert mc.generators == () and mc.closure.is_zero()
     assert mc.nilpotent and mc.nil_index == 1
 
 
@@ -207,6 +208,45 @@ def test_non_nilpotent_closure_detected():
     b = non_nilpotent_baric()
     mc = mult_closure_nilpotent(b, peirce(b))
     assert not mc.nilpotent and mc.nil_index is None
+    assert mc.closure.dim == 1  # L_v is idempotent on N: u -> u, v -> 0
+
+
+def reference_closure(gens, k, field) -> Subspace:
+    """The span of all words in the generators, grown by rational `Matrix`
+    products C -> C + C*gens from the generators until it repeats."""
+    ops = [Matrix(k, k, tuple(map(field.of, g)), field) for g in gens]
+    span = Subspace([m.entries for m in ops], k * k, field)
+    while True:
+        words = [(Matrix(k, k, row, field) @ g).entries for row in span.rows for g in ops]
+        grown = span.plus(Subspace(words, k * k, field))
+        if grown == span:
+            return span
+        span = grown
+
+
+def unipotent_baric():
+    """A Bernstein algebra where v acts on U as I + S with S a shift: L_v is
+    not nilpotent, and L_v^2 = I + 2S leaves the line of L_v."""
+    a = CommAlgebra.from_table(
+        ["e", "u1", "u2", "v"],
+        {("e", "e"): {"e": 1}, ("e", "u1"): {"u1": Fraction(1, 2)},
+         ("e", "u2"): {"u2": Fraction(1, 2)}, ("u1", "v"): {"u1": 1},
+         ("u2", "v"): {"u2": 1, "u1": 1}})
+    return BaricAlgebra(a, [1, 0, 0, 0])
+
+
+def test_closure_is_the_span_of_all_words(peirce_corpus):
+    cases = list(peirce_corpus) + [("non_nilpotent", non_nilpotent_baric(), None),
+                                   ("unipotent", unipotent_baric(), None),
+                                   ("proper_ann_u", proper_ann_u_baric(), None)]
+    for kind in ("bdown", "bup"):
+        b = make_family(kind, 4)
+        cases.append((f"rebased_{kind}4",
+                      BaricAlgebra(*change_of_basis_copy(b.algebra, b.weight, 1)), None))
+    for name, b, p in cases:
+        p = p or peirce(b)
+        mc = mult_closure_nilpotent(b, p)
+        assert mc.closure == reference_closure(mc.generators, p.N.dim, b.field), name
 
 
 def test_triple_equivalence_of_nilpotency_criteria(peirce_corpus):

@@ -9,9 +9,10 @@ from bernalg import BaricAlgebra, CommAlgebra, Identity, make_family, parse, to_
 from bernalg import algebra as algebra_module
 from bernalg import bernstein as bernstein_module
 from bernalg import nilpotence as nilpotence_module
-from bernalg.report import build_report, emit_report
+from bernalg import report as report_module
+from bernalg.report import build_report, certificate_summary, emit_report
 
-from conftest import rebased_copies
+from conftest import bernstein_corpus, change_of_basis_copy, rebased_copies
 
 
 def test_one_dimensional_report_is_minimal():
@@ -77,10 +78,55 @@ def test_baric_report_computes_each_fact_once(monkeypatch):
     assert calls["full"] == 1  # N's full chain, reused by the certificate
 
 
-# ---------------------------------------------------------------- metamorphic
-
-
 FIXTURES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.alg")))
+
+
+# ---------------------------------------------------------------- certificate
+
+
+def _certificate_cases():
+    """Every fixture, bdown/bup(2..8) and jordan3, each with a change-of-basis
+    copy."""
+    out = []
+    for fixture in FIXTURES:
+        with open(fixture, encoding="utf-8") as fh:
+            out.append((os.path.basename(fixture), to_algebra(parse(fh.read()))))
+    out += bernstein_corpus()
+    for name, alg in list(out):
+        a, w = (alg.algebra, alg.weight) if isinstance(alg, BaricAlgebra) else (alg, None)
+        b, w = change_of_basis_copy(a, w, 0)
+        out.append((f"rebased_{name}", b if w is None else BaricAlgebra(b, w)))
+    return out
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("name, alg", CERTIFICATE_CASES, ids=[c[0] for c in CERTIFICATE_CASES])
+def test_report_certificate_equals_the_fully_checked_certificate(name, alg, monkeypatch):
+    for max_steps in (None, 1, 2, 3):
+        with monkeypatch.context() as m:
+            # the report reads the certificate from N's chain and checks nothing again
+            for module, attr in ((report_module, "decompose_nilpotent_ideal"),
+                                 (nilpotence_module, "is_ideal"),
+                                 (nilpotence_module, "generated_ideal"),
+                                 (nilpotence_module, "generated_subalgebra")):
+                m.setattr(module, attr, None)
+            report, _ = build_report(name, alg, max_steps)
+        if not report.get("flags", {}).get("bernstein"):
+            assert "certificate" not in report, name
+            continue
+        want = certificate_summary(alg.algebra, alg.barideal(), None, max_steps)
+        assert report["certificate"] == want, (name, max_steps)
+
+
+def test_certificate_cases_reach_both_branches():
+    certs = [build_report(name, alg, max_steps)[0].get("certificate")
+             for name, alg in CERTIFICATE_CASES for max_steps in (None, 1)]
+    assert {"error" in c for c in certs if c} == {True, False}
+
+
+# ---------------------------------------------------------------- metamorphic
 
 
 def basis_independent(report: dict) -> dict:

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import Matrix, Subspace, eigenspace, make_family, parse, serialize
+from bernalg import Matrix, Subspace, make_family, parse, serialize
 
-from conftest import fresh_rng, random_vector_in
+from conftest import eigenspace, fresh_rng, random_vector_in
 
 
 def test_subspace_lattice_methods():
