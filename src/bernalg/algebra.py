@@ -68,6 +68,7 @@ class CommAlgebra:
         table = {key: coords for key, coords in table.items() if any(coords)}
         # the integer table, D times the structure constants, indexed [i][j]
         ints, self._den = field.clear([c for coords in table.values() for c in coords])
+        self._int_max = max(map(abs, ints), default=0)   # bounds the identity scans' sums
         self._int_rows = [[()] * self.dim for _ in range(self.dim)]
         for n, (i, j) in enumerate(table):
             row = tuple((k, v) for k, v in enumerate(ints[n * self.dim:(n + 1) * self.dim]) if v)
@@ -131,12 +132,6 @@ class CommAlgebra:
                     for k, t in row:
                         acc[k] = acc.get(k, 0) + c * t
         return tuple((k, v) for k, v in acc.items() if v)
-
-    def _int_operator(self, x) -> list:
-        """The columns D x e_n (n < dim) of multiplication by the sparse
-        integer vector x, each from `_int_mul` against a unit vector: D x y
-        is then the sum of y_n times column n."""
-        return [self._int_mul(x, ((n, 1),)) for n in range(self.dim)]
 
     def mul_coords(self, x, y) -> tuple:
         (xs, dx), (ys, dy) = self.field.clear(x), self.field.clear(y)
@@ -395,13 +390,17 @@ def iterate_chain(start: Subspace, step, cap: int | None = None):
         terms.append(new)
 
 
+def _check_max_steps(max_steps: int | None) -> None:
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+
+
 def power_chain(a: CommAlgebra, s: Subspace, kind: str, max_steps: int | None = None) -> PowerChain:
     """Compute a power chain of the subspace s until it vanishes, provably
     stabilizes, or hits max_steps (reported via stabilized=False)."""
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    _check_max_steps(max_steps)
     if kind == FULL:
         runs, stable, nil = _full_runs(a, s, max_steps)
     else:

@@ -10,6 +10,7 @@ identity as the witness.  All subcommands accept '-' for stdin and support
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import CHAIN_KINDS, ChainCapError, power_chain
@@ -335,7 +336,18 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser with the subparser of `command` only, or with
     every subparser when `command` is not a subcommand (help, no command,
-    a typo), so that a call builds only what it parses."""
+    a typo), so that a call builds only what it parses.  The parser of a
+    subcommand is built once per process and shared by later calls."""
+    return _subcommand_parser(command) if command in COMMANDS else _new_parser(command)
+
+
+@functools.cache
+def _subcommand_parser(command: str) -> argparse.ArgumentParser:
+    # keyed by the names of COMMANDS only, so the cache stays that small
+    return _new_parser(command)
+
+
+def _new_parser(command: str | None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
     common.add_argument("--max-steps", type=int, default=None, metavar="INT",

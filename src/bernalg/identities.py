@@ -10,30 +10,38 @@ the original identity at subset sums of the tuple; inclusion-exclusion
 guarantees one of them has a nonzero defect.
 
 The scans run in exact integer arithmetic on the algebra's one integer
-table (the structure constants times D, the lcm of their denominators)
-through `CommAlgebra._int_mul`, the kernel every product uses; the weight
-is scaled by Dw, the lcm of its denominators.  Every term of a tuple's
-sum is weighted by a positive integer chosen so that the whole integer
-sum is one fixed positive multiple of the rational sum (D^3 Dw^2 for the
-quartic forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive
+table (the structure constants times D, the lcm of their denominators);
+the weight is scaled by Dw, the lcm of its denominators.  Every term of a
+tuple's sum is weighted by a positive integer chosen so that the whole
+integer sum is one fixed positive multiple of the rational sum (D^3 Dw^2
+for the quartic forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive
 multiple is zero exactly when the rational sum is, so each tuple gets the
 same verdict as in rational arithmetic, the tuples are visited in the
 same order, and the first failing tuple is the same.
 
 Witnesses and `identity_defect` share one integer defect evaluator per
-identity (`_int_defect`).  The identities are homogeneous, so each
+identity (`_int_defect`), on `CommAlgebra._int_mul`, the kernel every
+product uses.  The identities are homogeneous, so each
 variable is cleared to an integer vector, the evaluator returns a fixed
 positive multiple of the defect, and one division maps it back.  The
 witness search evaluates the subset sums of a failing tuple as integer
 vectors and builds rational elements only for the sum it returns.
 
-The quartic scan applies pair operators instead of multiplying pairs: in
-lexicographic order every pairing's first pair holds the tuple's leading
-index i, so for each i it builds, through the same kernel, the integer
-operator of each nonzero D e_i e_b it meets (`CommAlgebra._int_operator`)
-and evaluates a pairing as a sum of that operator's columns.  On a dense
-table a pairing then costs dim^2 products instead of dim^3, and only one
-leading index's operators, O(dim^3) integers, are held at a time.
+The scans accumulate each tuple's sum in one int.  Each table row
+D e_i e_j is packed by Kronecker substitution as sum_k v_k 2^(B k)
+(`_packing`), and a pair's operator, whose column n packs D x e_n, is a
+sum of packed rows.  A pairing then costs one big-int multiply-add per
+nonzero entry of the other pair, and the zero test is `acc == 0`.  Each
+scan takes B = bound.bit_length() + 2 for a bound on every coordinate its
+integer sums can reach, from dim, the largest |table entry| M and the
+largest |W| (3 * 2 Dw^2 * dim^2 M^3 + 6 D^2 W^2 M for the quartic forms).
+Packing is Z-linear, so an accumulated int is the packing of the integer
+sum vector, whose coordinates are below 2^(B-2) in absolute value; signed
+digits below 2^(B-1) make packing injective, so `acc == 0` exactly when
+the vector is zero, and every tuple's verdict, the first failing tuple
+and its witness are those of the unpacked sums.  The quartic scan builds
+the operators of one leading index at a time: in lexicographic order
+every pairing's first pair holds the tuple's leading index.
 """
 
 from __future__ import annotations
@@ -155,6 +163,31 @@ def _add_to(acc: dict, vec, c: int) -> None:
         acc[k] = acc.get(k, 0) + c * v
 
 
+def _packing(bound: int):
+    """pack(v): the sparse integer vector v as one int, sum_k v_k 2^(B k),
+    for B = bound.bit_length() + 2.  Packing is Z-linear, and a packed sum
+    is 0 exactly when its vector is, if `bound` bounds that vector's
+    coordinates (see the module docstring)."""
+    width = bound.bit_length() + 2
+    return lambda v: sum(c << (width * k) for k, c in v)
+
+
+def _packed_table(a, pack) -> list:
+    """The integer table with each row D e_i e_j packed, indexed [i][j]."""
+    table = [[0] * a.dim for _ in range(a.dim)]
+    for i, rows in enumerate(a._int_rows):
+        for j in range(i, a.dim):
+            table[i][j] = table[j][i] = pack(rows[j])
+    return table
+
+
+def _operator(table, x) -> list:
+    """The packed columns D x e_n of multiplication by the sparse integer
+    vector x on a packed table: D x y then packs to the sum of y_n times
+    column n."""
+    return [sum(v * table[m][n] for m, v in x) for n in range(len(table))]
+
+
 def _scan_degree4(a, weight):
     """First basis 4-tuple where the linearized quartic form is nonzero.
 
@@ -163,37 +196,44 @@ def _scan_degree4(a, weight):
     given) linearizes to the sum over the six ways of splitting the tuple
     into a weight pair and a product pair.  With P = D e_p e_q and
     W = Dw w, the pair-pair terms 2 Dw^2 P P and the weight terms
-    D^2 W W P are each D^3 Dw^2 times their rational values.
+    D^2 W W P are each D^3 Dw^2 times their rational values.  For M the
+    largest |table entry|, a coordinate of D P P is at most dim^2 M^3, which
+    bounds the packed sums.
 
     In each pairing (ij)(kl), (ik)(jl), (il)(jk) the first pair holds the
-    tuple's leading index i, so D P_ib P_cd is read off the integer
-    operator of P_ib as the sum of P_cd[n] times its column n.  The
-    operators of one leading index are built when first needed and
-    dropped when i moves on.
+    tuple's leading index i, so D P_ib P_cd is the sum of P_cd[n] times
+    column n of the packed operator of P_ib.  The operators of one leading
+    index are built when first needed and dropped when i moves on.  With a
+    weight, a pairing of (pq) with (rs) contributes the symmetric form
+    2 Dw^2 D P_pq P_rs - D^2 (W_p W_q P_rs + W_r W_s P_pq): the same product
+    on pair vectors extended by W_p W_q at index dim, in the table times
+    2 Dw^2 extended by e_n e_dim = -D^2 e_n and e_dim e_dim = 0, so the
+    operators carry the weight terms too.
     """
-    pairs, operator = a._int_rows, a._int_operator
+    pairs, dim = a._int_rows, a.dim
     ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
     c_pair, c_weight = 2 * dw * dw, a._den ** 2
+    m, w = a._int_max, max(map(abs, ws or [0]))
+    pack = _packing(3 * c_pair * dim * dim * m ** 3 + 6 * c_weight * w * w * m)
+    table, vecs = _packed_table(a, pack), pairs
+    if ws is not None:
+        units = [-c_weight * pack(((n, 1),)) for n in range(dim)]
+        table = [[c_pair * t for t in row] + [u] for row, u in zip(table, units)] + [units + [0]]
+        vecs = [[pairs[p][q] + (((dim, ws[p] * ws[q]),) if ws[p] * ws[q] else ())
+                 for q in range(dim)] for p in range(dim)]
     lead = None
-    for t in itertools.combinations_with_replacement(range(a.dim), 4):
+    for t in itertools.combinations_with_replacement(range(dim), 4):
         i, j, k, l = t
         if i != lead:
-            lead, row, ops = i, pairs[i], [None] * a.dim
-        acc = {}
-        for b, y in ((j, pairs[k][l]), (k, pairs[j][l]), (l, pairs[j][k])):
+            lead, row, ops = i, vecs[i], [None] * dim
+        acc = 0
+        for b, y in ((j, vecs[k][l]), (k, vecs[j][l]), (l, vecs[j][k])):
             if row[b] and y:
                 op = ops[b]
                 if op is None:
-                    op = ops[b] = operator(row[b])
-                for n, v in y:
-                    _add_to(acc, op[n], c_pair * v)
-        if ws is not None:
-            for (p, q), (r, s) in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)),
-                                   ((k, l), (i, j)), ((j, l), (i, k)), ((j, k), (i, l))):
-                c = ws[p] * ws[q]
-                if c:
-                    _add_to(acc, pairs[r][s], -c_weight * c)
-        if any(acc.values()):
+                    op = ops[b] = _operator(table, row[b])
+                acc += sum(v * op[n] for n, v in y)
+        if acc:
             return t
     return None
 
@@ -202,23 +242,20 @@ def _scan_degree3(a, weight):
     """First basis triple where the linearized cubic form is nonzero.
 
     The product terms Dw (D e_p e_q) e_r and the weight terms D W P are
-    each D^2 Dw times their rational values.
+    each D^2 Dw times their rational values; their coordinates are at most
+    Dw dim M^2 and D W M.
     """
-    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    pairs, dim = a._int_rows, a.dim
     ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
-    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+    m, w = a._int_max, max(map(abs, ws or [0]))
+    table = _packed_table(a, _packing(3 * dw * dim * m * m + 3 * a._den * w * m))
+    for t in itertools.combinations_with_replacement(range(dim), 3):
         i, j, k = t
-        acc = {}
-        for r, (p, q) in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
-            x = pairs[p][q]
-            if x:
-                _add_to(acc, mul(x, units[r]), dw)
+        terms = ((k, (i, j)), (j, (i, k)), (i, (j, k)))
+        acc = dw * sum(v * table[n][r] for r, (p, q) in terms for n, v in pairs[p][q])
         if ws is not None:
-            for r, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                c = ws[r]
-                if c:
-                    _add_to(acc, pairs[p][q], -a._den * c)
-        if any(acc.values()):
+            acc -= a._den * sum(ws[r] * table[p][q] for r, (p, q) in terms)
+        if acc:
             return t
     return None
 
@@ -227,34 +264,33 @@ def _scan_jordan(a):
     """First ((x-triple), y) where the linearized Jordan form is nonzero.
 
     Both terms e_m (P e_y) and P (D e_m e_y) of each summand are D^3 times
-    their rational values, so the form needs no further weighting.
+    their rational values, so the form needs no further weighting, and a
+    coordinate of either is at most dim^2 M^3.  Both are read off packed
+    pair operators: e_m (P e_y) is the sum of P[n] times column m of the
+    operator of D e_n e_y, and P (D e_m e_y) the sum of (D e_m e_y)[n]
+    times column n of the operator of P.  Each pair's operator is built
+    once per scan, when first needed.
     """
-    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
-    # P e_y and P (D e_m e_y) recur across tuples, so each is computed once
-    # per scan; e_m (P e_y) is met by one (tuple, y) only and is not kept
-    xys, pps = {}, {}
-    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+    pairs, dim = a._int_rows, a.dim
+    table = _packed_table(a, _packing(6 * dim * dim * a._int_max ** 3))
+    ops = {}
+
+    def op(p, q):
+        o = ops.get((p, q))
+        if o is None:
+            o = ops[p, q] = ops[q, p] = _operator(table, pairs[p][q])
+        return o
+
+    for t in itertools.combinations_with_replacement(range(dim), 3):
         i, j, k = t
-        for y in range(a.dim):
-            acc = {}
-            for m, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                x = pairs[p][q]
-                if not x:
-                    continue
-                xy = xys.get((p, q, y))
-                if xy is None:
-                    xy = xys[p, q, y] = mul(x, units[y])
-                if xy:
-                    _add_to(acc, mul(units[m], xy), 1)
-                my = pairs[m][y]
-                if my:
-                    pq, ym = (p, q), (min(m, y), max(m, y))
-                    key = (pq, ym) if pq <= ym else (ym, pq)
-                    pp = pps.get(key)
-                    if pp is None:
-                        pp = pps[key] = mul(x, my)
-                    _add_to(acc, pp, -1)
-            if any(acc.values()):
+        terms = [(m, pairs[p][q], op(p, q))
+                 for m, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))) if pairs[p][q]]
+        for y in range(dim):
+            acc = 0
+            for m, x, x_op in terms:
+                acc += sum(v * op(n, y)[m] for n, v in x if pairs[n][y])
+                acc -= sum(v * x_op[n] for n, v in pairs[m][y])
+            if acc:
                 return t, y
     return None
 

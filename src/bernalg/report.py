@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import CHAIN_KINDS, FULL, NilpotencyReport
+from .algebra import CHAIN_KINDS, FULL, NilpotencyReport, _check_max_steps
 from .bernstein import Analysis, check_peirce_relations
 # bench/tests reads report.check_identity, so the name stays importable here
 from .identities import Witness, check_identity  # noqa: F401
@@ -152,7 +152,9 @@ def chain_certificate(n: Subspace, n_chain) -> dict:
 
 def certificate_summary(algebra, n: Subspace, gens, max_steps=None) -> dict:
     """Decomposition certificate summary, fully checked; by default the
-    ideal generators are the RREF basis rows of N itself."""
+    ideal generators are the RREF basis rows of N itself.  A max_steps
+    below 1 raises ValueError: it is a bad argument, not a failed check."""
+    _check_max_steps(max_steps)
     if gens is None:
         gens = [algebra.element(row) for row in n.rows]
     try:

@@ -205,6 +205,67 @@ def reference_scan_degree4(a, weight):
     return None
 
 
+def reference_scan_degree3(a, weight):
+    """First basis triple where the linearized cubic form is nonzero.
+
+    `identities._scan_degree3` before it ran on packed integers: one dict
+    accumulation per triple, kept verbatim as its reference.
+    """
+    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
+    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+        i, j, k = t
+        acc = {}
+        for r, (p, q) in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
+            x = pairs[p][q]
+            if x:
+                _add_to(acc, mul(x, units[r]), dw)
+        if ws is not None:
+            for r, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+                c = ws[r]
+                if c:
+                    _add_to(acc, pairs[p][q], -a._den * c)
+        if any(acc.values()):
+            return t
+    return None
+
+
+def reference_scan_jordan(a):
+    """First ((x-triple), y) where the linearized Jordan form is nonzero.
+
+    `identities._scan_jordan` before it ran on packed integers: one dict
+    accumulation per (triple, y), kept verbatim as its reference.
+    """
+    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    # P e_y and P (D e_m e_y) recur across tuples, so each is computed once
+    # per scan; e_m (P e_y) is met by one (tuple, y) only and is not kept
+    xys, pps = {}, {}
+    for t in itertools.combinations_with_replacement(range(a.dim), 3):
+        i, j, k = t
+        for y in range(a.dim):
+            acc = {}
+            for m, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
+                x = pairs[p][q]
+                if not x:
+                    continue
+                xy = xys.get((p, q, y))
+                if xy is None:
+                    xy = xys[p, q, y] = mul(x, units[y])
+                if xy:
+                    _add_to(acc, mul(units[m], xy), 1)
+                my = pairs[m][y]
+                if my:
+                    pq, ym = (p, q), (min(m, y), max(m, y))
+                    key = (pq, ym) if pq <= ym else (ym, pq)
+                    pp = pps.get(key)
+                    if pp is None:
+                        pp = pps[key] = mul(x, my)
+                    _add_to(acc, pp, -1)
+            if any(acc.values()):
+                return t, y
+    return None
+
+
 def reference_left_mult_matrix(a, x, restrict_to=None) -> Matrix:
     """Multiplication by x in the RREF coordinates of `restrict_to` (the
     whole space by default), read column by column through `coords_of`:

@@ -357,6 +357,13 @@ def test_single_subcommand_parser_matches_the_full_build(name):
     assert single.format_usage() == full.format_usage()
 
 
+def test_subcommand_parsers_are_built_once_and_typos_are_not_kept():
+    assert cli.build_parser("check") is cli.build_parser("check")
+    for name in ("bogus", "chek", None):
+        assert cli.build_parser(name) is not cli.build_parser(name)
+    assert cli._subcommand_parser.cache_info().currsize <= len(cli.COMMANDS)
+
+
 @pytest.mark.parametrize("argv", [["check", path("bdown3.alg"), "extra"],
                                   ["powers", path("bdown3.alg"), "--kind", "weird"],
                                   ["bogus"], ["--json"], []])
@@ -368,6 +375,15 @@ def test_argparse_errors_exit_2_with_the_full_usage(argv, capsys):
     assert "error: " in err
     if argv[:1] != ["powers"]:
         assert cli.build_parser().format_usage() in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["check", path("bdown3.alg")],
+                                  ["powers", path("bdown3.alg"), "--kind", "full"],
+                                  ["decompose", path("bdown3.alg")]])
+def test_max_steps_below_one_exits_2_with_a_plain_message(argv, value, capsys):
+    code, out, err = run_cli(argv + ["--max-steps", value], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: max_steps must be >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [["decompose", path("bdown3.alg"), "--gens", "zz"],

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernalg import (QQ, CommAlgebra, Identity, PrimeField, Witness, check_identity, from_algebra,
                      identity_defect, make_family, parse, plenary_power, serialize,
@@ -13,7 +14,8 @@ from bernalg import identities
 
 from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
                       non_nilpotent_baric, random_table_algebra, reference_identity_defect,
-                      reference_products, reference_scan_degree4,
+                      rebased, reference_products, reference_scan_degree3,
+                      reference_scan_degree4, reference_scan_jordan,
                       reference_witness_from_tuple, scaled_copy)
 
 ALL_IDENTITIES = tuple(Identity)
@@ -416,6 +418,120 @@ def test_pair_operator_scan_returns_the_bilinear_first_failing_tuple(name, a, we
     for b, w in copies:
         for wt in dict.fromkeys((w, None)):
             assert identities._scan_degree4(b, wt) == reference_scan_degree4(b, wt), (name, wt)
+
+
+# ---------------------------------------------------------------- packed scans
+
+
+def _assert_scans_match_the_references(a, weight, label):
+    for w in dict.fromkeys((weight, None)):
+        assert identities._scan_degree4(a, w) == reference_scan_degree4(a, w), (label, w)
+        assert identities._scan_degree3(a, w) == reference_scan_degree3(a, w), (label, w)
+    assert identities._scan_jordan(a) == reference_scan_jordan(a), label
+
+
+@pytest.mark.parametrize("name, a, weight", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_packed_cubic_and_jordan_scans_return_the_reference_first_failing_tuple(name, a, weight):
+    copies = [(a, weight)]
+    if a.dim <= 6:
+        copies += [change_of_basis_copy(a, weight, 1), scaled_copy(a, weight)]
+    for b, w in copies:
+        for wt in dict.fromkeys((w, None)):
+            assert identities._scan_degree3(b, wt) == reference_scan_degree3(b, wt), (name, wt)
+        assert identities._scan_jordan(b) == reference_scan_jordan(b), name
+
+
+def _big_rational(draw, digits):
+    """Zero, or a rational of mixed sign with up to `digits` digits in its
+    numerator and its denominator."""
+    if draw(st.integers(0, 2)) == 0:
+        return Fraction(0)
+    cap = 10 ** draw(st.integers(0, digits))
+    return Fraction(draw(st.integers(-cap, cap)), draw(st.integers(1, cap)))
+
+
+@st.composite
+def big_tables(draw, digits=300):
+    """(algebra, weight) on dim 2..5 with big rational entries.  Triangular
+    tables map e_i e_j into indices below min(i, j), so many tuples vanish
+    and the scans run past the first ones."""
+    dim = draw(st.integers(2, 5))
+    triangular = draw(st.booleans())
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            top = min(i, j) if triangular else dim
+            products[i, j] = [_big_rational(draw, digits) if k < top else 0 for k in range(dim)]
+    a = CommAlgebra([f"b{i}" for i in range(dim)], products)
+    return a, tuple(_big_rational(draw, digits) for _ in range(dim))
+
+
+@given(big_tables())
+@settings(max_examples=60, deadline=None)
+def test_packed_scans_return_the_reference_first_failing_tuple_on_big_tables(case):
+    _assert_scans_match_the_references(*case, "big table")
+
+
+def test_packed_scans_match_the_references_near_max_digits():
+    # numerators and denominators just under MAX_DIGITS, on a random
+    # triangular table and on a Bernstein algebra in a huge diagonal basis,
+    # whose Bernstein scan runs to the end
+    rng = fresh_rng(5)
+
+    def huge():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10 ** 997, 10 ** 998),
+                        rng.randint(10 ** 996, 10 ** 997))
+
+    dim = 4
+    a = CommAlgebra([f"b{i}" for i in range(dim)],
+                    {(i, j): [huge() if k < min(i, j) else 0 for k in range(dim)]
+                     for i in range(dim) for j in range(i, dim)})
+    _assert_scans_match_the_references(a, tuple(huge() for _ in range(dim)), "triangular")
+    b = make_family("bdown", 2)
+    c, w = rebased(b.algebra, b.weight, [[huge() if j == i else 0 for j in range(b.dim)]
+                                         for i in range(b.dim)])
+    assert identities._scan_degree4(c, w) is None
+    _assert_scans_match_the_references(c, w, "bdown2 rescaled")
+
+
+# integer tables (e0 e0, e0 e1, e1 e1), each with the tuple where its scan
+# first fails: there the sum vector (s0, s1) is nonzero but s0 + s1 2^B = 0
+# for B = bitlen(M) + 2, M the largest entry, so packing at a width bounded
+# by the entries alone, not by the growth of the products, would lose it
+CARRY_TABLES = {
+    "quartic": (((-2, -1), (-2, 1), (0, 1)), (0, 0, 0, 0)),
+    "cubic": (((-6, 1), (-4, 5), (-6, -6)), (0, 0, 0)),
+    "jordan": (((-5, -5), (-4, -3), (4, -3)), ((0, 0, 0), 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(CARRY_TABLES))
+def test_packed_scans_keep_a_failure_whose_sum_carries_at_the_entry_width(name):
+    (t00, t01, t11), first = CARRY_TABLES[name]
+    a = CommAlgebra(["b0", "b1"], {(0, 0): t00, (0, 1): t01, (1, 1): t11})
+    scan = {"quartic": reference_scan_degree4, "cubic": reference_scan_degree3,
+            "jordan": lambda b, _: reference_scan_jordan(b)}[name]
+    assert scan(a, None) == first
+    _assert_scans_match_the_references(a, None, name)
+
+
+@given(st.integers(0, 10 ** 300), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packing_is_injective_on_vectors_within_the_bound(bound, data):
+    pack = identities._packing(bound)
+    n = data.draw(st.integers(1, 6))
+    vector = st.lists(st.sampled_from((-bound, 0, bound)) | st.integers(-bound, bound),
+                      min_size=n, max_size=n)
+    u, v = data.draw(vector), data.draw(vector)
+    assert (pack(tuple(enumerate(u))) == pack(tuple(enumerate(v)))) == (u == v)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 2 ** 64 - 1, 2 ** 64, 10 ** 300])
+def test_packing_keeps_the_corners_of_the_bound_box_apart(bound):
+    pack = identities._packing(bound)
+    digits = sorted({-bound, 1 - bound, -1, 0, 1, bound - 1, bound} if bound else {0})
+    vectors = list(itertools.product(digits, repeat=3))
+    assert len({pack(tuple(enumerate(v))) for v in vectors}) == len(vectors)
 
 
 # ---------------------------------------------------------------- integer defects
