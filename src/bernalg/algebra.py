@@ -11,12 +11,15 @@ reporting.  Every first-order chain T -> step(T) goes through
 Every product runs on one integer table, the structure constants times D
 (the lcm of their denominators; 1 over GF(p)), through one kernel: it
 serves `mul_coords`, `subspace_product` and the identity scans.  The
-field clears each operand to integers and maps results back.
+field clears each operand to integers, the kernel takes them as sparse
+vectors and returns the product as a dense row of ints, and the field
+maps results back.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -115,14 +118,16 @@ class CommAlgebra:
         back, den = self.field.back, self._den
         return tuple((k, back(v, den)) for k, v in self._int_rows[i][j]) or None
 
-    def _int_mul(self, x, y) -> tuple:
-        """D x y for sparse integer vectors x and y.
+    def _int_mul(self, x, y) -> list:
+        """D x y for sparse integer vectors x and y, as a dense list.
 
         The integer kernel every product runs on.  A sparse vector is a
-        tuple of (index, int) pairs without zero entries, so () is zero.
+        tuple of (index, int) pairs without zero entries, so () is zero;
+        the product is accumulated into, and returned as, one list of
+        `dim` ints.
         """
         rows = self._int_rows
-        acc = {}
+        acc = [0] * self.dim
         for i, xi in x:
             ri = rows[i]
             for j, yj in y:
@@ -130,19 +135,17 @@ class CommAlgebra:
                 if row:
                     c = xi * yj
                     for k, t in row:
-                        acc[k] = acc.get(k, 0) + c * t
-        return tuple((k, v) for k, v in acc.items() if v)
+                        acc[k] += c * t
+        return acc
 
     def mul_coords(self, x, y) -> tuple:
         (xs, dx), (ys, dy) = self.field.clear(x), self.field.clear(y)
         return self._back(self._int_mul(_sparse(xs), _sparse(ys)), self._den * dx * dy)
 
     def _back(self, v, scale: int) -> tuple:
-        """The coordinates of v / scale, for a sparse integer vector v."""
-        out = [self.field.zero] * self.dim
-        for k, c in v:
-            out[k] = self.field.back(c, scale)
-        return tuple(out)
+        """The coordinates of v / scale, for a dense integer vector v."""
+        back, zero = self.field.back, self.field.zero
+        return tuple(back(c, scale) if c else zero for c in v)
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
         if x.algebra is not self or y.algebra is not self:
@@ -165,9 +168,7 @@ class CommAlgebra:
         xs, reduce = _sparse(x), self.field.reduce
         cols = []
         for r in rows:
-            y = [0] * self.dim
-            for k, v in self._int_mul(xs, _sparse(r)):
-                y[k] = v
+            y = self._int_mul(xs, _sparse(r))
             col = [y[p] for p in s.pivots]
             if any(reduce([scale * t - u for t, u in zip(y, combine_rows(col, rows))])):
                 raise ValueError("restriction subspace is not invariant under this multiplication")
@@ -195,9 +196,8 @@ class CommAlgebra:
             rows = [_sparse(r) for r in s1.int_rows]
             pairs = (itertools.combinations_with_replacement(rows, 2) if len(key) == 1
                      else itertools.product(rows, [_sparse(r) for r in s2.int_rows]))
-            sparse = (dict(p) for p in itertools.starmap(self._int_mul, pairs) if p)
-            zeros = itertools.repeat(0)
-            prods = dict.fromkeys(tuple(map(p.get, range(self.dim), zeros)) for p in sparse)
+            prods = dict.fromkeys(tuple(p) for p in itertools.starmap(self._int_mul, pairs)
+                                  if any(p))
             hit = self._products[key] = Subspace.of_int_rows(prods, self.dim, self.field)
         return hit
 
@@ -321,23 +321,29 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
     the terms repeat), a pair of closed runs contributes exactly at
     a_j + a_l <= i <= b_j + b_l, and a pair (j, k) from i = a_j + a_k on.
     The term can therefore change only at the breakpoints a_j + a_l,
-    b_j + b_l + 1 and a_j + a_k, and is computed only there.  The last
-    breakpoint is 2 * a_k: a plateau that has held through twice its start
-    position repeats forever, so a single repeated term does not end the
-    chain but running out of breakpoints does.
+    b_j + b_l + 1 and a_j + a_k, and is computed only there.  The future
+    breakpoints are kept in a heap as the chain grows: when run k opens at
+    a_k it adds a_j + a_k for every run j, and when it closes at b_k it
+    adds b_j + b_k + 1 for every closed run j (its pairs' starts are in
+    already).  The last breakpoint is 2 * a_k: a plateau that has held
+    through twice its start position repeats forever, so a single repeated
+    term does not end the chain but running out of breakpoints does.
     """
     runs = [Run(1, 1, s)]
     if s.is_zero():
         return runs, True, 1
+    points, products = [2], {}
     while True:
         last = runs[-1]
-        pos = _next_breakpoint(runs, last.end)
-        if pos is None:
+        while points and points[0] <= last.end:
+            heapq.heappop(points)
+        if not points:
             return runs, True, None
+        pos = points[0]
         if max_steps is not None and pos > max_steps:
             runs[-1] = last._replace(end=max_steps)
             return runs, False, None
-        new = _full_term(a, runs, pos)
+        new = _full_term(a, runs, pos, products)
         if new == last.term:
             runs[-1] = last._replace(end=pos)
             continue
@@ -348,27 +354,35 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
         runs.append(Run(pos, pos, new))
         if new.is_zero():
             return runs, True, pos
+        for r in runs:
+            heapq.heappush(points, r.start + pos)
+            if r.end < pos:
+                heapq.heappush(points, r.end + pos)
 
 
-def _next_breakpoint(runs, pos: int) -> int | None:
-    """The first position after pos where the contributing run pairs change."""
+def _full_term(a: CommAlgebra, runs, pos: int, products: dict) -> Subspace:
+    """S^pos, the sum of the distinct products of the run pairs that
+    contribute at pos.
+
+    The product T_j T_l is read from the chain's table `products` under
+    the run indices (j, l), j <= l, and filled once through the algebra's
+    memoised `subspace_product`.  The products are summed largest first,
+    and one whose rows all lie in the running sum is skipped.
+    """
     *closed, last = runs
-    points = [r.start + last.start for r in runs]
-    for rj, rl in itertools.combinations_with_replacement(closed, 2):
-        points += (rj.start + rl.start, rj.end + rl.end + 1)
-    return min((p for p in points if p > pos), default=None)
-
-
-def _full_term(a: CommAlgebra, runs, pos: int) -> Subspace:
-    """S^pos, each distinct product of a contributing run pair summed once."""
-    *closed, last = runs
-    products = {a.subspace_product(r.term, last.term): None
-                for r in runs if r.start + last.start <= pos}
-    for rj, rl in itertools.combinations_with_replacement(closed, 2):
-        if rj.start + rl.start <= pos <= rj.end + rl.end:
-            products[a.subspace_product(rj.term, rl.term)] = None
-    rows = dict.fromkeys(row for p in products for row in p.int_rows)
-    return Subspace.of_int_rows(rows, a.dim, a.field)
+    pairs = [(j, len(closed)) for j, r in enumerate(runs) if r.start + last.start <= pos]
+    pairs += [(j, l) for (j, rj), (l, rl) in
+              itertools.combinations_with_replacement(enumerate(closed), 2)
+              if rj.start + rl.start <= pos <= rj.end + rl.end]
+    for j, l in pairs:
+        if (j, l) not in products:
+            products[j, l] = a.subspace_product(runs[j].term, runs[l].term)
+    terms = sorted(dict.fromkeys(products[p] for p in pairs), key=lambda t: t.dim, reverse=True)
+    total = terms[0]
+    for t in terms[1:]:
+        if not all(map(total.contains_int, t.int_rows)):
+            total = total.plus(t)
+    return total
 
 
 def iterate_chain(start: Subspace, step, cap: int | None = None):

@@ -174,8 +174,7 @@ def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
     rows = [_sparse(r) for r in u._common_pivot_rows()[0]]
     system = []
     for y in rows:
-        prods = [dict(a._int_mul(x, y)) for x in rows]
-        system += [[p.get(t, 0) for p in prods] for t in set().union(*prods)]
+        system += zip(*(a._int_mul(x, y) for x in rows))
     return u.span_of_coords(Subspace.of_int_rows(system, u.dim, a.field).null_space())
 
 

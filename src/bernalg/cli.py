@@ -26,6 +26,12 @@ from .report import (build_report, certificate_summary, check_json, coords_json,
                      emit_report, flags_json, mult_closure_json, subspace_json)
 
 
+# `powers` lists one term per chain position, and a full chain's length
+# grows with its nil index (2^29 + 1 for squareshift(30)), so a longer
+# listing is refused before it is expanded
+MAX_LISTED_POSITIONS = 10_000
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -200,6 +206,11 @@ def cmd_powers(args) -> int:
         algebra = alg.algebra if isinstance(alg, BaricAlgebra) else alg
         start = algebra.full_space()
     chain = power_chain(algebra, start, args.kind, args.max_steps)
+    length = chain.runs[-1].end
+    if length > MAX_LISTED_POSITIONS:
+        raise ValueError(f"the {args.kind} chain has {length} positions and powers lists "
+                         f"at most {MAX_LISTED_POSITIONS}; pass --max-steps "
+                         f"{MAX_LISTED_POSITIONS} or less to truncate it")
     payload = {
         "kind": chain.kind,
         "term_dims": [t.dim for t in chain.terms],

@@ -121,46 +121,48 @@ def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=No
 
 def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
     """(v, m): the defect of the identity at the sparse integer vectors xs
-    (in the order of `ident.variables`) as the sparse integer vector v = m
+    (in the order of `ident.variables`) as the dense integer vector v = m
     times it, m > 0.  The weight enters as the integers ws = Dw * weight.
     With D x y the kernel's product, every term is weighted to the same
-    multiple m of the powers of D and Dw."""
-    mul, d = a._int_mul, a._den
+    multiple m of the powers of D and Dw.  Products of products re-enter
+    the kernel as sparse vectors."""
+    d = a._den
+
+    def mul(x, y):
+        return _sparse(a._int_mul(x, y))
+
     x = xs[0]
     if ident is Identity.JACOBI:
         y, z = xs[1], xs[2]
-        return _combination((1, mul(mul(x, y), z)), (1, mul(mul(y, z), x)),
+        return _combination(a.dim, (1, mul(mul(x, y), z)), (1, mul(mul(y, z), x)),
                             (1, mul(mul(z, x), y))), d * d
     sq = mul(x, x)                      # D x^2
     if ident is Identity.JORDAN:
         y = xs[1]
-        return _combination((1, mul(x, mul(sq, y))), (-1, mul(sq, mul(x, y)))), d ** 3
+        return _combination(a.dim, (1, mul(x, mul(sq, y))), (-1, mul(sq, mul(x, y)))), d ** 3
     if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
         quad = mul(sq, sq)              # D^3 (x^2)^2
         if ident is Identity.SQUARE_SQUARE_ZERO:
-            return quad, d ** 3
+            return _combination(a.dim, (1, quad)), d ** 3
         w = sum(ws[k] * c for k, c in x)    # Dw w(x)
-        return _combination((dw * dw, quad), (-d * d * w * w, sq)), d ** 3 * dw * dw
+        return _combination(a.dim, (dw * dw, quad), (-d * d * w * w, sq)), d ** 3 * dw * dw
     cube = mul(sq, x)                   # D^2 x^3
     if ident is Identity.CUBE_ZERO:
-        return cube, d * d
+        return _combination(a.dim, (1, cube)), d * d
     if ident is Identity.CUBE_WEIGHT:
         w = sum(ws[k] * c for k, c in x)
-        return _combination((dw, cube), (-d * w, sq)), d * d * dw
+        return _combination(a.dim, (dw, cube), (-d * w, sq)), d * d * dw
     raise ValueError(f"unknown identity {ident!r}")
 
 
-def _combination(*terms) -> tuple:
-    """sum c * vec over the (c, vec) terms, as a sparse integer vector."""
-    acc = {}
+def _combination(dim: int, *terms) -> list:
+    """sum c * vec over the (c, vec) terms of sparse integer vectors, as a
+    dense list of dim ints."""
+    acc = [0] * dim
     for c, vec in terms:
-        _add_to(acc, vec, c)
-    return tuple((k, v) for k, v in acc.items() if v)
-
-
-def _add_to(acc: dict, vec, c: int) -> None:
-    for k, v in vec:
-        acc[k] = acc.get(k, 0) + c * v
+        for k, v in vec:
+            acc[k] += c * v
+    return acc
 
 
 def _packing(bound: int):
@@ -323,7 +325,7 @@ def _witness_from_tuple(a, ident, weight, xs, y_index):
     y = () if y_index is None else (((y_index, 1),),)
     for x in _subset_sums(xs):
         v, m = _int_defect(a, ident, (x, *y), ws, dw)
-        if v:
+        if any(v):
             assignment = {"x": a.element([dict(x).get(k, 0) for k in range(a.dim)])}
             if y_index is not None:
                 assignment["y"] = a.basis_element(y_index)

@@ -9,7 +9,7 @@ import pytest
 from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, Matrix, PeirceData,
                      PrimeField, Subspace, Witness, bernstein_witnesses,
                      find_idempotent, make_family, peirce, weight_of)
-from bernalg.algebra import induced_table
+from bernalg.algebra import _sparse, induced_table
 from bernalg.bernstein import NotBernsteinError
 from bernalg.identities import _weight_for
 
@@ -173,6 +173,12 @@ def reference_rref(rows, cols, field):
     return reduced, tuple(pivots)
 
 
+def sparse_int_mul(a):
+    """`a._int_mul` with its dense product turned back into a sparse
+    vector, the form the reference scans below compose and accumulate."""
+    return lambda x, y: _sparse(a._int_mul(x, y))
+
+
 def _add_to(acc: dict, vec, c: int) -> None:
     for k, v in vec:
         acc[k] = acc.get(k, 0) + c * v
@@ -184,7 +190,7 @@ def reference_scan_degree4(a, weight):
     `identities._scan_degree4` before it applied pair operators: one full
     bilinear integer product per pairing, kept verbatim as its reference.
     """
-    pairs, mul = a._int_rows, a._int_mul
+    pairs, mul = a._int_rows, sparse_int_mul(a)
     ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
     c_pair, c_weight = 2 * dw * dw, a._den ** 2
     for t in itertools.combinations_with_replacement(range(a.dim), 4):
@@ -211,7 +217,7 @@ def reference_scan_degree3(a, weight):
     `identities._scan_degree3` before it ran on packed integers: one dict
     accumulation per triple, kept verbatim as its reference.
     """
-    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    pairs, mul, units = a._int_rows, sparse_int_mul(a), [((k, 1),) for k in range(a.dim)]
     ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
     for t in itertools.combinations_with_replacement(range(a.dim), 3):
         i, j, k = t
@@ -236,7 +242,7 @@ def reference_scan_jordan(a):
     `identities._scan_jordan` before it ran on packed integers: one dict
     accumulation per (triple, y), kept verbatim as its reference.
     """
-    pairs, mul, units = a._int_rows, a._int_mul, [((k, 1),) for k in range(a.dim)]
+    pairs, mul, units = a._int_rows, sparse_int_mul(a), [((k, 1),) for k in range(a.dim)]
     # P e_y and P (D e_m e_y) recur across tuples, so each is computed once
     # per scan; e_m (P e_y) is met by one (tuple, y) only and is not kept
     xys, pps = {}, {}

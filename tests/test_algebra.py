@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (CommAlgebra, Matrix, PrimeField, Subspace, generated_ideal,
+from bernalg import (QQ, CommAlgebra, Matrix, PrimeField, Subspace, generated_ideal,
                      generated_subalgebra, is_ideal, make_family,
                      nilpotency_report, power_chain, plenary_power,
                      subalgebra_on)
 from bernalg import algebra as algebra_module
-from bernalg.algebra import ChainCapError
+from bernalg.algebra import ChainCapError, _sparse
 
 from conftest import (change_of_basis_copy, fresh_rng, operator_matrix, random_subspace_in,
                       random_table_algebra, random_vector_in, reference_mul_coords,
@@ -206,6 +206,43 @@ def test_subspace_product_matches_the_field_reference(label, a):
             assert a.subspace_product(s1, s2) == reference_subspace_product(a, s1, s2)
 
 
+@pytest.mark.parametrize("label, a", KERNEL_ALGEBRAS, ids=[c[0] for c in KERNEL_ALGEBRAS])
+def test_int_mul_returns_the_cleared_product_as_a_dense_list(label, a):
+    rng = fresh_rng(len(label) + 2)
+    vectors = [a.basis_element(k).coords for k in range(a.dim)]
+    vectors += [a.zero_element().coords] + [random_coords(rng, a) for _ in range(6)]
+    for x in vectors:
+        for y in vectors:
+            (xs, dx), (ys, dy) = a.field.clear(x), a.field.clear(y)
+            prod = a._int_mul(_sparse(xs), _sparse(ys))
+            assert type(prod) is list and len(prod) == a.dim
+            assert all(type(v) is int for v in prod)
+            # D dx dy x y, read back (over GF(p): modulo p)
+            scale = a._den * dx * dy
+            assert [a.field.back(v, scale) for v in prod] == list(reference_mul_coords(a, x, y))
+
+
+def test_subspace_product_matches_the_reference_on_square_swapped_and_mixed_pairs():
+    rng = fresh_rng(43)
+    for n in range(40):
+        field, dim = (QQ, PrimeField(5))[n % 2], rng.randint(2, 5)
+
+        def fresh():
+            return random_table_algebra(fresh_rng(2000 + n), dim, field)
+        a = fresh()
+        full = a.full_space()
+        s, t = random_subspace_in(rng, full), random_subspace_in(rng, full)
+        twin = Subspace.of_int_rows(s.int_rows, dim, field)  # equal to s, another object
+        pairs = [(s, s), (s, twin), (s, t), (t, s), (s, a.zero_space()), (a.zero_space(), s),
+                 (full, s), (s, full), (full, full), (s, s.plus(t)), (s.meet(t), t)]
+        for x, y in pairs:
+            want = reference_subspace_product(a, x, y)
+            # on the shared algebra a product may come from the memo, filled
+            # by the swapped or an equal pair; a fresh algebra computes it
+            assert a.subspace_product(x, y) == want, (n, x.int_rows, y.int_rows)
+            assert fresh().subspace_product(x, y) == want, (n, x.int_rows, y.int_rows)
+
+
 def test_product_monotone():
     rng = fresh_rng(5)
     a = make_family("bdown", 4).algebra
@@ -385,6 +422,34 @@ def test_truncated_full_chains_match_reference():
         for max_steps in range(1, length + 2):
             chain = assert_full_chain_matches_reference(a, a.full_space(), max_steps)
             assert len(chain.terms) == min(max_steps, length)
+
+
+def test_full_chains_of_random_lines_and_planes_match_reference():
+    # the span of one or two random vectors, which is mostly not a subalgebra
+    rng = fresh_rng(41)
+    subalgebras = 0
+    for _ in range(120):
+        a = random_table_algebra(rng, rng.randint(2, 5))
+        s = Subspace([random_vector_in(rng, a.full_space())
+                      for _ in range(rng.choice((1, 1, 2)))], a.dim)
+        chain = assert_full_chain_matches_reference(a, s)
+        subalgebras += generated_subalgebra(a, map(a.element, s.rows)) == s
+        length = chain.runs[-1].end
+        for max_steps in sorted({1, 2, max(length // 2, 1), length, length + 1}):
+            assert_full_chain_matches_reference(a, s, max_steps)
+    assert subalgebras < 60
+
+
+def test_full_chain_computes_each_run_pair_product_once(monkeypatch):
+    a = make_family("squareshift", 12)
+    calls = []
+    original = a.subspace_product
+    monkeypatch.setattr(a, "subspace_product",
+                        lambda s1, s2: calls.append(1) or original(s1, s2))
+    chain = power_chain(a, a.full_space(), "full")
+    runs = len(chain.runs)
+    assert (runs, chain.nil_index) == (13, 2 ** 11 + 1)
+    assert 0 < len(calls) <= runs * (runs + 1) // 2
 
 
 def test_full_chain_term_past_the_stored_positions():

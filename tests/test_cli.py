@@ -334,6 +334,22 @@ def test_full_chain_cap_exits_2_without_traceback(tmp_path, capsys, monkeypatch)
     assert err.startswith("error: full power chain did not stabilize")
 
 
+def test_powers_refuses_a_listing_longer_than_the_position_cap(tmp_path, capsys):
+    # squareshift(15): 16 runs of equal terms over 2^14 + 1 positions, just
+    # past the cap, so that a listing that is not refused stays small
+    f = tmp_path / "sq15.alg"
+    f.write_text(serialize(from_algebra(make_family("squareshift", 15), "sq15")))
+    code, out, err = run_cli(["powers", str(f), "--kind", "full", "--json"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    for word in (str(2 ** 14 + 1), str(cli.MAX_LISTED_POSITIONS), "--max-steps"):
+        assert word in err
+    code, out, err = run_cli(["powers", str(f), "--kind", "full", "--json",
+                              "--max-steps", "40"], capsys=capsys)
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["term_dims"]) == 40
+
+
 def test_check_json_reaches_an_exponential_full_nil_index(tmp_path, capsys):
     # squareshift(15) holds 16 runs of equal terms over 16385 positions
     f = tmp_path / "sq15.alg"
