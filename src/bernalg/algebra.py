@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import QQ
@@ -56,26 +55,32 @@ class CommAlgebra:
         self.basis_names = names
         self.dim = len(names)
         self.field = field
-        table = {}
+        # each pair's nonzero entries as (indices, field scalars); two flat
+        # lists, as a pair object per entry would only feed the collector
+        table, of = {}, field.of
         for (i, j), coords in products.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"basis index out of range in product ({i},{j})")
             key = (i, j) if i <= j else (j, i)
-            coords = tuple(field.of(x) for x in coords)
             if len(coords) != self.dim:
                 raise ValueError(f"product vector for {key} has wrong length")
-            if key in table and table[key] != coords:
+            ks = [k for k, x in enumerate(coords) if x]
+            row = (ks, [of(coords[k]) for k in ks])
+            # an entry can still be zero in the field (a multiple of p), so
+            # rows compare, and the integer table keeps, nonzero entries only
+            if key in table and _nonzero(table[key]) != _nonzero(row):
                 raise ValueError(f"conflicting products for basis pair {key}")
-            table[key] = coords
-        # all-zero rows are dropped: unspecified pairs multiply to zero anyway
-        table = {key: coords for key, coords in table.items() if any(coords)}
-        # the integer table, D times the structure constants, indexed [i][j]
-        ints, self._den = field.clear([c for coords in table.values() for c in coords])
+            table[key] = row
+        # the integer table, D times the structure constants, indexed [i][j];
+        # pairs without a nonzero constant multiply to zero and keep ()
+        ints, self._den = field.clear([c for _, cs in table.values() for c in cs])
         self._int_max = max(map(abs, ints), default=0)   # bounds the identity scans' sums
         self._int_rows = [[()] * self.dim for _ in range(self.dim)]
-        for n, (i, j) in enumerate(table):
-            row = tuple((k, v) for k, v in enumerate(ints[n * self.dim:(n + 1) * self.dim]) if v)
-            self._int_rows[i][j] = self._int_rows[j][i] = row
+        ints = iter(ints)
+        for (i, j), (ks, _) in table.items():
+            # zip takes exactly len(ks) integers, ks being its first argument
+            self._int_rows[i][j] = self._int_rows[j][i] = tuple(
+                (k, v) for k, v in zip(ks, ints) if v)
         self._products = {}
 
     @classmethod
@@ -83,13 +88,13 @@ class CommAlgebra:
         """Build from a {(name, name): {name: coeff}} table."""
         names = list(basis_names)
         index = {n: i for i, n in enumerate(names)}
-        zero = field.zero
         products = {}
         for (na, nb), combo in named_products.items():
-            coords = [zero] * len(names)
+            # the constructor reads only the nonzero entries into the field
+            coords = [0] * len(names)
             for nc, coeff in combo.items():
-                coords[index[nc]] = field.of(coeff)
-            products[(index[na], index[nb])] = tuple(coords)
+                coords[index[nc]] = coeff
+            products[(index[na], index[nb])] = coords
         return cls(names, products, field)
 
     # -- elements ---------------------------------------------------------
@@ -214,13 +219,17 @@ class CommAlgebra:
         return f"CommAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
 
 
+def _nonzero(row) -> list:
+    """The (index, scalar) pairs of a constructor row whose scalar is nonzero."""
+    return [(k, c) for k, c in zip(*row) if c]
+
+
 def _sparse(ints) -> tuple:
     """The nonzero entries of an integer vector as (index, int) pairs."""
     return tuple((k, v) for k, v in enumerate(ints) if v)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """An algebra element held by its coordinate vector."""
 
     algebra: CommAlgebra
@@ -279,8 +288,7 @@ class Run(NamedTuple):
     term: Subspace
 
 
-@dataclass(frozen=True)
-class PowerChain:
+class PowerChain(NamedTuple):
     """One computed power chain, held as runs of equal terms; position 1 is
     the starting subspace itself.
 
@@ -367,13 +375,19 @@ def _full_term(a: CommAlgebra, runs, pos: int, products: dict) -> Subspace:
     The product T_j T_l is read from the chain's table `products` under
     the run indices (j, l), j <= l, and filled once through the algebra's
     memoised `subspace_product`.  The products are summed largest first,
-    and one whose rows all lie in the running sum is skipped.
+    and one whose rows all lie in the running sum is skipped.  Runs are
+    contiguous, so their starts and ends both increase, and the closed
+    runs l >= j that pair with a closed run j at pos (a_j + a_l <= pos <=
+    b_j + b_l) form an interval, found by bisection.
     """
     *closed, last = runs
     pairs = [(j, len(closed)) for j, r in enumerate(runs) if r.start + last.start <= pos]
-    pairs += [(j, l) for (j, rj), (l, rl) in
-              itertools.combinations_with_replacement(enumerate(closed), 2)
-              if rj.start + rl.start <= pos <= rj.end + rl.end]
+    starts, ends = [r.start for r in closed], [r.end for r in closed]
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        hi = bisect.bisect_right(starts, pos - start, j)
+        if hi <= j:
+            break  # a later run j starts later, so it pairs with none either
+        pairs += [(j, l) for l in range(bisect.bisect_left(ends, pos - end, j), hi)]
     for j, l in pairs:
         if (j, l) not in products:
             products[j, l] = a.subspace_product(runs[j].term, runs[l].term)
@@ -447,8 +461,7 @@ def is_ideal(a: CommAlgebra, s: Subspace) -> bool:
     return a.subspace_product(a.full_space(), s).leq(s)
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     """Nil indices of the three chains; None when the chain does not vanish.
 
     nil_index_full / nil_index_principal follow the power numbering, so

@@ -14,8 +14,8 @@ the RREF views of the subspaces and the witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (CommAlgebra, Element, PRINCIPAL, PowerChain, _sparse, induced_table,
                       is_ideal, power_chain, weight_of)
@@ -32,6 +32,7 @@ class BaricAlgebra:
         self.weight = tuple(algebra.field.of(x) for x in weight)
         if len(self.weight) != algebra.dim:
             raise ValueError("weight vector length does not match the dimension")
+        self._barideal = None
 
     @property
     def field(self):
@@ -42,15 +43,17 @@ class BaricAlgebra:
         return self.algebra.dim
 
     def barideal(self) -> Subspace:
-        """N = ker(weight), the codimension-one ideal of a valid weight."""
-        return Subspace([self.weight], self.dim, self.field).null_space()
+        """N = ker(weight), the codimension-one ideal of a valid weight;
+        solved on the first call and kept, as the weight never changes."""
+        if self._barideal is None:
+            self._barideal = Subspace([self.weight], self.dim, self.field).null_space()
+        return self._barideal
 
     def __repr__(self):
         return f"BaricAlgebra(dim={self.dim}, basis={list(self.algebra.basis_names)})"
 
 
-@dataclass(frozen=True)
-class PeirceData:
+class PeirceData(NamedTuple):
     """Idempotent of weight one with its eigenspace decomposition.
 
     U is the 1/2-eigenspace and V the 0-eigenspace of multiplication by e
@@ -64,8 +67,7 @@ class PeirceData:
     annU: Subspace
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
+class ClassificationFlags(NamedTuple):
     """Classification verdicts; jordan/nuclear are None unless the algebra
     verified as Bernstein.  Every False flag has an entry in witnesses."""
 

@@ -17,7 +17,6 @@ row[col] = 1 over GF(p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -80,15 +79,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ModP:
-    """Residue class modulo a prime p."""
+    """Residue class modulo a prime p, immutable; value is the residue in
+    0..p-1."""
 
-    value: int
-    p: int
+    __slots__ = ("value", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    def __init__(self, value: int, p: int):
+        object.__setattr__(self, "value", value % p)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ModP is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __repr__(self) -> str:
+        return f"ModP(value={self.value!r}, p={self.p!r})"
 
     def _lift(self, other):
         if isinstance(other, ModP):

@@ -10,8 +10,9 @@ Grammar ('#' starts a comment, blank lines ignored):
 
 Unordered pairs not declared multiply to zero; symmetric closure is
 implied.  Duplicate declarations of the same pair are rejected unless they
-agree exactly.  A basis of more than MAX_DIM vectors and a rational written
-with more than MAX_DIGITS digits are refused up front.  Parsing canonicalizes term order and drops zero terms, so
+agree exactly.  A basis of more than MAX_DIM vectors is refused up front,
+and so is a rational written with more than MAX_DIGITS digits in all.
+Parsing canonicalizes term order and drops zero terms, so
 serialize(parse(text)) is stable after one pass and parse(serialize(f))
 returns f for canonical files.
 """
@@ -19,7 +20,6 @@ returns f for canonical files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import CommAlgebra
@@ -31,7 +31,7 @@ from .fields import QQ
 MAX_DIM = 64
 MAX_DIGITS = 1000
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -45,27 +45,36 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass
 class AlgebraFile:
-    """Canonical in-memory form of one algebra file."""
+    """Canonical in-memory form of one algebra file.  Two files are equal
+    when all four fields are; a file is mutable, so it is not hashable."""
 
-    name: str
-    basis: tuple
-    weights: dict = dc_field(default_factory=dict)
-    products: dict = dc_field(default_factory=dict)
+    __slots__ = ("name", "basis", "weights", "products")
+
+    def __init__(self, name: str, basis: tuple, weights: dict | None = None,
+                 products: dict | None = None):
+        self.name = name
+        self.basis = basis
+        self.weights = {} if weights is None else weights
+        self.products = {} if products is None else products
+
+    def _key(self) -> tuple:
+        return (self.name, self.basis, self.weights, self.products)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"AlgebraFile(name={self.name!r}, basis={self.basis!r}, "
+                f"weights={self.weights!r}, products={self.products!r})")
 
     @property
     def is_baric(self) -> bool:
         return bool(self.weights)
-
-
-def parse_rational(token: str, line: int = 0, col: int = 0) -> Fraction:
-    if not _RATIONAL_RE.match(token):
-        raise ParseError(f"malformed rational {token!r}", line, col)
-    try:
-        return spec_rational(token)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, col) from None
 
 
 def spec_rational(token: str) -> Fraction:
@@ -85,9 +94,43 @@ def spec_rational(token: str) -> Fraction:
         raise ValueError(f"malformed rational {token!r}") from None
 
 
-def _tokenize(line: str):
-    code = line.split("#", 1)[0]
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", code)]
+class _BadToken(Exception):
+    """A parse error at token `index` of the current line; `parse` turns it
+    into a ParseError, working out the token's column only then."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+
+
+def _tokenize(line: str) -> list:
+    """The whitespace-separated tokens of a line, up to its first '#'."""
+    return line.split("#", 1)[0].split()
+
+
+def _columns(line: str) -> list:
+    """The 1-based column of each token of `_tokenize(line)`.  Only
+    whitespace separates a token from the end of the one before, so its
+    first occurrence from there is where it starts."""
+    cols, end = [], 0
+    for tok in _tokenize(line):
+        start = line.find(tok, end)
+        cols.append(start + 1)
+        end = start + len(tok)
+    return cols
+
+
+def _file_rational(token: str, index: int) -> Fraction:
+    """The rational `p` or `p/q` at token `index`, its digits counted
+    before it is built."""
+    m = _RATIONAL_RE.match(token)
+    if m is None:
+        raise _BadToken(f"malformed rational {token!r}", index)
+    num, den = m.groups()
+    if len(token) - (token[0] in "+-") - (den is not None) > MAX_DIGITS:
+        raise _BadToken(f"rational exceeds the digit cap MAX_DIGITS = {MAX_DIGITS}", index)
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def parse(text: str) -> AlgebraFile:
@@ -101,52 +144,51 @@ def parse(text: str) -> AlgebraFile:
         tokens = _tokenize(raw)
         if not tokens:
             continue
-        head, head_col = tokens[0]
-        args = tokens[1:]
-        if head == "algebra":
-            if name is not None:
-                raise ParseError("duplicate algebra line", lineno, head_col)
-            if len(args) != 1:
-                raise ParseError("algebra line needs exactly one name", lineno, head_col)
-            if not _NAME_RE.match(args[0][0]):
-                raise ParseError(f"bad algebra name {args[0][0]!r}", lineno, args[0][1])
-            name = args[0][0]
-            continue
-        if name is None:
-            raise ParseError("file must start with an 'algebra' line", lineno, head_col)
-        if head == "basis":
-            if basis:
-                raise ParseError("duplicate basis line", lineno, head_col)
-            if not args:
-                raise ParseError("empty basis line", lineno, head_col)
-            if len(args) > MAX_DIM:
-                raise ParseError(f"basis of {len(args)} vectors exceeds the dimension cap "
-                                 f"MAX_DIM = {MAX_DIM}", lineno, args[MAX_DIM][1])
-            for tok, col in args:
-                if not _NAME_RE.match(tok):
-                    raise ParseError(f"bad basis identifier {tok!r}", lineno, col)
-                if tok in index:
-                    raise ParseError(f"duplicate basis identifier {tok!r}", lineno, col)
-                index[tok] = len(basis)
-                basis.append(tok)
-            continue
-        if not basis:
-            raise ParseError("basis must be declared before this line", lineno, head_col)
-        if head == "weight":
-            if len(args) != 2:
-                raise ParseError("weight line needs '<id> <p/q>'", lineno, head_col)
-            (ident, icol), (val, vcol) = args
-            if ident not in index:
-                raise ParseError(f"unknown basis identifier {ident!r}", lineno, icol)
-            value = parse_rational(val, lineno, vcol)
-            if ident in weights and weights[ident] != value:
-                raise ParseError(f"conflicting weight for {ident!r}", lineno, icol)
-            weights[ident] = value
-            continue
-        if head == "prod":
-            _parse_prod(args, index, products, lineno, head_col)
-            continue
-        raise ParseError(f"unknown directive {head!r}", lineno, head_col)
+        head = tokens[0]
+        try:
+            if head == "algebra":
+                if name is not None:
+                    raise _BadToken("duplicate algebra line", 0)
+                if len(tokens) != 2:
+                    raise _BadToken("algebra line needs exactly one name", 0)
+                if not _NAME_RE.match(tokens[1]):
+                    raise _BadToken(f"bad algebra name {tokens[1]!r}", 1)
+                name = tokens[1]
+            elif name is None:
+                raise _BadToken("file must start with an 'algebra' line", 0)
+            elif head == "basis":
+                if basis:
+                    raise _BadToken("duplicate basis line", 0)
+                if len(tokens) == 1:
+                    raise _BadToken("empty basis line", 0)
+                if len(tokens) > MAX_DIM + 1:
+                    raise _BadToken(f"basis of {len(tokens) - 1} vectors exceeds the "
+                                    f"dimension cap MAX_DIM = {MAX_DIM}", MAX_DIM + 1)
+                for k, tok in enumerate(tokens[1:], 1):
+                    if not _NAME_RE.match(tok):
+                        raise _BadToken(f"bad basis identifier {tok!r}", k)
+                    if tok in index:
+                        raise _BadToken(f"duplicate basis identifier {tok!r}", k)
+                    index[tok] = len(basis)
+                    basis.append(tok)
+            elif not basis:
+                raise _BadToken("basis must be declared before this line", 0)
+            elif head == "weight":
+                if len(tokens) != 3:
+                    raise _BadToken("weight line needs '<id> <p/q>'", 0)
+                ident = tokens[1]
+                if ident not in index:
+                    raise _BadToken(f"unknown basis identifier {ident!r}", 1)
+                value = _file_rational(tokens[2], 2)
+                if ident in weights and weights[ident] != value:
+                    raise _BadToken(f"conflicting weight for {ident!r}", 1)
+                weights[ident] = value
+            elif head == "prod":
+                _parse_prod(tokens, index, products)
+            else:
+                raise _BadToken(f"unknown directive {head!r}", 0)
+        except _BadToken as exc:
+            raise ParseError(exc.message, lineno, _columns(raw)[exc.index]) from None
 
     if name is None:
         raise ParseError("missing 'algebra' line", max(1, text.count("\n") + 1), 1)
@@ -158,38 +200,36 @@ def parse(text: str) -> AlgebraFile:
     return AlgebraFile(name, tuple(basis), dict(weights), ordered)
 
 
-def _parse_prod(args, index, products, lineno, head_col):
-    if len(args) < 4:
-        raise ParseError("prod line needs '<id> <id> = <p/q> <id> ...'", lineno, head_col)
-    (na, acol), (nb, bcol), (eq, eqcol) = args[0], args[1], args[2]
-    for ident, col in ((na, acol), (nb, bcol)):
-        if ident not in index:
-            raise ParseError(f"unknown basis identifier {ident!r}", lineno, col)
+def _parse_prod(tokens, index, products) -> None:
+    if len(tokens) < 5:
+        raise _BadToken("prod line needs '<id> <id> = <p/q> <id> ...'", 0)
+    na, nb, eq = tokens[1:4]
+    for k in (1, 2):
+        if tokens[k] not in index:
+            raise _BadToken(f"unknown basis identifier {tokens[k]!r}", k)
     if eq != "=":
-        raise ParseError("expected '=' after the basis pair", lineno, eqcol)
-    terms = args[3:]
+        raise _BadToken("expected '=' after the basis pair", 3)
     combo: dict[str, Fraction] = {}
-    pos = 0
-    while pos < len(terms):
-        if pos and terms[pos][0] == "+":
+    pos, end = 4, len(tokens)
+    while pos < end:
+        if pos > 4 and tokens[pos] == "+":
             pos += 1
-            if pos >= len(terms):
-                raise ParseError("dangling '+' in product", lineno, terms[pos - 1][1])
-        if pos + 1 >= len(terms):
-            raise ParseError("product term needs '<p/q> <id>'", lineno, terms[pos][1])
-        coeff = parse_rational(terms[pos][0], lineno, terms[pos][1])
-        ident, icol = terms[pos + 1]
+            if pos >= end:
+                raise _BadToken("dangling '+' in product", pos - 1)
+        if pos + 1 >= end:
+            raise _BadToken("product term needs '<p/q> <id>'", pos)
+        coeff = _file_rational(tokens[pos], pos)
+        ident = tokens[pos + 1]
         if ident not in index:
-            raise ParseError(f"unknown basis identifier {ident!r}", lineno, icol)
-        combo[ident] = combo.get(ident, Fraction(0)) + coeff
+            raise _BadToken(f"unknown basis identifier {ident!r}", pos + 1)
+        # a repeated identifier adds to its earlier coefficient
+        combo[ident] = combo[ident] + coeff if ident in combo else coeff
         pos += 2
-    combo = {k: v for k, v in combo.items() if v != 0}
     key = (na, nb) if index[na] <= index[nb] else (nb, na)
-    canon = tuple(sorted(combo.items(), key=lambda kv: index[kv[0]]))
-    canon = tuple((coeff, ident) for ident, coeff in canon)
+    canon = tuple((coeff, ident) for ident, coeff in
+                  sorted(combo.items(), key=lambda kv: index[kv[0]]) if coeff)
     if key in products and products[key] != canon:
-        raise ParseError(f"conflicting duplicate product for pair {key[0]} {key[1]}",
-                         lineno, acol)
+        raise _BadToken(f"conflicting duplicate product for pair {key[0]} {key[1]}", 1)
     products[key] = canon
 
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import CommAlgebra, Element, _sparse
 from .fields import QQ
@@ -75,17 +75,30 @@ class Identity(enum.Enum):
         return ("x",)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A variable assignment together with the nonzero defect it produces."""
+class Witness(NamedTuple):
+    """A variable assignment together with the nonzero defect it produces;
+    equality and hash ignore the note."""
 
     assignment: tuple
     residual: object
-    note: str = field(default="", compare=False)
+    note: str = ""
 
     def __bool__(self) -> bool:
         # a witness is the falsy outcome of a check
         return False
+
+    def __eq__(self, other):
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        # tuple's own __ne__ would compare the note too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def assignment_dict(self) -> dict:
         return dict(self.assignment)

@@ -15,7 +15,6 @@ public constructors.  Everything is immutable; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .fields import QQ
@@ -71,18 +70,34 @@ def combine_rows(coeffs, rows) -> list:
     return v
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix with row-major entries over an exact field."""
 
-    rows: int
-    cols: int
-    entries: tuple
-    field: object = QQ
+    __slots__ = ("rows", "cols", "entries", "field")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple, field=QQ):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match the matrix shape")
+        for name, value in zip(self.__slots__, (rows, cols, entries, field)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Matrix is immutable")
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries, self.field)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Matrix(rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r}, field={self.field!r})")
 
     @staticmethod
     def from_rows(rows, cols=None, field=QQ) -> "Matrix":

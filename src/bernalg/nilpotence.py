@@ -12,7 +12,7 @@ integer matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (CommAlgebra, Element, FULL, generated_ideal, generated_subalgebra,
                       is_ideal, iterate_chain, power_chain)
@@ -36,8 +36,7 @@ def module_action(p: PeirceData, word, u: Element) -> Element:
     return result
 
 
-@dataclass(frozen=True)
-class SubmoduleIdealReport:
+class SubmoduleIdealReport(NamedTuple):
     is_submodule: bool
     is_ideal_in_a: bool
 
@@ -52,8 +51,7 @@ def submodule_ideal_check(b: BaricAlgebra, p: PeirceData, s: Subspace) -> Submod
     return SubmoduleIdealReport(sub, is_ideal(a, s))
 
 
-@dataclass(frozen=True)
-class FixedSubspaceResult:
+class FixedSubspaceResult(NamedTuple):
     """Chain I_0 = N, I_{k+1} = V * I_k down to its limit, the greatest
     subspace I with V*I = I."""
 
@@ -75,8 +73,7 @@ def greatest_fixed_subspace(b: BaricAlgebra, p: PeirceData) -> FixedSubspaceResu
     return FixedSubspaceResult(tuple(chain), chain[-1], len(chain) - 1)
 
 
-@dataclass(frozen=True)
-class MultClosure:
+class MultClosure(NamedTuple):
     """The associative operator algebra generated by multiplication by V
     on N.  nil_index k means every product of k generators vanishes (and
     so the k-th power of the closure is zero); with no generators the
@@ -125,8 +122,7 @@ def mult_closure_nilpotent(b: BaricAlgebra, p: PeirceData) -> MultClosure:
     return MultClosure(gens, closure[-1], False, None)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of comparing N*I with I and V*I with I for a subspace I."""
 
     ni_eq_i: bool
@@ -149,8 +145,7 @@ def stable_subspace_check(b: BaricAlgebra, p: PeirceData, s: Subspace) -> Stabil
 NOT_NILPOTENT = "generated subalgebra is not nilpotent; the decomposition does not apply"
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     """Checked decomposition N = F + N^m with F^m = 0 for the subalgebra F
     generated by ideal generators of N, including the power inclusions
     N^i <= F^i + N^{i+1} for i = 1..m."""

@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,3 +214,53 @@ def algebra_texts(draw):
 def test_valid_files_round_trip_through_serialize(text):
     f = parse(text)
     assert parse(serialize(f)) == f
+
+
+# every character that str.split or the regex \s takes for whitespace,
+# with two look-alikes that neither does
+WHITESPACE = [c for c in map(chr, range(0x3001))
+              if c.isspace() or re.fullmatch(r"\s", c)] + ["\u200b", "\ufeff"]
+
+
+@given(st.text(st.one_of(st.sampled_from(WHITESPACE + ["#", "x", "/"]), st.characters())))
+@settings(max_examples=400, deadline=None)
+def test_tokens_and_columns_match_a_regex_scan(line):
+    want = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+    tokens = fileformat._tokenize(line)
+    assert len(tokens) == len(want)
+    assert list(zip(tokens, fileformat._columns(line))) == want
+
+
+# one input of each malformed kind with its (message, line, column)
+PARSE_ERRORS = {
+    "bad rational": ("algebra a\nbasis x y\nprod x y = 1/0 x\n",
+                     ("malformed rational '1/0'", 3, 12)),
+    "bad weight rational": ("algebra a\nbasis x\nweight x 1.5\n",
+                            ("malformed rational '1.5'", 3, 10)),
+    "over the digit cap": ("algebra a\nbasis x\nweight x " + "1" * 1001 + "\n",
+                           ("rational exceeds the digit cap MAX_DIGITS = 1000", 3, 10)),
+    "unknown identifier": ("algebra a\nbasis x y\nprod x\u3000z = 1 x  # z\n",
+                           ("unknown basis identifier 'z'", 3, 8)),
+    "unknown term identifier": ("algebra a\nbasis x y\nprod x y =\t1 x + 2/3 w\n",
+                                ("unknown basis identifier 'w'", 3, 22)),
+    "no basis": ("algebra a\nweight x 1\n",
+                 ("basis must be declared before this line", 2, 1)),
+    "missing basis": ("algebra a\n\n", ("missing 'basis' line", 3, 1)),
+    "conflicting duplicate": ("algebra a\nbasis x y\nprod x y = 1 x\nprod  y x = 2 x\n",
+                              ("conflicting duplicate product for pair x y", 4, 7)),
+    "conflicting weight": ("algebra a\nbasis x y\nweight y 1\nweight y 2\n",
+                           ("conflicting weight for 'y'", 4, 8)),
+    "unknown directive": ("algebra a\nbasis x\n  mul x x = 1 x\n",
+                          ("unknown directive 'mul'", 3, 3)),
+    "no header": ("# c\nbasis x\n", ("file must start with an 'algebra' line", 2, 1)),
+    "missing header": ("# only a comment\n", ("missing 'algebra' line", 2, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(PARSE_ERRORS))
+def test_parse_error_message_line_and_column(kind):
+    text, (message, line, col) = PARSE_ERRORS[kind]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
