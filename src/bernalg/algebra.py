@@ -496,15 +496,13 @@ def plenary_power(a: CommAlgebra, s: Subspace, i: int) -> Subspace:
     return terms[-1]  # a zero or repeated last term stands for all later ones
 
 
-def subalgebra_on(a: CommAlgebra, s: Subspace, names=None) -> CommAlgebra:
+def subalgebra_on(a: CommAlgebra, s: Subspace) -> CommAlgebra:
     """The algebra structure induced on a multiplicatively closed subspace,
     in the coordinates of its RREF basis."""
-    if names is None:
-        names = _subspace_names(a, s)
     products = induced_table(a, s.rows, s.rows)
     if products is None:
         raise ValueError("subspace is not closed under multiplication")
-    return CommAlgebra(names, products, a.field)
+    return CommAlgebra(_subspace_names(a, s), products, a.field)
 
 
 def induced_table(a: CommAlgebra, rows, basis_rows) -> dict | None:

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a checked property failed (a witness is printed),
 2 malformed input.  Subcommands that need a Bernstein algebra exit 1 on a
 baric input that is not one, with the broken weight pair or Bernstein
-identity as the witness.  All subcommands accept '-' for stdin and support
---json; reports are deterministic: the same input gives the same bytes.
+identity as the witness.  Subcommands that read a file accept '-' for
+stdin.  Every subcommand supports --json; `family` and `quotient` print an
+algebra file with or without it.  Reports are deterministic: the same
+input gives the same bytes.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from .algebra import CHAIN_KINDS, ChainCapError, power_chain
 from .bernstein import (BaricAlgebra, NotBernsteinError, bernstein_witnesses, classify,
                         find_idempotent, peirce, quotient)
 from .families import FAMILY_KINDS, make_family
-from .fileformat import (MAX_DIM, ParseError, from_algebra, parse, serialize,
-                         spec_rational, to_algebra)
+from .fileformat import MAX_DIM, from_algebra, parse, serialize, spec_rational, to_algebra
 from .linalg import Subspace
 from .nilpotence import (greatest_fixed_subspace, mult_closure_nilpotent,
                          stable_subspace_check)
 from .report import (build_report, certificate_summary, check_json, coords_json,
-                     emit_report, flags_json, mult_closure_json, subspace_json)
+                     emit_report, flags_section, mult_closure_json, subspace_json)
 
 
 # `powers` lists one term per chain position, and a full chain's length
@@ -32,24 +33,23 @@ from .report import (build_report, certificate_summary, check_json, coords_json,
 MAX_LISTED_POSITIONS = 10_000
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load(path: str):
-    f = parse(_read_text(path))
-    return f, to_algebra(f)
-
-
-def _out(args, payload: dict, text_lines) -> None:
-    if args.json:
-        sys.stdout.write(emit_report(payload))
+    if path == "-":
+        text = sys.stdin.read()
     else:
-        for line in text_lines:
-            print(line)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return to_algebra(parse(text))
+
+
+def _lines(*lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _out(args, payload, text: str) -> None:
+    """The payload under --json and the text otherwise; a None payload marks
+    an algebra file, which is printed either way."""
+    sys.stdout.write(emit_report(payload) if args.json and payload is not None else text)
 
 
 def _element_from_expr(algebra, expr: str):
@@ -90,94 +90,88 @@ def _require_baric(alg) -> BaricAlgebra:
     return alg
 
 
-def _require_bernstein(alg) -> BaricAlgebra:
-    """The baric algebra, once its weight and the Bernstein identity are
-    verified: a Peirce split can succeed on an algebra that is not Bernstein."""
+def _peirce_of(alg, seed: str | None = None):
+    """The Peirce split of a Bernstein input, at the idempotent of the seed
+    expression when one is given.  The weight and the Bernstein identity are
+    verified first: a Peirce split can succeed on an algebra that is not
+    Bernstein."""
     b = _require_baric(alg)
     failed = bernstein_witnesses(b)
     if failed:
         step = "weight" if "baric" in failed else "Bernstein identity"
         raise NotBernsteinError(f"the {step} check fails; the algebra is not Bernstein", failed)
-    return b
+    return peirce(b, find_idempotent(b, _element_from_expr(b.algebra, seed)) if seed else None)
 
 
-def cmd_check(args) -> int:
-    _, alg = _load(args.file)
-    report, status = build_report(args.name or _algebra_name(args.file), alg,
-                                  args.max_steps)
-    if args.json:
-        sys.stdout.write(emit_report(report))
-    else:
-        _print_check_text(report)
-    return status
+def _chain_start(alg, barideal: bool):
+    """The algebra of the input and the subspace its chains start from: the
+    barideal N, which needs a baric input, or else the whole space."""
+    if barideal:
+        b = _require_baric(alg)
+        return b.algebra, b.barideal()
+    algebra = alg.algebra if isinstance(alg, BaricAlgebra) else alg
+    return algebra, algebra.full_space()
 
 
-def _algebra_name(path: str) -> str:
-    if path == "-":
-        return "stdin"
-    stem = path.rsplit("/", 1)[-1]
-    return stem.rsplit(".", 1)[0]
+def _algebra_name(args) -> str:
+    if args.name:
+        return args.name
+    return "stdin" if args.file == "-" else args.file.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
-def _print_check_text(report: dict) -> None:
-    print(f"algebra {report['algebra']} (dim {report['dimension']})")
-    if not report["baric"]:
-        for ident, res in report["identities"].items():
-            print(f"  identity {ident}: {'holds' if res is True else 'FAILS'}")
-        print(f"  chains: {report['chains']}")
-        return
-    if not report["weight_ok"]:
-        print("  weight: INVALID")
-        print(f"  witness: {report['weight_witness']}")
-        return
-    print("  weight: ok")
-    for ident, res in report["identities"].items():
-        print(f"  identity {ident}: {'holds' if res is True else 'FAILS'}")
-    flags = report["flags"]
-    print("  flags: " + ", ".join(f"{k}={v}" for k, v in flags.items()))
-    if "witnesses" in report:
-        for key, w in report["witnesses"].items():
-            print(f"  witness[{key}]: {w}")
+def _flags_text(flags: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in flags.items())
+
+
+def cmd_check(args, alg):
+    report, status = build_report(_algebra_name(args), alg, args.max_steps)
+    return report, _check_text(report), status
+
+
+def _check_text(report: dict) -> str:
+    lines = [f"algebra {report['algebra']} (dim {report['dimension']})"]
+    if report["baric"]:
+        if not report["weight_ok"]:
+            return _lines(*lines, "  weight: INVALID",
+                          f"  witness: {report['weight_witness']}")
+        lines.append("  weight: ok")
+    lines += [f"  identity {ident}: {'holds' if res is True else 'FAILS'}"
+              for ident, res in report["identities"].items()]
+    if "flags" in report:
+        lines.append("  flags: " + _flags_text(report["flags"]))
+    lines += [f"  witness[{key}]: {w}" for key, w in report.get("witnesses", {}).items()]
     if "peirce" in report:
         pz = report["peirce"]
-        print(f"  peirce: dim U={pz['u_dim']}, dim V={pz['v_dim']}, "
-              f"dim annU={pz['ann_u_dim']}, relations_ok={pz['relations_ok']}")
+        lines.append(f"  peirce: dim U={pz['u_dim']}, dim V={pz['v_dim']}, "
+                     f"dim annU={pz['ann_u_dim']}, relations_ok={pz['relations_ok']}")
         if not pz["relations_ok"]:
-            print(f"  witness[peirce]: {pz['relations_witness']}")
+            lines.append(f"  witness[peirce]: {pz['relations_witness']}")
     if "chains" in report:
-        print(f"  chains: {report['chains']}")
+        lines.append(f"  chains: {report['chains']}")
     if "fixed_subspace" in report:
-        print(f"  fixed subspace chain dims: {report['fixed_subspace']['chain_dims']}"
-              f" (gfp dim {report['fixed_subspace']['gfp_dim']})")
+        fs = report["fixed_subspace"]
+        lines.append(f"  fixed subspace chain dims: {fs['chain_dims']} (gfp dim {fs['gfp_dim']})")
     if "mult_closure" in report:
-        print(f"  mult closure: {report['mult_closure']}")
+        lines.append(f"  mult closure: {report['mult_closure']}")
     if "certificate" in report:
-        print(f"  certificate: {report['certificate']}")
+        lines.append(f"  certificate: {report['certificate']}")
+    return _lines(*lines)
 
 
-def cmd_classify(args) -> int:
-    _, alg = _load(args.file)
-    name = args.name or _algebra_name(args.file)
+def cmd_classify(args, alg):
+    name = _algebra_name(args)
     if not isinstance(alg, BaricAlgebra):
-        payload = {"algebra": name, "baric": False}
-        _out(args, payload, [f"algebra {name}: not baric"])
-        return 0
+        return {"algebra": name, "baric": False}, _lines(f"algebra {name}: not baric"), 0
     flags = classify(alg)
-    shown = flags_json(flags)
-    payload = {"algebra": name, **shown}
-    if flags.witnesses:
-        payload["witnesses"] = {k: check_json(v) for k, v in flags.witnesses.items()}
-    _out(args, payload,
-         [f"algebra {name}: " + ", ".join(f"{k}={v}" for k, v in shown.items())])
-    return 0 if flags.is_baric and flags.is_bernstein is not False else 1
+    section = flags_section(flags)
+    shown = section.pop("flags")
+    status = 0 if flags.is_baric and flags.is_bernstein is not False else 1
+    return ({"algebra": name, **shown, **section},
+            _lines(f"algebra {name}: " + _flags_text(shown)), status)
 
 
-def cmd_peirce(args) -> int:
-    _, alg = _load(args.file)
-    b = _require_bernstein(alg)
-    seed = _element_from_expr(b.algebra, args.seed) if args.seed else None
-    e = find_idempotent(b, seed)
-    p = peirce(b, e)
+def cmd_peirce(args, alg):
+    p = _peirce_of(alg, args.seed)
     payload = {
         "idempotent": coords_json(p.e.coords),
         "n_dim": p.N.dim,
@@ -187,25 +181,18 @@ def cmd_peirce(args) -> int:
         "v_basis": subspace_json(p.V),
         "ann_u_basis": subspace_json(p.annU),
     }
-    _out(args, payload, [
+    return payload, _lines(
         f"idempotent: {p.e}",
         f"dim N = {p.N.dim}, dim U = {p.U.dim}, dim V = {p.V.dim}, "
         f"dim annU = {p.annU.dim}",
-        f"U basis: {subspace_json(p.U)}",
-        f"V basis: {subspace_json(p.V)}",
-        f"annU basis: {subspace_json(p.annU)}",
-    ])
-    return 0
+        f"U basis: {payload['u_basis']}",
+        f"V basis: {payload['v_basis']}",
+        f"annU basis: {payload['ann_u_basis']}",
+    ), 0
 
 
-def cmd_powers(args) -> int:
-    _, alg = _load(args.file)
-    if isinstance(alg, BaricAlgebra) and args.barideal:
-        algebra, start = alg.algebra, alg.barideal()
-    else:
-        algebra = alg.algebra if isinstance(alg, BaricAlgebra) else alg
-        start = algebra.full_space()
-    chain = power_chain(algebra, start, args.kind, args.max_steps)
+def cmd_powers(args, alg):
+    chain = power_chain(*_chain_start(alg, args.barideal), args.kind, args.max_steps)
     length = chain.runs[-1].end
     if length > MAX_LISTED_POSITIONS:
         raise ValueError(f"the {args.kind} chain has {length} positions and powers lists "
@@ -218,101 +205,75 @@ def cmd_powers(args) -> int:
         "nil_index": chain.nil_index,
         "terms": [subspace_json(t) for t in chain.terms],
     }
-    _out(args, payload, [
+    return payload, _lines(
         f"{args.kind} chain dims: {payload['term_dims']}",
         f"stabilized: {chain.stabilized}, nil index: {chain.nil_index}",
-    ])
-    return 0
+    ), 0
 
 
-def cmd_fixedspace(args) -> int:
-    _, alg = _load(args.file)
-    b = _require_bernstein(alg)
-    res = greatest_fixed_subspace(b, peirce(b))
+def cmd_fixedspace(args, alg):
+    res = greatest_fixed_subspace(alg, _peirce_of(alg))
     payload = {
         "chain_dims": [t.dim for t in res.chain],
         "steps": res.steps,
         "gfp_dim": res.gfp.dim,
         "gfp_basis": subspace_json(res.gfp),
     }
-    _out(args, payload, [
+    return payload, _lines(
         f"chain dims: {payload['chain_dims']}",
         f"greatest fixed subspace dim: {res.gfp.dim}",
-    ])
-    return 0
+    ), 0
 
 
-def cmd_multalg(args) -> int:
-    _, alg = _load(args.file)
-    b = _require_bernstein(alg)
-    payload = mult_closure_json(mult_closure_nilpotent(b, peirce(b)))
-    _out(args, payload, [
+def cmd_multalg(args, alg):
+    payload = mult_closure_json(mult_closure_nilpotent(alg, _peirce_of(alg)))
+    return payload, _lines(
         f"generators: {payload['generator_count']}, closure dim: "
         f"{payload['closure_dim']}",
         f"nilpotent: {payload['nilpotent']}, nil index: {payload['nil_index']}",
-    ])
-    return 0
+    ), 0
 
 
-def cmd_stability(args) -> int:
-    _, alg = _load(args.file)
-    b = _require_bernstein(alg)
-    s = _subspace_from_spec(b.algebra, args.subspace)
-    rep = stable_subspace_check(b, peirce(b), s)
+def cmd_stability(args, alg):
+    p = _peirce_of(alg)
+    s = _subspace_from_spec(alg.algebra, args.subspace)
+    rep = stable_subspace_check(alg, p, s)
     payload = {
         "subspace_dim": s.dim,
         "ni_eq_i": rep.ni_eq_i,
         "vi_eq_i": rep.vi_eq_i,
         "conclusion_holds": rep.conclusion_holds,
     }
-    _out(args, payload, [
+    return payload, _lines(
         f"N*I = I: {rep.ni_eq_i}; V*I = I: {rep.vi_eq_i}; "
         f"conclusion holds: {rep.conclusion_holds}",
-    ])
-    return 0 if rep.conclusion_holds else 1
+    ), 0 if rep.conclusion_holds else 1
 
 
-def cmd_decompose(args) -> int:
-    _, alg = _load(args.file)
-    if isinstance(alg, BaricAlgebra):
-        algebra, n = alg.algebra, alg.barideal()
-    else:
-        algebra, n = alg, alg.full_space()
-    gens = None
-    if args.gens:
-        gens = [algebra.basis_element(algebra.index_of(g.strip()))
-                for g in args.gens.split(",") if g.strip()]
+def cmd_decompose(args, alg):
+    algebra, n = _chain_start(alg, isinstance(alg, BaricAlgebra))
+    gens = [algebra.basis_element(algebra.index_of(g.strip()))
+            for g in args.gens.split(",") if g.strip()] if args.gens else None
     payload = certificate_summary(algebra, n, gens, args.max_steps)
-    lines = [f"certificate: {payload}"]
-    _out(args, payload, lines)
-    if "error" in payload:
-        return 1
-    return 0 if payload["n_equals_f_plus_nm"] and payload["n_nilpotent"] else 1
+    holds = "error" not in payload and payload["n_equals_f_plus_nm"] and payload["n_nilpotent"]
+    return payload, _lines(f"certificate: {payload}"), 0 if holds else 1
 
 
-def cmd_family(args) -> int:
-    alg = make_family(args.kind, args.n)
+def cmd_family(args, alg):
+    fam = make_family(args.kind, args.n)
     name = f"{args.kind}{args.n or ''}" if args.kind != "jordan3" else "jordan3"
-    text = serialize(from_algebra(alg, name))
+    text = serialize(from_algebra(fam, name))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return None, "" if args.out else text, 0
 
 
-def cmd_quotient(args) -> int:
-    _, alg = _load(args.file)
+def cmd_quotient(args, alg):
     b = _require_baric(alg)
-    if args.by == "annU":
-        ideal = peirce(_require_bernstein(b)).annU
-    else:
-        ideal = _subspace_from_spec(b.algebra, args.by)
+    ideal = _peirce_of(b).annU if args.by == "annU" else _subspace_from_spec(b.algebra, args.by)
     q = quotient(b, ideal)
-    name = (args.name or _algebra_name(args.file)) + "_quot"
-    sys.stdout.write(serialize(from_algebra(q, name)))
-    return 0
+    return None, serialize(from_algebra(q, _algebra_name(args) + "_quot")), 0
 
 
 _FILE = ("file", {})
@@ -344,21 +305,9 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with the subparser of `command` only, or with
-    every subparser when `command` is not a subcommand (help, no command,
-    a typo), so that a call builds only what it parses.  The parser of a
-    subcommand is built once per process and shared by later calls."""
-    return _subcommand_parser(command) if command in COMMANDS else _new_parser(command)
-
-
 @functools.cache
-def _subcommand_parser(command: str) -> argparse.ArgumentParser:
-    # keyed by the names of COMMANDS only, so the cache stays that small
-    return _new_parser(command)
-
-
-def _new_parser(command: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subparser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
     common.add_argument("--max-steps", type=int, default=None, metavar="INT",
@@ -369,13 +318,8 @@ def _new_parser(command: str | None) -> argparse.ArgumentParser:
         prog="bernalg",
         description="Exact structure analysis of commutative algebras "
                     "given by structure constants.")
-    single = command in COMMANDS
-    # a single subparser still lists every choice in the top-level usage,
-    # which errors such as unrecognized arguments print
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if single else None)
-    for name in [command] if single else COMMANDS:
-        fn, help_text, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -383,17 +327,24 @@ def _new_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+def _run(args):
+    """(payload, text, status) of the subcommand, or of the Bernstein
+    failure it raised, with its message on stderr."""
     try:
-        return args.fn(args)
+        return args.fn(args, _load(args.file) if "file" in args else None)
     except NotBernsteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         witnesses = {k: check_json(w) for k, w in exc.witnesses.items()}
-        _out(args, {"error": str(exc), "witnesses": witnesses},
-             [f"witness[{k}]: {w}" for k, w in witnesses.items()])
-        return 1
+        return ({"error": str(exc), "witnesses": witnesses},
+                _lines(*(f"witness[{k}]: {w}" for k, w in witnesses.items())), 1)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        payload, text, status = _run(args)
+        _out(args, payload, text)
+        return status
     except (OSError, ValueError, KeyError, ZeroDivisionError, ChainCapError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .algebra import CommAlgebra
 from .bernstein import BaricAlgebra
-from .fields import QQ
 
 # input bounds: the identity scans visit C(dim + 3, 4) tuples, and every
 # product pays for the digits of its rationals
@@ -247,12 +246,12 @@ def serialize(f: AlgebraFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_algebra(f: AlgebraFile, field=QQ):
+def to_algebra(f: AlgebraFile):
     """Build a CommAlgebra (no weight lines) or BaricAlgebra from a file."""
     table = {}
     for (na, nb), combo in f.products.items():
         table[(na, nb)] = {ident: coeff for coeff, ident in combo}
-    algebra = CommAlgebra.from_table(f.basis, table, field)
+    algebra = CommAlgebra.from_table(f.basis, table)
     if not f.is_baric:
         return algebra
     weight = [f.weights.get(n, Fraction(0)) for n in f.basis]

@@ -57,14 +57,18 @@ def check_json(result) -> object:
     return result
 
 
-def flags_json(flags) -> dict:
-    return {
+def flags_section(flags) -> dict:
+    """The classification flags, then a witness for each flag that fails."""
+    section = {"flags": {
         "baric": flags.is_baric,
         "bernstein": flags.is_bernstein,
         "jordan": flags.is_jordan,
         "nuclear": flags.is_nuclear,
         "barideal_nilpotent": flags.barideal_nilpotent,
-    }
+    }}
+    if flags.witnesses:
+        section["witnesses"] = {k: check_json(v) for k, v in flags.witnesses.items()}
+    return section
 
 
 def chain_summary(an: Analysis, max_steps=None) -> dict:
@@ -99,9 +103,7 @@ def build_report(name: str, alg, max_steps=None) -> tuple[dict, int]:
         return report, 0
 
     flags = an.flags
-    report["flags"] = flags_json(flags)
-    if flags.witnesses:
-        report["witnesses"] = {k: check_json(v) for k, v in flags.witnesses.items()}
+    report.update(flags_section(flags))
     if not flags.is_bernstein:
         return report, 1
 

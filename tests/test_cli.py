@@ -1,4 +1,3 @@
-import argparse
 import glob
 import io
 import json
@@ -359,25 +358,89 @@ def test_check_json_reaches_an_exponential_full_nil_index(tmp_path, capsys):
     assert json.loads(out)["chains"]["full_nil_index"] == 2 ** 14 + 1
 
 
-def _help_of_subparser(parser, name):
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[name].format_help()
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_single_subcommand_parser_matches_the_full_build(name):
-    full = cli.build_parser()
-    single = cli.build_parser(name)
-    assert _help_of_subparser(single, name) == _help_of_subparser(full, name)
-    # the top-level usage, which errors such as unrecognized arguments print
-    assert single.format_usage() == full.format_usage()
+def test_every_subcommand_help_exits_0(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: bernalg {name} ")
 
 
-def test_subcommand_parsers_are_built_once_and_typos_are_not_kept():
-    assert cli.build_parser("check") is cli.build_parser("check")
-    for name in ("bogus", "chek", None):
-        assert cli.build_parser(name) is not cli.build_parser(name)
-    assert cli._subcommand_parser.cache_info().currsize <= len(cli.COMMANDS)
+# arguments after the file for each subcommand that reads one
+FILE_ARGS = {"check": [], "classify": [], "peirce": [], "powers": ["--kind", "full"],
+             "fixedspace": [], "multalg": [], "stability": ["--subspace", "0,0,0,0,1"],
+             "decompose": [], "quotient": ["--by", "annU"]}
+
+
+def test_every_subcommand_that_reads_a_file_is_listed():
+    assert sorted(FILE_ARGS) == sorted(set(cli.COMMANDS) - {"family"})
+
+
+@pytest.mark.parametrize("command", list(FILE_ARGS))
+def test_each_call_parses_its_file_once(command, capsys, monkeypatch):
+    calls = []
+    real = cli.parse
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse", counting)
+    for json_flag in ([], ["--json"]):
+        calls.clear()
+        code, _, _ = run_cli([command, path("bdown3.alg")] + FILE_ARGS[command] + json_flag,
+                             capsys=capsys)
+        assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["family", "bdown", "--n", "3"],
+                                  ["quotient", path("bdown3.alg"), "--by", "annU"]])
+def test_algebra_file_output_is_the_same_with_json(argv, capsys):
+    code, text, _ = run_cli(argv, capsys=capsys)
+    assert code == 0
+    code, out, _ = run_cli(argv + ["--json"], capsys=capsys)
+    assert code == 0 and out == text
+    assert parse(out).name in ("bdown3", "bdown3_quot")
+
+
+def test_powers_barideal_refuses_a_plain_file(capsys):
+    code, out, err = run_cli(["powers", path("squareshift3.alg"), "--kind", "full",
+                              "--barideal"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: this command needs a baric file (declare weight lines)\n"
+
+
+# text output recorded from the CLI before its handlers shared one print path
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXIT))
+def test_check_text_matches_golden(name, capsys):
+    code, out, _ = run_cli(["check", path(name + ".alg")], capsys=capsys)
+    assert code == GOLDEN_EXIT[name]
+    with open(path(name + ".check.txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+BDOWN3_TEXT_ARGS = dict(FILE_ARGS, powers=["--kind", "full", "--barideal"],
+                        stability=["--subspace", "0,0,1,0,0;0,0,0,1,0;0,0,0,0,1"])
+
+
+@pytest.mark.parametrize("command", [c for c in FILE_ARGS if c != "check"])
+def test_subcommand_text_on_bdown3_matches_golden(command, capsys):
+    code, out, _ = run_cli([command, path("bdown3.alg")] + BDOWN3_TEXT_ARGS[command],
+                           capsys=capsys)
+    assert code == 0
+    with open(path(f"bdown3.{command}.txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+def test_family_text_matches_the_bdown3_fixture(capsys):
+    code, out, _ = run_cli(["family", "bdown", "--n", "3"], capsys=capsys)
+    assert code == 0
+    with open(path("bdown3.alg"), encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 @pytest.mark.parametrize("argv", [["check", path("bdown3.alg"), "extra"],
