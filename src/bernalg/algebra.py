@@ -13,7 +13,9 @@ Every product runs on one integer table, the structure constants times D
 serves `mul_coords`, `subspace_product` and the identity scans.  The
 field clears each operand to integers, the kernel takes them as sparse
 vectors and returns the product as a dense row of ints, and the field
-maps results back.
+maps results back.  A product of two coordinate subspaces (spans of basis
+vectors, as N, U, V and the chain terms of the built-in families are)
+needs no kernel: it is the span of the table rows at their pivots.
 """
 
 from __future__ import annotations
@@ -189,20 +191,31 @@ class CommAlgebra:
         hash, and a lookup with the very objects of an earlier call matches
         by identity without comparing rows.  A square S*S multiplies each
         unordered pair of rows once, and zero or repeated products are
-        dropped before the reduction.
+        dropped before the reduction.  Two coordinate subspaces multiply
+        without the kernel: the products of their rows are the table rows
+        D e_i e_j at their pivots.
         """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
         key = frozenset((s1, s2))
         hit = self._products.get(key)
         if hit is None:
-            # an integer row is a positive multiple of the rational one, and so
-            # is its integer product, which spans the same line
-            rows = [_sparse(r) for r in s1.int_rows]
-            pairs = (itertools.combinations_with_replacement(rows, 2) if len(key) == 1
-                     else itertools.product(rows, [_sparse(r) for r in s2.int_rows]))
-            prods = dict.fromkeys(tuple(p) for p in itertools.starmap(self._int_mul, pairs)
-                                  if any(p))
+            square = len(key) == 1
+            if s1.is_coordinate() and s2.is_coordinate():
+                table, p1, p2 = self._int_rows, s1.pivots, s2.pivots
+                # the table rows i, j >= i of a square, or i, j of two operands
+                found = itertools.chain.from_iterable(
+                    map(table[i].__getitem__, p1[k:] if square else p2)
+                    for k, i in enumerate(p1))
+                prods = [_dense(row, self.dim) for row in dict.fromkeys(found) if row]
+            else:
+                # an integer row is a positive multiple of the rational one, and
+                # so is its integer product, which spans the same line
+                rows = [_sparse(r) for r in s1.int_rows]
+                pairs = (itertools.combinations_with_replacement(rows, 2) if square
+                         else itertools.product(rows, [_sparse(r) for r in s2.int_rows]))
+                prods = dict.fromkeys(tuple(p) for p in itertools.starmap(self._int_mul, pairs)
+                                      if any(p))
             hit = self._products[key] = Subspace.of_int_rows(prods, self.dim, self.field)
         return hit
 
@@ -227,6 +240,14 @@ def _nonzero(row) -> list:
 def _sparse(ints) -> tuple:
     """The nonzero entries of an integer vector as (index, int) pairs."""
     return tuple((k, v) for k, v in enumerate(ints) if v)
+
+
+def _dense(pairs, n: int) -> list:
+    """The integer vector of length n with the given (index, int) entries."""
+    v = [0] * n
+    for k, x in pairs:
+        v[k] = x
+    return v
 
 
 class Element(NamedTuple):
@@ -340,7 +361,8 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
     runs = [Run(1, 1, s)]
     if s.is_zero():
         return runs, True, 1
-    points, products = [2], {}
+    # the starts and ends of the closed runs, which never change
+    points, products, starts, ends = [2], {}, [], []
     while True:
         last = runs[-1]
         while points and points[0] <= last.end:
@@ -351,7 +373,7 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
         if max_steps is not None and pos > max_steps:
             runs[-1] = last._replace(end=max_steps)
             return runs, False, None
-        new = _full_term(a, runs, pos, products)
+        new = _full_term(a, runs, starts, ends, pos, products)
         if new == last.term:
             runs[-1] = last._replace(end=pos)
             continue
@@ -359,6 +381,8 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
             raise ChainCapError("full power chain did not stabilize within the "
                                 "safety cap; pass max_steps to truncate")
         runs[-1] = last._replace(end=pos - 1)
+        starts.append(last.start)
+        ends.append(pos - 1)
         runs.append(Run(pos, pos, new))
         if new.is_zero():
             return runs, True, pos
@@ -368,9 +392,10 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
                 heapq.heappush(points, r.end + pos)
 
 
-def _full_term(a: CommAlgebra, runs, pos: int, products: dict) -> Subspace:
+def _full_term(a: CommAlgebra, runs, starts, ends, pos: int, products: dict) -> Subspace:
     """S^pos, the sum of the distinct products of the run pairs that
-    contribute at pos.
+    contribute at pos; `starts` and `ends` are those of the closed runs,
+    all but the last.
 
     The product T_j T_l is read from the chain's table `products` under
     the run indices (j, l), j <= l, and filled once through the algebra's
@@ -380,9 +405,8 @@ def _full_term(a: CommAlgebra, runs, pos: int, products: dict) -> Subspace:
     runs l >= j that pair with a closed run j at pos (a_j + a_l <= pos <=
     b_j + b_l) form an interval, found by bisection.
     """
-    *closed, last = runs
-    pairs = [(j, len(closed)) for j, r in enumerate(runs) if r.start + last.start <= pos]
-    starts, ends = [r.start for r in closed], [r.end for r in closed]
+    last = runs[-1]
+    pairs = [(j, len(starts)) for j, r in enumerate(runs) if r.start + last.start <= pos]
     for j, (start, end) in enumerate(zip(starts, ends)):
         hi = bisect.bisect_right(starts, pos - start, j)
         if hi <= j:
@@ -519,6 +543,6 @@ def induced_table(a: CommAlgebra, rows, basis_rows) -> dict | None:
 
 def _subspace_names(a: CommAlgebra, s: Subspace):
     """Reuse parent basis names when the rows are standard basis vectors."""
-    if all(sum(map(bool, r)) == 1 for r in s.int_rows):
+    if s.is_coordinate():
         return [a.basis_names[p] for p in s.pivots]
     return [f"s{i + 1}" for i in range(s.dim)]

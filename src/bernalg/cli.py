@@ -90,16 +90,21 @@ def _require_baric(alg) -> BaricAlgebra:
     return alg
 
 
-def _peirce_of(alg, seed: str | None = None):
-    """The Peirce split of a Bernstein input, at the idempotent of the seed
-    expression when one is given.  The weight and the Bernstein identity are
-    verified first: a Peirce split can succeed on an algebra that is not
-    Bernstein."""
+def _bernstein_of(alg) -> BaricAlgebra:
+    """The input, once its weight and the Bernstein identity are verified:
+    a Peirce split can succeed on an algebra that is not Bernstein."""
     b = _require_baric(alg)
     failed = bernstein_witnesses(b)
     if failed:
         step = "weight" if "baric" in failed else "Bernstein identity"
         raise NotBernsteinError(f"the {step} check fails; the algebra is not Bernstein", failed)
+    return b
+
+
+def _peirce_of(alg, seed: str | None = None):
+    """The Peirce split of a Bernstein input, at the idempotent of the seed
+    expression when one is given."""
+    b = _bernstein_of(alg)
     return peirce(b, find_idempotent(b, _element_from_expr(b.algebra, seed)) if seed else None)
 
 
@@ -235,9 +240,11 @@ def cmd_multalg(args, alg):
 
 
 def cmd_stability(args, alg):
-    p = _peirce_of(alg)
-    s = _subspace_from_spec(alg.algebra, args.subspace)
-    rep = stable_subspace_check(alg, p, s)
+    b = _bernstein_of(alg)
+    # the rows are read after the gate, which exits 1 on a non-Bernstein
+    # input whatever they are, and before the split, which malformed rows skip
+    s = _subspace_from_spec(b.algebra, args.subspace)
+    rep = stable_subspace_check(b, peirce(b), s)
     payload = {
         "subspace_dim": s.dim,
         "ni_eq_i": rep.ni_eq_i,

@@ -34,9 +34,14 @@ class RationalField:
     @staticmethod
     def clear(values) -> tuple[list, int]:
         """(integers, d) with integers[k] = d * values[k], d the lcm of the
-        denominators."""
-        d = math.lcm(*[v.denominator for v in values])
-        return [v.numerator * (d // v.denominator) for v in values], d
+        denominators.  A table holds few distinct denominators, so d is
+        divided once by each of them, not once per value."""
+        dens = {v.denominator for v in values}
+        if len(dens) == 1:  # d itself: the numerators are the integers
+            return [v.numerator for v in values], dens.pop()
+        d = math.lcm(*dens)
+        scale = {q: d // q for q in dens}
+        return [v.numerator * scale[v.denominator] for v in values], d
 
     @staticmethod
     def back(n: int, d: int) -> Fraction:

@@ -11,10 +11,16 @@ the rational view.  Elimination is fraction-free: row r is cleared by the
 pivot row p as a*r - b*p, and the field's `reduce` keeps the coefficients
 small, so QQ and GF(p) share one path.  Scalars are coerced only at the
 public constructors.  Everything is immutable; all operations are pure.
+
+A coordinate subspace, the span of some unit vectors, needs none of this:
+its RREF rows are those unit vectors, so it is built from the supports of
+rows that each have at most one nonzero entry, and containment and sums of
+two of them are subset tests and unions of their pivot sets.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .fields import QQ
@@ -29,13 +35,13 @@ def _eliminate(r, p, col, reduce) -> list:
     return reduce([a * x - b * y for x, y in zip(r, p)])
 
 
-def _echelon(rows, cols, field):
-    """Fraction-free Gauss-Jordan on integer rows, pivoting in the first
-    `cols` columns: (pivot rows, pivot columns, other rows).  Each pivot row
-    is the field's canonical multiple (`normalize`) of an RREF row, zero in
-    every other pivot column; the other rows vanish in the first `cols`."""
+def _echelon(pending, cols, field):
+    """Fraction-free Gauss-Jordan on a list of reduced integer rows, which
+    it consumes, pivoting in the first `cols` columns: (pivot rows, pivot
+    columns, other rows).  Each pivot row is the field's canonical multiple
+    (`normalize`) of an RREF row, zero in every other pivot column; the
+    other rows vanish in the first `cols`."""
     reduce = field.reduce
-    pending = [reduce(r) for r in rows]
     done, pivots = [], []
     for col in range(cols):
         for i, r in enumerate(pending):
@@ -51,6 +57,21 @@ def _echelon(rows, cols, field):
         done.append(p)
         pivots.append(col)
     return done, pivots, pending
+
+
+def _single_entries(rows, n: int) -> bool:
+    """Whether each of the rows, of length n, has at most one nonzero entry.
+    A loop, as it runs for every subspace built and mostly stops at its
+    first row."""
+    for r in rows:
+        if r.count(0) < n - 1:
+            return False
+    return True
+
+
+def _unit_row(n: int, p: int) -> tuple:
+    """The unit vector of K^n at column p, as an integer tuple."""
+    return (0,) * p + (1,) + (0,) * (n - p - 1)
 
 
 def _cleared(vector, n: int, field) -> tuple:
@@ -179,10 +200,12 @@ class Subspace:
     `int_rows` holds each RREF row scaled to a primitive integer row with a
     positive pivot (over GF(p): residues with pivot 1); `rows` is the RREF
     as field scalars, built on first read.  The form is canonical, so `==`
-    decides subspace equality and the objects are hashable.
+    decides subspace equality and the objects are hashable.  A coordinate
+    subspace (every RREF row the unit vector at its pivot) also keeps its
+    pivots as a set, for the set paths of `contains_int`, `leq` and `plus`.
     """
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "field", "_rows", "_hash")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "field", "_pivot_set", "_rows", "_hash")
 
     def __init__(self, vectors, ambient_dim: int, field=QQ):
         self._set([_cleared(v, ambient_dim, field)[0] for v in vectors], ambient_dim, field)
@@ -194,11 +217,39 @@ class Subspace:
         s._set(rows, ambient_dim, field)
         return s
 
+    @classmethod
+    def _coordinate(cls, pivots, ambient_dim: int, field) -> "Subspace":
+        """The span of the unit vectors at the given columns."""
+        s = object.__new__(cls)
+        s._set_pivots(pivots, ambient_dim, field)
+        return s
+
     def _set(self, int_rows, ambient_dim, field):
-        rows, pivots, _ = _echelon(int_rows, ambient_dim, field)
+        reduce = field.reduce
+        rows = [reduce(r) for r in int_rows]
+        if _single_entries(rows, ambient_dim):
+            # each row is zero or a multiple of a unit vector: the span is
+            # that of the unit vectors on the rows' support
+            cols = range(ambient_dim)
+            self._set_pivots(set(chain.from_iterable(compress(cols, r) for r in rows)),
+                             ambient_dim, field)
+            return
+        rows, pivots, _ = _echelon(rows, ambient_dim, field)
+        rows = tuple(map(tuple, rows))
+        # a row with a single nonzero entry is normalized to a unit row
+        self._fill(ambient_dim, rows, tuple(pivots), field,
+                   frozenset(pivots) if _single_entries(rows, ambient_dim) else None)
+
+    def _set_pivots(self, pivots, ambient_dim, field):
+        """The coordinate subspace on the given pivot columns."""
+        pivots = tuple(sorted(pivots))
+        self._fill(ambient_dim, tuple(_unit_row(ambient_dim, p) for p in pivots), pivots, field,
+                   frozenset(pivots))
+
+    def _fill(self, ambient_dim, int_rows, pivots, field, pivot_set):
         # the rational view and the hash are built on first use
-        for name, value in zip(self.__slots__, (ambient_dim, tuple(map(tuple, rows)),
-                                                tuple(pivots), field, None, None)):
+        for name, value in zip(self.__slots__, (ambient_dim, int_rows, pivots, field,
+                                                pivot_set, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -206,12 +257,11 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace.of_int_rows([], ambient_dim, field)
+        return Subspace._coordinate((), ambient_dim, field)
 
     @staticmethod
     def full(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace.of_int_rows([[int(i == j) for j in range(ambient_dim)]
-                                     for i in range(ambient_dim)], ambient_dim, field)
+        return Subspace._coordinate(range(ambient_dim), ambient_dim, field)
 
     @property
     def rows(self) -> tuple:
@@ -230,6 +280,10 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.int_rows
 
+    def is_coordinate(self) -> bool:
+        """Whether the subspace is spanned by unit vectors."""
+        return self._pivot_set is not None
+
     def coords_of(self, vector):
         """Coefficients of `vector` over the RREF basis, or None if outside:
         its entries in the pivot columns, as an RREF row is 0 at the others'."""
@@ -246,6 +300,8 @@ class Subspace:
         the subspace."""
         reduce = self.field.reduce
         x = reduce(x)
+        if self._pivot_set is not None:
+            return self._pivot_set.issuperset(compress(range(len(x)), x))
         for r, p in zip(self.int_rows, self.pivots):
             if x[p]:
                 x = _eliminate(x, r, p, reduce)
@@ -253,10 +309,19 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
+        if self._pivot_set is not None and other._pivot_set is not None:
+            return self._pivot_set <= other._pivot_set
         return self.dim <= other.dim and all(map(other.contains_int, self.int_rows))
 
     def plus(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
+        if self._pivot_set is not None and other._pivot_set is not None:
+            pivots = self._pivot_set | other._pivot_set
+            if len(pivots) == other.dim:
+                return other
+            if len(pivots) == self.dim:
+                return self
+            return Subspace._coordinate(pivots, self.ambient_dim, self.field)
         return Subspace.of_int_rows(self.int_rows + other.int_rows,
                                     self.ambient_dim, self.field)
 
@@ -292,15 +357,22 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise ValueError("ambient dimension (or field) mismatch")
 
+    # Equal subspaces are both coordinate ones or neither, and the pivots
+    # decide between coordinate ones, so those compare and hash by them.
     def __eq__(self, other):
-        return self is other or (isinstance(other, Subspace)
-                                 and self.ambient_dim == other.ambient_dim
-                                 and self.field == other.field
-                                 and self.int_rows == other.int_rows)
+        if self is other:
+            return True
+        if not (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self.field == other.field):
+            return False
+        if self._pivot_set is None:
+            return self.int_rows == other.int_rows
+        return other._pivot_set is not None and self.pivots == other.pivots
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ambient_dim, self.int_rows)))
+            key = self.int_rows if self._pivot_set is None else self.pivots
+            object.__setattr__(self, "_hash", hash((self.ambient_dim, key)))
         return self._hash
 
     def __repr__(self):
@@ -317,7 +389,8 @@ def solve_row_combinations(rows, targets, ambient_dim: int, field=QQ) -> list:
     """
     k = len(rows)
     zero, back = field.zero, field.back
-    aug = [field.clear([field.of(r[t]) for r in rows] + [field.of(v[t]) for v in targets])[0]
+    aug = [field.reduce(field.clear([field.of(r[t]) for r in rows]
+                                    + [field.of(v[t]) for v in targets])[0])
            for t in range(ambient_dim)]
     reduced, pivots, rest = _echelon(aug, k, field)
     out = []

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (QQ, CommAlgebra, Matrix, PrimeField, Subspace, generated_ideal,
-                     generated_subalgebra, is_ideal, make_family,
+from bernalg import (QQ, BaricAlgebra, CommAlgebra, Matrix, PrimeField, Subspace,
+                     generated_ideal, generated_subalgebra, is_ideal, make_family,
                      nilpotency_report, power_chain, plenary_power,
                      subalgebra_on)
 from bernalg import algebra as algebra_module
@@ -11,7 +11,7 @@ from bernalg.algebra import ChainCapError, _sparse
 
 from conftest import (change_of_basis_copy, fresh_rng, operator_matrix, random_subspace_in,
                       random_table_algebra, random_vector_in, reference_mul_coords,
-                      reference_subspace_product, scaled_copy)
+                      reference_rref, reference_subspace_product, scaled_copy)
 
 
 def span_named(a, *names):
@@ -126,27 +126,57 @@ def test_squareshift_n_squared():
     assert a.subspace_product(n, n) == span_named(a, "e1", "e2")
 
 
-def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
-    b = make_family("bdown", 3)
-    n = b.barideal()
-    calls = []
+class _CountedRow(list):
+    """A row i of the integer table that counts its reads, one per product
+    D e_i e_j read off it."""
 
-    def count_products(a):
-        original = a._int_mul
-        monkeypatch.setattr(a, "_int_mul",
-                            lambda x, y: calls.append(1) or original(x, y))
-        return a
-    a = count_products(b.algebra)
-    first = a.subspace_product(a.full_space(), n)
-    computed = len(calls)
-    assert computed > 0
-    assert a.subspace_product(a.full_space(), n) is first
-    assert a.subspace_product(n, a.full_space()) is first
-    assert len(calls) == computed
-    # the memo lives on the algebra: a fresh one computes the product anew
-    fresh = count_products(make_family("bdown", 3).algebra)
-    assert fresh.subspace_product(n, fresh.full_space()) == first
-    assert len(calls) == 2 * computed
+    def __init__(self, row, calls):
+        super().__init__(row)
+        self.calls = calls
+
+    def __getitem__(self, j):
+        self.calls.append(j)
+        return super().__getitem__(j)
+
+
+def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
+    """bdown(3)'s full space and N are coordinate subspaces, so their
+    product is read off the table rows; in a change-of-basis copy N is not,
+    and the product runs on `_int_mul`.  Each path counts the calls of the
+    kernel it uses: table entry reads on the first, `_int_mul` on the
+    second, which the first never calls."""
+    def bdown3():
+        return make_family("bdown", 3)
+
+    def copy():
+        b = bdown3()
+        return BaricAlgebra(*change_of_basis_copy(b.algebra, b.weight, 1))
+
+    for make, coordinate in ((bdown3, True), (copy, False)):
+        table_reads, kernel_calls = [], []
+
+        def count_products(b):
+            a = b.algebra
+            original = a._int_mul
+            monkeypatch.setattr(a, "_int_mul",
+                                lambda x, y: kernel_calls.append(1) or original(x, y))
+            monkeypatch.setattr(a, "_int_rows", [_CountedRow(r, table_reads) for r in a._int_rows])
+            return a, b.barideal()
+        a, n = count_products(make())
+        assert n.is_coordinate() is coordinate
+        calls = table_reads if coordinate else kernel_calls
+        first = a.subspace_product(a.full_space(), n)
+        computed = len(calls)
+        assert computed > 0
+        assert a.subspace_product(a.full_space(), n) is first
+        assert a.subspace_product(n, a.full_space()) is first
+        assert len(calls) == computed
+        # the memo lives on the algebra: a fresh one computes the product anew
+        fresh, _ = count_products(make())
+        assert fresh.subspace_product(n, fresh.full_space()) == first
+        assert len(calls) == 2 * computed
+        if coordinate:
+            assert not kernel_calls
 
 
 def kernel_algebras():
@@ -241,6 +271,54 @@ def test_subspace_product_matches_the_reference_on_square_swapped_and_mixed_pair
             # by the swapped or an equal pair; a fresh algebra computes it
             assert a.subspace_product(x, y) == want, (n, x.int_rows, y.int_rows)
             assert fresh().subspace_product(x, y) == want, (n, x.int_rows, y.int_rows)
+
+
+def monomial_table_algebra(rng, dim, field):
+    """A seeded random table whose every product is a multiple of one basis
+    vector (5 vanishes over GF(5)), as in the built-in families."""
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < 0.6:
+                coords = [0] * dim
+                coords[rng.randrange(dim)] = rng.choice((1, -1, 2, Fraction(1, 2), 5))
+                products[(i, j)] = coords
+    return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
+
+
+def test_coordinate_paths_match_the_references():
+    """`subspace_product`, `plus`, `leq` and `contains_int` on monomial and
+    general tables, with coordinate and other subspaces on either side."""
+    rng = fresh_rng(61)
+    seen = set()
+    for n in range(48):
+        field, dim = (QQ, PrimeField(5))[n % 2], rng.randint(1, 5)
+        make = monomial_table_algebra if n % 3 else random_table_algebra
+
+        def fresh():
+            return make(fresh_rng(3000 + n), dim, field)
+        a = fresh()
+        full = a.full_space()
+        units = full.int_rows
+        spaces = [Subspace.of_int_rows(rng.sample(units, rng.randint(0, dim)), dim, field)
+                  for _ in range(3)]
+        spaces += [random_subspace_in(rng, full) for _ in range(3)] + [full, a.zero_space()]
+        for x in spaces:
+            assert x.is_coordinate() is all(sum(map(bool, r)) == 1 for r in x.rows)
+            vectors = [[rng.choice((0, 0, 1, -2, 5)) if k in x.pivots or rng.random() < 0.2
+                        else 0 for k in range(dim)] for _ in range(4)]
+            for v in vectors:
+                rank = len(reference_rref(list(x.rows) + [[field.of(c) for c in v]],
+                                          dim, field)[1])
+                assert x.contains_int(v) is (rank == x.dim), (n, x.int_rows, v)
+            for y in spaces:
+                seen.add((x.is_coordinate(), y.is_coordinate()))
+                assert fresh().subspace_product(x, y) == reference_subspace_product(a, x, y)
+                rows, pivots = reference_rref(list(x.rows) + list(y.rows), dim, field)
+                total = x.plus(y)
+                assert (total.rows, total.pivots) == (tuple(rows[:len(pivots)]), pivots)
+                assert x.leq(y) is (len(pivots) == y.dim)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_product_monotone():

@@ -484,6 +484,23 @@ def test_malformed_subspace_spec_exits_2_naming_the_problem(flag, spec, message,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fixture, spec, code, calls", [
+    ("bdown3.alg", "1,0", 2, ["bernstein_witnesses"]),
+    ("bdown3.alg", "0,0,1,0,0", 0, ["bernstein_witnesses", "peirce"]),
+    # the gate decides first: a non-Bernstein input exits 1 whatever its rows
+    ("corrupted.alg", "1,0", 1, ["bernstein_witnesses"]),
+])
+def test_stability_reads_its_rows_before_the_split(fixture, spec, code, calls, capsys,
+                                                   monkeypatch):
+    seen = []
+    for name in ("peirce", "bernstein_witnesses"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
+                            seen.append(name) or real(*a))
+    assert run_cli(["stability", path(fixture), "--subspace", spec], capsys=capsys)[0] == code
+    assert seen == calls
+
+
 @pytest.mark.parametrize("argv", [
     ["peirce", path("bdown3.alg"), "--seed", "1 e + 1/0 u1"],
     ["stability", path("bdown3.alg"), "--subspace", "1/0,0,0,0,0"],

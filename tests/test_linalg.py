@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernalg import QQ, Matrix, PrimeField, Subspace
-from bernalg.linalg import solve_row_combinations
+from bernalg.linalg import _echelon, solve_row_combinations
 
 from conftest import all_subspaces_within, eigenspace, fresh_rng, reference_rref, span_elements
 
@@ -379,3 +379,60 @@ def test_lattice_operations_match_the_reference(field, case):
         else:
             meet = []
         assert s1.meet(s2).rows == reference_span(meet, cols, field)[0]
+
+
+# ---------------------------------------------------------------- coordinate subspaces
+
+# multiples of a unit vector: negative, scaled, multiples of 5 (zero over
+# GF(5)) and huge, so that reduction has to find the one nonzero residue
+unit_multiples = st.one_of(st.integers(-30, 30),
+                           st.sampled_from([5, -10, 25 * 10 ** 20, 10 ** 40 + 1]))
+
+
+@given(st.sampled_from([QQ, PrimeField(5)]), st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_of_int_rows_on_unit_multiples_matches_the_reference(field, cols, data):
+    picks = data.draw(st.lists(st.tuples(st.integers(0, cols - 1), unit_multiples), max_size=8))
+    rows = []
+    for k, c in picks:
+        row = [0] * cols
+        row[k] = c
+        rows.append(row)
+    # a repeated row and a zero row
+    rows += rows[:1] + [[0] * cols]
+    s = Subspace.of_int_rows(rows, cols, field)
+    want_rows, want_pivots = reference_span([[field.of(x) for x in r] for r in rows], cols, field)
+    assert s.is_coordinate()
+    assert s.pivots == want_pivots and s.rows == want_rows
+    assert s.int_rows == tuple(tuple(int(bool(x)) for x in r) for r in want_rows)
+    # and elimination, which the unit rows skip, finds the same form
+    reduced, pivots, _ = _echelon([field.reduce(r) for r in rows], cols, field)
+    assert (s.int_rows, s.pivots) == (tuple(map(tuple, reduced)), tuple(pivots))
+
+
+def test_coordinate_flag_is_exact_on_the_elimination_path():
+    assert Subspace([[1, 1], [1, -1]], 2).is_coordinate()
+    assert Subspace([[0, 2, 2], [0, 1, 3]], 3).is_coordinate()
+    assert not Subspace([[1, 1]], 2).is_coordinate()
+    assert Subspace.zero(3).is_coordinate() and Subspace.full(3).is_coordinate()
+    # equal whichever path built them; pivots alone do not make two equal
+    eliminated = Subspace([[1, 1], [1, -1]], 2)
+    assert eliminated == Subspace.full(2) and hash(eliminated) == hash(Subspace.full(2))
+    plane, skew = Subspace([[1, 0, 0], [0, 1, 0]], 3), Subspace([[1, 0, 1], [0, 1, 0]], 3)
+    assert plane.pivots == skew.pivots and plane != skew and skew != plane
+    # a sum of coordinate subspaces is one, kept by its union of pivots
+    s = Subspace([[1, 0, 0]], 3).plus(Subspace([[0, 0, 3]], 3))
+    assert s.is_coordinate() and s == Subspace([[1, 0, 0], [0, 0, 1]], 3)
+
+
+# ---------------------------------------------------------------- field hooks
+
+fractions_with_shared_denominators = st.builds(
+    Fraction, st.integers(-10 ** 30, 10 ** 30), st.sampled_from([1, 2, 3, 6, 7, 10 ** 20 + 1]))
+
+
+@given(st.lists(st.one_of(st.fractions(), fractions_with_shared_denominators), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_clear_matches_the_plain_formula(values):
+    d = lcm(*[v.denominator for v in values])
+    assert QQ.clear(values) == ([v.numerator * (d // v.denominator) for v in values], d)

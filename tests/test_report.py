@@ -153,3 +153,34 @@ def test_basis_independent_report_fields_survive_a_change_of_basis(fixture):
     for label, copy in rebased_copies(alg):
         got, got_status = build_report("x", copy)
         assert (basis_independent(got), got_status) == (want, status), label
+
+
+def _permuted_families():
+    """The sparse families, whose N, Peirce pieces and chain terms are
+    coordinate subspaces, each with two seeded permutations of its basis,
+    in which they stay coordinate subspaces on other pivots."""
+    out = []
+    for kind, ns in (("bdown", (3, 6)), ("bup", (3, 6)), ("squareshift", (4, 7)),
+                     ("zhevlakov", (4, 7)), ("jordan3", (None,))):
+        for n in ns:
+            alg = make_family(kind, n)
+            copies = [(label, c) for label, c in rebased_copies(alg)
+                      if label.startswith("permuted")]
+            out.append((f"{kind}{n or ''}", alg, copies))
+    return out
+
+
+PERMUTED_FAMILIES = _permuted_families()
+
+
+@pytest.mark.parametrize("name, alg, copies", PERMUTED_FAMILIES,
+                         ids=[c[0] for c in PERMUTED_FAMILIES])
+def test_basis_independent_report_fields_survive_a_permutation_of_a_sparse_family(name, alg,
+                                                                                  copies):
+    report, status = build_report(name, alg)
+    want = basis_independent(report)
+    for label, copy in copies:
+        if isinstance(copy, BaricAlgebra):
+            assert copy.barideal().is_coordinate()
+        got, got_status = build_report(name, copy)
+        assert (basis_independent(got), got_status) == (want, status), label
