@@ -357,12 +357,35 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
     already).  The last breakpoint is 2 * a_k: a plateau that has held
     through twice its start position repeats forever, so a single repeated
     term does not end the chain but running out of breakpoints does.
+
+    When S * S <= S, S is a subalgebra and its full powers shrink:
+    S^2 <= S^1, and if S^(m+1) <= S^m for m < i, every split r + s = i + 1
+    has (say) r >= 2, so S^r S^s <= S^(r-1) S^s <= S^i.  Then a term is
+    computed only at the end points b_j + b_l + 1 (and at 2, as S^1 is S
+    itself and no sum): elsewhere no pair stops contributing, so S^i
+    contains S^(i-1) and, the chain shrinking, equals it.  Other starts,
+    whose chains can grow, compute every breakpoint.
     """
     runs = [Run(1, 1, s)]
     if s.is_zero():
         return runs, True, 1
-    # the starts and ends of the closed runs, which never change
-    points, products, starts, ends = [2], {}, [], []
+    # T_j T_l under the run indices (j, l), j <= l, filled once through the
+    # algebra's memoised `subspace_product`; equal products of different
+    # pairs are stored as one object, so the sum dedupes them by identity
+    products, distinct = {}, {}
+
+    def product(j, l):
+        p = products.get((j, l))
+        if p is None:
+            p = a.subspace_product(runs[j].term, runs[l].term)
+            p = products[j, l] = distinct.setdefault(p, p)
+        return p
+
+    shrinking = product(0, 0).leq(s)
+    pairs_at = _dominant_pairs if shrinking else _active_pairs
+    # the starts and ends of the closed runs, which never change, and the
+    # end points where a pair of closed runs stops contributing
+    points, starts, ends, stops = [2], [], [], {2}
     while True:
         last = runs[-1]
         while points and points[0] <= last.end:
@@ -373,7 +396,9 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
         if max_steps is not None and pos > max_steps:
             runs[-1] = last._replace(end=max_steps)
             return runs, False, None
-        new = _full_term(a, runs, starts, ends, pos, products)
+        new = last.term  # a shrinking chain changes only at its end points
+        if not shrinking or pos in stops:
+            new = _full_term(itertools.starmap(product, pairs_at(starts, ends, last.start, pos)))
         if new == last.term:
             runs[-1] = last._replace(end=pos)
             continue
@@ -390,32 +415,59 @@ def _full_runs(a: CommAlgebra, s: Subspace, max_steps: int | None):
             heapq.heappush(points, r.start + pos)
             if r.end < pos:
                 heapq.heappush(points, r.end + pos)
+                stops.add(r.end + pos)
 
 
-def _full_term(a: CommAlgebra, runs, starts, ends, pos: int, products: dict) -> Subspace:
-    """S^pos, the sum of the distinct products of the run pairs that
-    contribute at pos; `starts` and `ends` are those of the closed runs,
-    all but the last.
+def _active_pairs(starts, ends, open_start: int, pos: int) -> list:
+    """Every run pair (j, l), j <= l, that contributes at pos; `starts` and
+    `ends` are those of the closed runs, and the open run k = len(starts)
+    starts at open_start.
 
-    The product T_j T_l is read from the chain's table `products` under
-    the run indices (j, l), j <= l, and filled once through the algebra's
-    memoised `subspace_product`.  The products are summed largest first,
-    and one whose rows all lie in the running sum is skipped.  Runs are
-    contiguous, so their starts and ends both increase, and the closed
-    runs l >= j that pair with a closed run j at pos (a_j + a_l <= pos <=
-    b_j + b_l) form an interval, found by bisection.
+    Runs are contiguous, so their starts and ends both increase, and the
+    closed runs l >= j that pair with a closed run j at pos (a_j + a_l <=
+    pos <= b_j + b_l) form an interval, found by bisection.
     """
-    last = runs[-1]
-    pairs = [(j, len(starts)) for j, r in enumerate(runs) if r.start + last.start <= pos]
+    k = len(starts)
+    pairs = [(j, k) for j, start in enumerate(itertools.chain(starts, (open_start,)))
+             if start + open_start <= pos]
     for j, (start, end) in enumerate(zip(starts, ends)):
         hi = bisect.bisect_right(starts, pos - start, j)
         if hi <= j:
             break  # a later run j starts later, so it pairs with none either
         pairs += [(j, l) for l in range(bisect.bisect_left(ends, pos - end, j), hi)]
-    for j, l in pairs:
-        if (j, l) not in products:
-            products[j, l] = a.subspace_product(runs[j].term, runs[l].term)
-    terms = sorted(dict.fromkeys(products[p] for p in pairs), key=lambda t: t.dim, reverse=True)
+    return pairs
+
+
+def _dominant_pairs(starts, ends, open_start: int, pos: int) -> list:
+    """The run pairs whose products sum to the same term as those of
+    `_active_pairs`, when the terms shrink; at most one per run.
+
+    T_j T_l contains T_j' T_l' when j <= j' and l <= l', so only the
+    minimal contributing pairs count.  For each closed run j that is the
+    first closed partner l >= j, kept unless an earlier run kept one <= l;
+    the kept partners decrease, so no kept pair contains another.  The
+    open run k pairs with run 0 (pos - 1 lies in it), and T_0 T_k contains
+    every T_j T_k, so it is kept unless run 0 has a closed partner.
+    """
+    k = len(starts)
+    pairs, bound = [], k
+    for j, (start, end) in enumerate(zip(starts, ends)):
+        hi = min(bisect.bisect_right(starts, pos - start, j), bound)
+        if hi <= j:
+            break  # no later run j pairs with a partner below the bound
+        l = bisect.bisect_left(ends, pos - end, j, hi)
+        if l < hi:
+            pairs.append((j, l))
+            bound = l
+    if not pairs or pairs[0][0]:
+        pairs.append((0, k))
+    return pairs
+
+
+def _full_term(products) -> Subspace:
+    """The sum of run-pair products: each distinct object once, largest
+    first, skipping one whose rows all lie in the running sum."""
+    terms = sorted(dict.fromkeys(products), key=lambda t: t.dim, reverse=True)
     total = terms[0]
     for t in terms[1:]:
         if not all(map(total.contains_int, t.int_rows)):

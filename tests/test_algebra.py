@@ -470,7 +470,7 @@ def test_full_chain_matches_reference_on_families(kind):
 
 def test_full_chain_matches_reference_on_baric_corpus_and_plateau(baric_corpus):
     for _, b in baric_corpus:
-        assert_full_chain_matches_reference(b.algebra, b.barideal())
+        assert_shrinking_chain_matches_reference(b.algebra, b.barideal())
         assert_full_chain_matches_reference(b.algebra, b.algebra.full_space())
     # u*v = u: a nonzero plateau from position 2 on
     a = CommAlgebra.from_table(["u", "v"], {("u", "v"): {"u": 1}})
@@ -530,6 +530,64 @@ def test_full_chain_computes_each_run_pair_product_once(monkeypatch):
     assert 0 < len(calls) <= runs * (runs + 1) // 2
 
 
+def assert_shrinking_chain_matches_reference(a, s):
+    """The oracle holds for a subalgebra's full chain, whole and cut at
+    every length; its terms shrink, so the chain sums dominant pairs."""
+    assert a.subspace_product(s, s).leq(s)
+    chain = assert_full_chain_matches_reference(a, s)
+    for earlier, later in zip(chain.terms, chain.terms[1:]):
+        assert later.leq(earlier)
+    for max_steps in range(1, len(chain.terms) + 2):
+        assert_full_chain_matches_reference(a, s, max_steps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_full_chains_of_generated_subalgebras_match_reference(field):
+    rng = fresh_rng(23)
+    for _ in range(60):
+        a = random_table_algebra(rng, rng.randint(2, 5), field)
+        gens = [a.element(random_vector_in(rng, a.full_space()))
+                for _ in range(rng.choice((1, 2)))]
+        assert_shrinking_chain_matches_reference(a, generated_subalgebra(a, gens))
+
+
+def test_full_chains_of_rebased_families_match_reference():
+    # in a changed basis the chain terms are no coordinate subspaces
+    cases = [(make_family("squareshift", 6), None), (make_family("zhevlakov", 6), None),
+             (make_family("bdown", 5).algebra, make_family("bdown", 5).weight)]
+    for a, weight in cases:
+        b, w = change_of_basis_copy(a, weight, 3)
+        s = b.full_space() if w is None else BaricAlgebra(b, w).barideal()
+        assert_shrinking_chain_matches_reference(b, s)
+        assert not all(t.is_coordinate() for t in power_chain(b, s, "full").terms)
+
+
+def test_full_chain_of_a_subalgebra_sums_dominant_pairs_at_end_points(monkeypatch):
+    a = make_family("squareshift", 12)
+    products, terms, per_term = [], [], []
+    original_product = a.subspace_product
+    monkeypatch.setattr(a, "subspace_product",
+                        lambda s1, s2: products.append(1) or original_product(s1, s2))
+    original_term = algebra_module._full_term
+    monkeypatch.setattr(algebra_module, "_full_term",
+                        lambda ps: terms.append(1) or original_term(ps))
+    original_pairs = algebra_module._dominant_pairs
+
+    def dominant_pairs(starts, ends, open_start, pos):
+        pairs = original_pairs(starts, ends, open_start, pos)
+        per_term.append((len(pairs), len(starts) + 1))
+        return pairs
+
+    monkeypatch.setattr(algebra_module, "_dominant_pairs", dominant_pairs)
+    chain = power_chain(a, a.full_space(), "full")
+    assert chain.nil_index == 2 ** 11 + 1
+    # the general rule, a term at every breakpoint, takes 112 terms and 77 products
+    assert (len(terms), len(products)) == (67, 67)
+    assert len(per_term) == len(terms)
+    assert all(0 < pairs <= runs for pairs, runs in per_term)
+    assert sum(pairs for pairs, _ in per_term) == 122
+
+
 def test_full_chain_term_past_the_stored_positions():
     a = make_family("squareshift", 4)
     chain = power_chain(a, a.full_space(), "full")
@@ -547,6 +605,9 @@ def test_full_chain_of_a_non_subalgebra_need_not_stabilize(monkeypatch):
     # has the powers S^i = <x^i>, a new line at every position
     a = CommAlgebra(["b0", "b1"], {(0, 0): (-1, 0), (0, 1): (0, -1)})
     s = Subspace([(1, Fraction(-3, 2))], 2)
+    # S * S is not in S, so the chain keeps the general rule
+    assert not a.subspace_product(s, s).leq(s)
+    monkeypatch.setattr(algebra_module, "_dominant_pairs", None)
     chain = assert_full_chain_matches_reference(a, s, max_steps=30)
     assert len(chain.runs) == 30 and not chain.stabilized
     monkeypatch.setattr(algebra_module, "_HARD_CAP", 20)
