@@ -1,78 +1,166 @@
 """Exact verification of polynomial identities on a commutative algebra.
 
-Each supported identity is decided by full multilinearization: every
-variable of degree d is replaced by d fresh variables, the multilinear
-component is extracted, and that symmetric multilinear form is checked on
-all unordered tuples of basis vectors.  Over the rationals (infinite,
-characteristic 0) this is equivalent to the identity holding for every
-element.  A failing tuple is turned into a concrete witness by evaluating
-the original identity at subset sums of the tuple; inclusion-exclusion
-guarantees one of them has a nonzero defect.
+Each identity is written once, as terms (`_TERMS`): a coefficient, the
+variables whose weight it carries and a product tree.  `_linearize` derives
+the rest: variables and degrees, the terms' scales to one common multiple
+for the one integer defect evaluator (`_int_defect`, shared by
+`identity_defect` and the witness search), and the full linearization, in
+which a variable of degree d gets d slots that fill its occurrences in
+every order, as canonical commutative monomials whose multiplicities are
+divided by their gcd.  Over the rationals an identity holds exactly when
+that form vanishes on every basis tuple (one sorted multiset of slots per
+variable; degree-1 variables the form is symmetric in share one).  A
+failing tuple yields a witness at subset sums of each variable's slots.
 
-The scans run in exact integer arithmetic on the algebra's one integer
-table (the structure constants times D, the lcm of their denominators);
-the weight is scaled by Dw, the lcm of its denominators.  Every term of a
-tuple's sum is weighted by a positive integer chosen so that the whole
-integer sum is one fixed positive multiple of the rational sum (D^3 Dw^2
-for the quartic forms, D^2 Dw for the cubic ones, D^3 for Jordan).  A positive
-multiple is zero exactly when the rational sum is, so each tuple gets the
-same verdict as in rational arithmetic, the tuples are visited in the
-same order, and the first failing tuple is the same.
-
-Witnesses and `identity_defect` share one integer defect evaluator per
-identity (`_int_defect`), on `CommAlgebra._int_mul`, the kernel every
-product uses.  The identities are homogeneous, so each
-variable is cleared to an integer vector, the evaluator returns a fixed
-positive multiple of the defect, and one division maps it back.  The
-witness search evaluates the subset sums of a failing tuple as integer
-vectors and builds rational elements only for the sum it returns.
-
-The scans accumulate each tuple's sum in one int.  Each table row
-D e_i e_j is packed by Kronecker substitution as sum_k v_k 2^(B k)
-(`_packing`), and a pair's operator, whose column n packs D x e_n, is a
-sum of packed rows.  A pairing then costs one big-int multiply-add per
-nonzero entry of the other pair, and the zero test is `acc == 0`.  Each
-scan takes B = bound.bit_length() + 2 for a bound on every coordinate its
-integer sums can reach, from dim, the largest |table entry| M and the
-largest |W| (3 * 2 Dw^2 * dim^2 M^3 + 6 D^2 W^2 M for the quartic forms).
-Packing is Z-linear, so an accumulated int is the packing of the integer
-sum vector, whose coordinates are below 2^(B-2) in absolute value; signed
-digits below 2^(B-1) make packing injective, so `acc == 0` exactly when
-the vector is zero, and every tuple's verdict, the first failing tuple
-and its witness are those of the unpacked sums.  The quartic scan builds
-the operators of one leading index at a time: in lexicographic order
-every pairing's first pair holds the tuple's leading index.
+Everything runs on the algebra's integer table (D times the structure
+constants) and the weight times Dw, each term weighted to one positive
+multiple of its rational value, so verdicts and first failing tuples are
+the rational ones.  The scan (`_scan`) accumulates a tuple's sum in one
+int: rows D e_i e_j are packed on first use as sum_k v_k 2^(B k), with B
+from a bound built up each monomial's tree (`_digit_bound`), so that
+`acc == 0` exactly when the unpacked sum is zero.  A weight monomial
+w(a) w(b) (c d) rides on the product (a b)(c d) through coordinate dim.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 from typing import NamedTuple
 
-from .algebra import CommAlgebra, Element, _sparse
+from .algebra import CommAlgebra, Element, _dense, _sparse
 from .fields import QQ
 
 
 class Identity(enum.Enum):
-    BERNSTEIN = "bernstein"              # (x^2)^2 = w(x)^2 x^2
-    JORDAN = "jordan"                    # x(x^2 y) = x^2 (x y)
-    CUBE_WEIGHT = "cube_weight"          # x^3 = w(x) x^2
-    JACOBI = "jacobi"                    # (xy)z + (yz)x + (zx)y = 0
-    CUBE_ZERO = "cube_zero"              # x^3 = 0
-    SQUARE_SQUARE_ZERO = "square_square_zero"  # (x^2)^2 = 0
+    BERNSTEIN = "bernstein"
+    JORDAN = "jordan"
+    CUBE_WEIGHT = "cube_weight"
+    JACOBI = "jacobi"
+    CUBE_ZERO = "cube_zero"
+    SQUARE_SQUARE_ZERO = "square_square_zero"
 
     @property
     def needs_weight(self) -> bool:
-        return self in (Identity.BERNSTEIN, Identity.CUBE_WEIGHT)
+        return _form(self).weights > 0
 
     @property
     def variables(self) -> tuple[str, ...]:
-        if self is Identity.JORDAN:
-            return ("x", "y")
-        if self is Identity.JACOBI:
-            return ("x", "y", "z")
-        return ("x",)
+        return _form(self).variables
+
+
+# Each identity as (coefficient, weight variables, product tree) terms that
+# sum to zero; a tree is a variable name or a pair of trees.
+_SQ = ("x", "x")
+_TERMS = {
+    Identity.BERNSTEIN: ((1, (), (_SQ, _SQ)), (-1, ("x", "x"), _SQ)),     # (x^2)^2 = w(x)^2 x^2
+    Identity.JORDAN: ((1, (), ("x", (_SQ, "y"))), (-1, (), (_SQ, ("x", "y")))),  # x(x^2y) = x^2(xy)
+    Identity.CUBE_WEIGHT: ((1, (), (_SQ, "x")), (-1, ("x",), _SQ)),        # x^3 = w(x) x^2
+    Identity.JACOBI: ((1, (), (("x", "y"), "z")), (1, (), (("y", "z"), "x")),
+                      (1, (), (("z", "x"), "y"))),                    # (xy)z + (yz)x + (zx)y = 0
+    Identity.CUBE_ZERO: ((1, (), (_SQ, "x")),),                            # x^3 = 0
+    Identity.SQUARE_SQUARE_ZERO: ((1, (), (_SQ, _SQ)),),                   # (x^2)^2 = 0
+}
+
+
+class _Form(NamedTuple):
+    variables: tuple   # in order of first appearance
+    slots: tuple       # per variable, the range of its slots
+    groups: tuple      # the sizes of the multisets a scan visits
+    products: int      # the common multiple is D^products Dw^weights
+    weights: int
+    monomials: tuple   # (multiplicity, weight slots, canonical tree over slots)
+    steps: tuple       # see `_steps`
+    fused: tuple
+
+
+@functools.cache
+def _form(ident: Identity) -> _Form:
+    return _linearize(_TERMS[ident])
+
+
+def _leaves(tree) -> tuple:
+    return _leaves(tree[0]) + _leaves(tree[1]) if isinstance(tree, tuple) else (tree,)
+
+
+def _key(tree):
+    """A total order on trees over slots: leaves first."""
+    return (0, tree) if isinstance(tree, int) else (1, _key(tree[0]), _key(tree[1]))
+
+
+def _canon(tree, leaf):
+    """The commutative canonical form of tree, each leaf replaced by leaf(it)."""
+    if not isinstance(tree, tuple):
+        return leaf(tree)
+    return tuple(sorted((_canon(tree[0], leaf), _canon(tree[1], leaf)), key=_key))
+
+
+def _linearize(terms) -> _Form:
+    occurrences = [(*weights, *_leaves(tree)) for _, weights, tree in terms]
+    variables = tuple(dict.fromkeys(v for occ in occurrences for v in occ))
+    degrees = [occurrences[0].count(v) for v in variables]
+    starts = itertools.accumulate(degrees, initial=0)
+    slots = tuple(range(s, s + d) for s, d in zip(starts, degrees))
+
+    def linearized(move: dict) -> dict:
+        out = {}
+        for c, weights, tree in terms:
+            for perm in itertools.product(*map(itertools.permutations, slots)):
+                fill = {v: iter([move.get(s, s) for s in p]) for v, p in zip(variables, perm)}
+                key = (tuple(sorted(next(fill[v]) for v in weights)),
+                       _canon(tree, lambda v: next(fill[v])))
+                out[key] = out.get(key, 0) + c
+        return out
+
+    counts = linearized({})
+    g = math.gcd(*counts.values())
+    monomials = tuple((n // g, ws, tree) for (ws, tree), n in counts.items() if n)
+    single, groups = {s[0] for s in slots if len(s) == 1}, []
+    for s in slots:
+        # a degree-1 variable joins the degree-1 variables before it when the
+        # form is symmetric in all of them
+        joined = groups[-1] + list(s) if groups and single >= {*groups[-1], *s} else None
+        if joined and all(linearized(dict(zip(joined, p))) == counts
+                          for p in itertools.permutations(joined)):
+            groups[-1] = joined
+        else:
+            groups.append(list(s))
+    groups = tuple(map(len, groups))
+    return _Form(variables, slots, groups, max(len(_leaves(t)) - 1 for _, _, t in terms),
+                 max(len(ws) for _, ws, _ in terms), monomials, *_steps(groups, monomials))
+
+
+def _steps(groups: tuple, monomials: tuple) -> tuple:
+    """One step per product monomial x y: (multiplicity, operator factor,
+    vector factor, whether each carries its slots' weight, None), taking
+    the operator of a leaf (a table row), else of a factor fixed while the
+    last multiset varies, else of one holding slot 0; for m (y S),
+    (multiplicity, S, y, False, False, m): S[n] times column m of the
+    operator of e_n e_y.  Weight monomials w(slots of x) y ride on x y; the
+    (multiplicity, tree, weight count) they share is returned too."""
+    inner = set(range(sum(groups[:-1]), sum(groups)))
+    weight_terms = {(ws, tree): n for n, ws, tree in monomials if ws}
+    steps, fused = [], []
+    for n, ws, tree in monomials:
+        if ws:
+            continue
+        if len(_leaves(tree)) > 4:
+            raise ValueError(f"no scan for the monomial {tree!r} of degree above 4")
+        if not all(len(_leaves(f)) <= 2 for f in tree):   # m (y S): leaves sort first
+            steps.append((n, tree[1][1], tree[1][0], False, False, tree[0]))
+            continue
+        x, y = sorted(tree, key=lambda f: (not isinstance(f, int), bool(inner & set(_leaves(f))),
+                                           0 not in _leaves(f)))
+        splits = ((x, y), (y, x))
+        hits = [weight_terms.pop((tuple(sorted(_leaves(f))), g), None) for f, g in splits]
+        fused += [(h, g, len(_leaves(f))) for h, (f, g) in zip(hits, splits) if h is not None]
+        steps.append((n, x, y, hits[0] is not None, hits[1] is not None, None))
+    if (weight_terms or len({(h, len(_leaves(g)), k) for h, g, k in fused}) > 1
+            or fused and len({step[0] for step in steps}) > 1):
+        raise ValueError("the weight terms do not ride on the product terms")
+    return tuple(steps), (fused[0] if fused else None)
 
 
 class Witness(NamedTuple):
@@ -120,229 +208,209 @@ def identity_defect(a: CommAlgebra, ident: Identity, assignment: dict, weight=No
     """Direct evaluation of the identity's defect at concrete elements.
 
     The variables are cleared to integer vectors by one common
-    denominator d; the identity is homogeneous of total degree 3 or 4, so
-    the integer defect at the cleared vectors is m * d^degree times the
-    rational one."""
+    denominator d; the identity is homogeneous, so the integer defect at
+    the cleared vectors is m * d^degree times the rational one."""
     weight = _weight_for(a, ident, weight)
     ws, dw = (None, 1) if weight is None else a.field.clear(weight)
     ints, d = a.field.clear([c for var in ident.variables for c in assignment[var].coords])
     xs = [_sparse(ints[i:i + a.dim]) for i in range(0, len(ints), a.dim)]
     v, m = _int_defect(a, ident, xs, ws, dw)
-    cubic = ident in (Identity.CUBE_WEIGHT, Identity.CUBE_ZERO, Identity.JACOBI)
-    return Element(a, a._back(v, m * d ** (3 if cubic else 4)))
+    return Element(a, a._back(v, m * d ** sum(map(len, _form(ident).slots))))
 
 
 def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
-    """(v, m): the defect of the identity at the sparse integer vectors xs
-    (in the order of `ident.variables`) as the dense integer vector v = m
-    times it, m > 0.  The weight enters as the integers ws = Dw * weight.
-    With D x y the kernel's product, every term is weighted to the same
-    multiple m of the powers of D and Dw.  Products of products re-enter
-    the kernel as sparse vectors."""
-    d = a._den
+    """(v, m): the defect at the sparse integer vectors xs (in the order of
+    `ident.variables`) as the dense integer vector v = m times it, for
+    m = D^products Dw^weights and the weight as the integers ws = Dw w."""
+    form, d = _form(ident), a._den
+    memo = dict(zip(form.variables, xs))   # each subtree's value, the leaves first
 
-    def mul(x, y):
-        return _sparse(a._int_mul(x, y))
+    def value(tree):
+        out = memo.get(tree)
+        if out is None:
+            out = memo[tree] = _sparse(a._int_mul(value(tree[0]), value(tree[1])))
+        return out
 
-    x = xs[0]
-    if ident is Identity.JACOBI:
-        y, z = xs[1], xs[2]
-        return _combination(a.dim, (1, mul(mul(x, y), z)), (1, mul(mul(y, z), x)),
-                            (1, mul(mul(z, x), y))), d * d
-    sq = mul(x, x)                      # D x^2
-    if ident is Identity.JORDAN:
-        y = xs[1]
-        return _combination(a.dim, (1, mul(x, mul(sq, y))), (-1, mul(sq, mul(x, y)))), d ** 3
-    if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
-        quad = mul(sq, sq)              # D^3 (x^2)^2
-        if ident is Identity.SQUARE_SQUARE_ZERO:
-            return _combination(a.dim, (1, quad)), d ** 3
-        w = sum(ws[k] * c for k, c in x)    # Dw w(x)
-        return _combination(a.dim, (dw * dw, quad), (-d * d * w * w, sq)), d ** 3 * dw * dw
-    cube = mul(sq, x)                   # D^2 x^3
-    if ident is Identity.CUBE_ZERO:
-        return _combination(a.dim, (1, cube)), d * d
-    if ident is Identity.CUBE_WEIGHT:
-        w = sum(ws[k] * c for k, c in x)
-        return _combination(a.dim, (dw, cube), (-d * w, sq)), d * d * dw
-    raise ValueError(f"unknown identity {ident!r}")
+    acc = [0] * a.dim
+    for c, weights, tree in _TERMS[ident]:
+        c *= _scale(form, d, dw, tree, len(weights))
+        for v in weights:
+            c *= sum(ws[k] * x for k, x in memo[v])
+        if c:
+            for k, x in value(tree):
+                acc[k] += c * x
+    return acc, d ** form.products * dw ** form.weights
 
 
-def _combination(dim: int, *terms) -> list:
-    """sum c * vec over the (c, vec) terms of sparse integer vectors, as a
-    dense list of dim ints."""
-    acc = [0] * dim
-    for c, vec in terms:
-        for k, v in vec:
-            acc[k] += c * v
-    return acc
+def _digit_bound(form: _Form, a: CommAlgebra, ws, dw: int) -> int:
+    """A bound on every coordinate of the form's integer sum at a basis
+    tuple, built up each monomial's tree: a leaf is 1, a product of x and y
+    at most |supp x| |supp y| max|x| max|y| M (M the largest |table entry|,
+    supports up to dim), a weight factor at most max |ws|."""
+    w = max(map(abs, ws or [0]))
+    return sum(abs(n) * _scale(form, a._den, dw, tree, len(wslots)) * w ** len(wslots)
+               * a.dim ** _shape(tree)[1] * a._int_max ** _shape(tree)[2]
+               for n, wslots, tree in form.monomials)
+
+
+@functools.cache
+def _shape(tree) -> tuple:
+    """(leaves, e, f): a product is at most |supp x| |supp y| max|x| max|y| M,
+    with support 1 for a leaf and dim for a product, so the tree is at
+    most dim^e M^f."""
+    if not isinstance(tree, tuple):
+        return 1, 0, 0
+    (l1, e1, f1), (l2, e2, f2) = map(_shape, tree)
+    return l1 + l2, e1 + e2 + (l1 > 1) + (l2 > 1), f1 + f2 + 1
+
+
+def _scale(form: _Form, d: int, dw: int, tree, weights: int) -> int:
+    """The factor that brings a term with this tree and this many weight
+    factors to the common multiple D^products Dw^weights."""
+    return d ** (form.products + 1 - _shape(tree)[0]) * dw ** (form.weights - weights)
 
 
 def _packing(bound: int):
     """pack(v): the sparse integer vector v as one int, sum_k v_k 2^(B k),
-    for B = bound.bit_length() + 2.  Packing is Z-linear, and a packed sum
-    is 0 exactly when its vector is, if `bound` bounds that vector's
-    coordinates (see the module docstring)."""
+    for B = bound.bit_length() + 2; injective on vectors within `bound`."""
     width = bound.bit_length() + 2
     return lambda v: sum(c << (width * k) for k, c in v)
 
 
-def _packed_table(a, pack) -> list:
-    """The integer table with each row D e_i e_j packed, indexed [i][j]."""
-    table = [[0] * a.dim for _ in range(a.dim)]
-    for i, rows in enumerate(a._int_rows):
-        for j in range(i, a.dim):
-            table[i][j] = table[j][i] = pack(rows[j])
-    return table
+class _Lazy(dict):
+    """A table whose entry k is make(k), made on first use."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, k):
+        out = self[k] = self.make(k)
+        return out
 
 
-def _operator(table, x) -> list:
-    """The packed columns D x e_n of multiplication by the sparse integer
-    vector x on a packed table: D x y then packs to the sum of y_n times
-    column n."""
-    return [sum(v * table[m][n] for m, v in x) for n in range(len(table))]
+def _scan(a: CommAlgebra, ident: Identity, weight):
+    """First tuple (all slots, concatenated) in scan order where the
+    linearized form is nonzero, or None.  Vectors and operators are kept
+    by key, a basis index k for a leaf and p dim + q for a pair; those of
+    a pair holding the tuple's first slot while that index leads."""
+    form, dim, pairs, d = _form(ident), a.dim, a._int_rows, a._den
+    if form.weights and weight is None:
+        raise ValueError(f"identity {ident.value} needs a weight functional")
+    ws, dw = QQ.clear(weight) if form.weights else (None, 1)
+    pack = _packing(_digit_bound(form, a, ws, dw))
+    scale = c_weight = 1
+    if form.fused:
+        n, x, y = form.steps[0][:3]
+        scale = n * _scale(form, d, dw, (x, y), 0)
+        n, tree, k = form.fused
+        c_weight = n * _scale(form, d, dw, tree, k)
 
+    def pack_row(r: int) -> list:   # scaled, with e_n e_dim = c_weight e_n
+        if r == dim:
+            return [pack(((n, c_weight),)) for n in range(dim)] + [0]
+        out = [rows[n][r] if n in rows else scale * pack(v) for n, v in enumerate(pairs[r])]
+        return out + [pack(((r, c_weight),))] if form.fused else out
 
-def _scan_degree4(a, weight):
-    """First basis 4-tuple where the linearized quartic form is nonzero.
+    rows = _Lazy(pack_row)
 
-    The multilinear component of (x^2)^2 is, up to a positive factor, the
-    sum over the three pair-pairings; the weight part (when a weight is
-    given) linearizes to the sum over the six ways of splitting the tuple
-    into a weight pair and a product pair.  With P = D e_p e_q and
-    W = Dw w, the pair-pair terms 2 Dw^2 P P and the weight terms
-    D^2 W W P are each D^3 Dw^2 times their rational values.  For M the
-    largest |table entry|, a coordinate of D P P is at most dim^2 M^3, which
-    bounds the packed sums.
+    def vector(c: int, idx: tuple, ext: bool) -> tuple:   # c e_i or c D e_p e_q
+        v = pairs[idx[0]][idx[1]] if len(idx) == 2 else ((idx[0], 1),)
+        v = v if c == 1 else tuple((k, c * x) for k, x in v)
+        w = c * math.prod(ws[i] for i in idx) if ext else 0
+        return v + ((dim, w),) if w else v
 
-    In each pairing (ij)(kl), (ik)(jl), (il)(jk) the first pair holds the
-    tuple's leading index i, so D P_ib P_cd is the sum of P_cd[n] times
-    column n of the packed operator of P_ib.  The operators of one leading
-    index are built when first needed and dropped when i moves on.  With a
-    weight, a pairing of (pq) with (rs) contributes the symmetric form
-    2 Dw^2 D P_pq P_rs - D^2 (W_p W_q P_rs + W_r W_s P_pq): the same product
-    on pair vectors extended by W_p W_q at index dim, in the table times
-    2 Dw^2 extended by e_n e_dim = -D^2 e_n and e_dim e_dim = 0, so the
-    operators carry the weight terms too.
-    """
-    pairs, dim = a._int_rows, a.dim
-    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
-    c_pair, c_weight = 2 * dw * dw, a._den ** 2
-    m, w = a._int_max, max(map(abs, ws or [0]))
-    pack = _packing(3 * c_pair * dim * dim * m ** 3 + 6 * c_weight * w * w * m)
-    table, vecs = _packed_table(a, pack), pairs
-    if ws is not None:
-        units = [-c_weight * pack(((n, 1),)) for n in range(dim)]
-        table = [[c_pair * t for t in row] + [u] for row, u in zip(table, units)] + [units + [0]]
-        vecs = [[pairs[p][q] + (((dim, ws[p] * ws[q]),) if ws[p] * ws[q] else ())
-                 for q in range(dim)] for p in range(dim)]
+    def operator(x) -> list:   # the packed columns D x e_n
+        out = ()
+        for m, v in x:
+            r = rows[m]
+            out = [o + v * e for o, e in zip(out, r)] if out else [v * e for e in r]
+        return out
+
+    tables = {}   # by kind, coefficient, leaf or pair, and weight
+
+    def table(kind: str, c: int, leaf: bool, ext: bool):
+        """Vectors [p][q] (a leaf: [any][q]), or operators by key k (a leaf)
+        or p dim + q (a pair)."""
+        key = (kind, c, leaf, ext)
+        if key not in tables and kind == "vec":
+            tables[key] = ([[vector(c, (q,), ext) for q in range(dim)]] * dim if leaf
+                           else pairs if c == 1 and not ext
+                           else [[vector(c, (p, q), ext) for q in range(dim)] for p in range(dim)])
+        elif key not in tables:
+            tables[key] = _Lazy((lambda k: operator(vector(1, (k,), ext)) if ext else rows[k])
+                                if leaf else lambda k: operator(vector(1, divmod(k, dim), ext)))
+        return tables[key]
+
+    outer = sum(form.groups[:-1])   # the slots of all multisets but the last
+
+    def fixed(f, ext) -> tuple:   # a pair factor that the outer multisets fix, else ()
+        return () if ext or isinstance(f, int) or max(f) >= outer else f
+
+    dots, columns = [], []
+    for n, x, y, x_ext, y_ext, column in form.steps:
+        tree, vec = ((x, y), y) if column is None else ((column, (y, x)), x)
+        leaf = isinstance(vec, int)
+        c = n * _scale(form, d, dw, tree, 0) // scale
+        vecs = ((0, vec) if leaf else vec) + (table("vec", c, leaf, y_ext),)
+        if column is not None:
+            columns.append((fixed(x, False), (*vecs, y, table("op", 1, False, False), column)))
+        elif isinstance(x, int):
+            dots.append((fixed(vec, y_ext), (*vecs, x, 0, x, table("op", 1, True, x_ext))))
+        else:
+            ops = table("lead" if 0 in x else "op", 1, False, x_ext)
+            dots.append((fixed(x, x_ext) or fixed(vec, y_ext), (*vecs, x[0], dim, x[1], ops)))
+    per_lead = [ops for key, ops in tables.items() if key[0] == "lead"]
     lead = None
-    for t in itertools.combinations_with_replacement(range(dim), 4):
-        i, j, k, l = t
-        if i != lead:
-            lead, row, ops = i, vecs[i], [None] * dim
-        acc = 0
-        for b, y in ((j, vecs[k][l]), (k, vecs[j][l]), (l, vecs[j][k])):
-            if row[b] and y:
-                op = ops[b]
-                if op is None:
-                    op = ops[b] = _operator(table, row[b])
-                acc += sum(v * op[n] for n, v in y)
-        if acc:
-            return t
-    return None
-
-
-def _scan_degree3(a, weight):
-    """First basis triple where the linearized cubic form is nonzero.
-
-    The product terms Dw (D e_p e_q) e_r and the weight terms D W P are
-    each D^2 Dw times their rational values; their coordinates are at most
-    Dw dim M^2 and D W M.
-    """
-    pairs, dim = a._int_rows, a.dim
-    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
-    m, w = a._int_max, max(map(abs, ws or [0]))
-    table = _packed_table(a, _packing(3 * dw * dim * m * m + 3 * a._den * w * m))
-    for t in itertools.combinations_with_replacement(range(dim), 3):
-        i, j, k = t
-        terms = ((k, (i, j)), (j, (i, k)), (i, (j, k)))
-        acc = dw * sum(v * table[n][r] for r, (p, q) in terms for n, v in pairs[p][q])
-        if ws is not None:
-            acc -= a._den * sum(ws[r] * table[p][q] for r, (p, q) in terms)
-        if acc:
-            return t
-    return None
-
-
-def _scan_jordan(a):
-    """First ((x-triple), y) where the linearized Jordan form is nonzero.
-
-    Both terms e_m (P e_y) and P (D e_m e_y) of each summand are D^3 times
-    their rational values, so the form needs no further weighting, and a
-    coordinate of either is at most dim^2 M^3.  Both are read off packed
-    pair operators: e_m (P e_y) is the sum of P[n] times column m of the
-    operator of D e_n e_y, and P (D e_m e_y) the sum of (D e_m e_y)[n]
-    times column n of the operator of P.  Each pair's operator is built
-    once per scan, when first needed.
-    """
-    pairs, dim = a._int_rows, a.dim
-    table = _packed_table(a, _packing(6 * dim * dim * a._int_max ** 3))
-    ops = {}
-
-    def op(p, q):
-        o = ops.get((p, q))
-        if o is None:
-            o = ops[p, q] = ops[q, p] = _operator(table, pairs[p][q])
-        return o
-
-    for t in itertools.combinations_with_replacement(range(dim), 3):
-        i, j, k = t
-        terms = [(m, pairs[p][q], op(p, q))
-                 for m, (p, q) in ((i, (j, k)), (j, (i, k)), (k, (i, j))) if pairs[p][q]]
-        for y in range(dim):
+    for head in map(sum, itertools.product(*(itertools.combinations_with_replacement(
+            range(dim), g) for g in form.groups[:-1])), itertools.repeat(())):
+        # the steps with a factor that is zero for every tuple of this head drop out
+        live = [[step for f, step in steps if not f or pairs[head[f[0]]][head[f[1]]]]
+                for steps in (dots, columns)]
+        for t in itertools.combinations_with_replacement(range(dim), form.groups[-1]):
+            t = head + t
+            if t[0] != lead:
+                lead = t[0]
+                for ops in per_lead:
+                    ops.clear()
             acc = 0
-            for m, x, x_op in terms:
-                acc += sum(v * op(n, y)[m] for n, v in x if pairs[n][y])
-                acc -= sum(v * x_op[n] for n, v in pairs[m][y])
+            for j1, j2, vecs, i1, k1, i2, ops in live[0]:
+                vec = vecs[t[j1]][t[j2]]
+                if vec:
+                    op = ops[t[i1] * k1 + t[i2]]
+                    if op:
+                        acc += sum(v * op[n] for n, v in vec)
+            for j1, j2, vecs, y, ops, m in live[1]:   # column m of e_n e_y's operator
+                ty, tm = t[y], t[m]
+                for n, v in vecs[t[j1]][t[j2]]:
+                    op = ops[n * dim + ty]
+                    if op:
+                        acc += v * op[tm]
             if acc:
-                return t, y
+                return t
     return None
 
 
-def _subset_sums(positions: tuple[int, ...]):
+def _subset_sums(positions: tuple) -> list:
     """Distinct subset sums of basis vectors as sparse integer vectors,
     smallest supports first."""
-    seen = set()
-    for size in range(1, len(positions) + 1):
-        for combo in itertools.combinations(range(len(positions)), size):
-            multiset = tuple(sorted(positions[c] for c in combo))
-            if multiset in seen:
-                continue
-            seen.add(multiset)
-            yield tuple((k, multiset.count(k)) for k in sorted(set(multiset)))
+    multisets = dict.fromkeys(tuple(sorted(c)) for size in range(1, len(positions) + 1)
+                              for c in itertools.combinations(positions, size))
+    return [tuple((k, m.count(k)) for k in sorted(set(m))) for m in multisets]
 
 
-def _witness_from_tuple(a, ident, weight, xs, y_index):
-    """Convert a failing linearized tuple into a witness for the identity
-    itself.  The scans compute a positive multiple of the identity's
-    multilinear component, so by polarization some subset sum of the tuple
-    has a nonzero defect; the final raise guards that argument.  The sums
-    are evaluated as integer vectors; only the one returned is built as
-    rational elements."""
+def _witness_from_tuple(a, ident, weight, t):
+    """A witness for the identity from a failing tuple of the scan: by
+    polarization some choice of a subset sum of each variable's slots has
+    a nonzero defect (the raise guards that argument).  Only the one
+    returned is built as rational elements."""
     ws, dw = (None, 1) if weight is None else QQ.clear(weight)
-    if ident is Identity.JACOBI:
-        v, m = _int_defect(a, ident, [((i, 1),) for i in xs], ws, dw)
-        return Witness(tuple(zip(ident.variables, map(a.basis_element, xs))),
-                       Element(a, a._back(v, m)))
-    y = () if y_index is None else (((y_index, 1),),)
-    for x in _subset_sums(xs):
-        v, m = _int_defect(a, ident, (x, *y), ws, dw)
+    form = _form(ident)
+    for xs in itertools.product(*(_subset_sums([t[s] for s in slots]) for slots in form.slots)):
+        v, m = _int_defect(a, ident, xs, ws, dw)
         if any(v):
-            assignment = {"x": a.element([dict(x).get(k, 0) for k in range(a.dim)])}
-            if y_index is not None:
-                assignment["y"] = a.basis_element(y_index)
-            return Witness(tuple(assignment.items()), Element(a, a._back(v, m)))
+            assignment = tuple((name, Element(a, a._back(_dense(x, a.dim), 1)))
+                               for name, x in zip(form.variables, xs))
+            return Witness(assignment, Element(a, a._back(v, m)))
     raise RuntimeError("linearized form is nonzero but no witness was found")
 
 
@@ -353,20 +421,5 @@ def check_identity(a: CommAlgebra, ident: Identity, weight=None):
     if a.field != QQ:
         raise ValueError("identity checking is only supported over the rationals")
     weight = _weight_for(a, ident, weight)
-    if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
-        bad = _scan_degree4(a, weight)
-        if bad is None:
-            return True
-        return _witness_from_tuple(a, ident, weight, bad, None)
-    if ident in (Identity.CUBE_WEIGHT, Identity.CUBE_ZERO, Identity.JACOBI):
-        bad = _scan_degree3(a, weight)
-        if bad is None:
-            return True
-        return _witness_from_tuple(a, ident, weight, bad, None)
-    if ident is Identity.JORDAN:
-        hit = _scan_jordan(a)
-        if hit is None:
-            return True
-        xs, y = hit
-        return _witness_from_tuple(a, ident, weight, xs, y)
-    raise ValueError(f"unknown identity {ident!r}")
+    bad = _scan(a, ident, weight)
+    return True if bad is None else _witness_from_tuple(a, ident, weight, bad)

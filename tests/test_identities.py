@@ -16,7 +16,7 @@ from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus
                       non_nilpotent_baric, random_table_algebra, reference_identity_defect,
                       rebased, reference_products, reference_scan_degree3,
                       reference_scan_degree4, reference_scan_jordan,
-                      reference_witness_from_tuple, scaled_copy)
+                      reference_witness_from_tuple, scaled_copy, sparse_int_mul)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -195,6 +195,16 @@ def test_jordan3_family_is_jordan():
     assert check_identity(b.algebra, Identity.JORDAN) is True
 
 
+def test_jacobi_witness_assigns_basis_vectors():
+    b = make_family("bdown", 3)
+    w = check_identity(b.algebra, Identity.JACOBI)
+    assert isinstance(w, Witness)
+    assigned = w.assignment_dict()
+    assert list(assigned) == ["x", "y", "z"]
+    basis = [b.algebra.basis_element(i) for i in range(b.dim)]
+    assert all(x in basis for x in assigned.values())
+
+
 def test_weight_required():
     a = make_family("squareshift", 2)
     with pytest.raises(ValueError):
@@ -370,6 +380,28 @@ def test_integer_kernel_returns_the_rational_witness_on_scaled_bases(name, a, we
 # ---------------------------------------------------------------- pair operators
 
 
+def engine_scan(a, ident, weight=None):
+    """The engine's first failing tuple, in the shape of the references:
+    Jordan's as ((x-triple), y)."""
+    t = identities._scan(a, ident, weight)
+    return t if t is None or ident is not Identity.JORDAN else (t[:3], t[3])
+
+
+def quartic_scan(a, weight):
+    """The Bernstein scan with a weight, the square-square-zero one without."""
+    if weight is None:
+        return engine_scan(a, Identity.SQUARE_SQUARE_ZERO)
+    return engine_scan(a, Identity.BERNSTEIN, weight)
+
+
+def cubic_scans(a, weight):
+    """The cube-weight scan with a weight; the cube-zero and Jacobi ones,
+    which share one linearized form, without."""
+    if weight is not None:
+        return [engine_scan(a, Identity.CUBE_WEIGHT, weight)]
+    return [engine_scan(a, Identity.CUBE_ZERO), engine_scan(a, Identity.JACOBI)]
+
+
 DENSE_CASES = [c for c in KERNEL_CASES if c[0].startswith("dense_")]
 
 
@@ -388,8 +420,8 @@ def test_pair_operator_scan_matches_the_bilinear_scan_on_a_dense_dim10_copy():
     assert reference_scan_degree4(a, weight) is None
     assert check_identity(a, Identity.BERNSTEIN, weight) is True
     bad = reference_scan_degree4(a, None)
-    assert bad is not None and identities._scan_degree4(a, None) == bad
-    want = identities._witness_from_tuple(a, Identity.SQUARE_SQUARE_ZERO, None, bad, None)
+    assert bad is not None and quartic_scan(a, None) == bad
+    want = identities._witness_from_tuple(a, Identity.SQUARE_SQUARE_ZERO, None, bad)
     assert check_identity(a, Identity.SQUARE_SQUARE_ZERO) == want
 
 
@@ -417,7 +449,7 @@ def test_pair_operator_scan_returns_the_bilinear_first_failing_tuple(name, a, we
         copies.append(scaled_copy(a, weight))
     for b, w in copies:
         for wt in dict.fromkeys((w, None)):
-            assert identities._scan_degree4(b, wt) == reference_scan_degree4(b, wt), (name, wt)
+            assert quartic_scan(b, wt) == reference_scan_degree4(b, wt), (name, wt)
 
 
 # ---------------------------------------------------------------- packed scans
@@ -425,9 +457,10 @@ def test_pair_operator_scan_returns_the_bilinear_first_failing_tuple(name, a, we
 
 def _assert_scans_match_the_references(a, weight, label):
     for w in dict.fromkeys((weight, None)):
-        assert identities._scan_degree4(a, w) == reference_scan_degree4(a, w), (label, w)
-        assert identities._scan_degree3(a, w) == reference_scan_degree3(a, w), (label, w)
-    assert identities._scan_jordan(a) == reference_scan_jordan(a), label
+        assert quartic_scan(a, w) == reference_scan_degree4(a, w), (label, w)
+        for got in cubic_scans(a, w):
+            assert got == reference_scan_degree3(a, w), (label, w)
+    assert engine_scan(a, Identity.JORDAN) == reference_scan_jordan(a), label
 
 
 @pytest.mark.parametrize("name, a, weight", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
@@ -437,8 +470,9 @@ def test_packed_cubic_and_jordan_scans_return_the_reference_first_failing_tuple(
         copies += [change_of_basis_copy(a, weight, 1), scaled_copy(a, weight)]
     for b, w in copies:
         for wt in dict.fromkeys((w, None)):
-            assert identities._scan_degree3(b, wt) == reference_scan_degree3(b, wt), (name, wt)
-        assert identities._scan_jordan(b) == reference_scan_jordan(b), name
+            for got in cubic_scans(b, wt):
+                assert got == reference_scan_degree3(b, wt), (name, wt)
+        assert engine_scan(b, Identity.JORDAN) == reference_scan_jordan(b), name
 
 
 def _big_rational(draw, digits):
@@ -490,7 +524,7 @@ def test_packed_scans_match_the_references_near_max_digits():
     b = make_family("bdown", 2)
     c, w = rebased(b.algebra, b.weight, [[huge() if j == i else 0 for j in range(b.dim)]
                                          for i in range(b.dim)])
-    assert identities._scan_degree4(c, w) is None
+    assert quartic_scan(c, w) is None
     _assert_scans_match_the_references(c, w, "bdown2 rescaled")
 
 
@@ -513,6 +547,126 @@ def test_packed_scans_keep_a_failure_whose_sum_carries_at_the_entry_width(name):
             "jordan": lambda b, _: reference_scan_jordan(b)}[name]
     assert scan(a, None) == first
     _assert_scans_match_the_references(a, None, name)
+
+
+# ---------------------------------------------------------------- derived forms
+
+
+def plan_sum(a, ident, weight, t) -> list:
+    """The unpacked integer sum of the engine's linearized form at the
+    basis tuple t (all slots, concatenated): each monomial evaluated with
+    the integer kernel and brought to the common multiple."""
+    form = identities._form(ident)
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
+    mul = sparse_int_mul(a)
+
+    def value(tree):
+        return ((t[tree], 1),) if isinstance(tree, int) else mul(value(tree[0]), value(tree[1]))
+
+    acc = [0] * a.dim
+    for n, wslots, tree in form.monomials:
+        c = n * identities._scale(form, a._den, dw, tree, len(wslots))
+        for s in wslots:
+            c *= ws[t[s]]
+        for k, v in value(tree):
+            acc[k] += c * v
+    return acc
+
+
+def polarization(a, ident, weight, t) -> tuple:
+    """sum over nonempty S_v of each variable's slots of
+    prod_v (-1)^(d_v - |S_v|) * defect(v = sum_{i in S_v} e_{t_i}),
+    through `identity_defect`."""
+    form = identities._form(ident)
+    total = a.zero_element()
+    choices = [[c for size in range(1, len(slots) + 1) for c in itertools.combinations(slots, size)]
+               for slots in form.slots]
+    for subsets in itertools.product(*choices):
+        assignment = {}
+        for var, subset in zip(form.variables, subsets):
+            x = a.zero_element()
+            for s in subset:
+                x = x + a.basis_element(t[s])
+            assignment[var] = x
+        val = identity_defect(a, ident, assignment, weight)
+        sign = sum(len(slots) - len(sub) for slots, sub in zip(form.slots, subsets)) % 2
+        total = total - val if sign else total + val
+    return total.coords
+
+
+def hand_bound(a, ident, weight) -> int:
+    """The digit bounds the scans used before they were derived from the
+    identities' trees: one formula for the quartic forms, one for the
+    cubic ones and one for Jordan."""
+    ws, dw = QQ.clear(weight) if weight is not None else (None, 1)
+    dim, m, d, w = a.dim, a._int_max, a._den, max(map(abs, ws or [0]))
+    if ident in (Identity.BERNSTEIN, Identity.SQUARE_SQUARE_ZERO):
+        return 3 * 2 * dw * dw * dim * dim * m ** 3 + 6 * d * d * w * w * m
+    if ident is Identity.JORDAN:
+        return 6 * dim * dim * m ** 3
+    return 3 * dw * dim * m * m + 3 * d * w * m
+
+
+def _assert_forms_agree(a, weight, rng):
+    for ident in ALL_IDENTITIES:
+        w = weight if ident.needs_weight else None
+        form = identities._form(ident)
+        ws, dw = QQ.clear(w) if w is not None else (None, 1)
+        bound = identities._digit_bound(form, a, ws, dw)
+        hand = hand_bound(a, ident, w)
+        # the quartic formula carried the Bernstein pair multiplicity 2;
+        # the square-square-zero form alone has multiplicity 1
+        assert bound == (hand // 2 if ident is Identity.SQUARE_SQUARE_ZERO else hand), ident
+        ratio = None
+        for _ in range(4):
+            t = tuple(rng.randrange(a.dim) for _ in range(sum(map(len, form.slots))))
+            got, pol = plan_sum(a, ident, w, t), polarization(a, ident, w, t)
+            assert max(map(abs, got)) <= bound, (ident, t)
+            for g, p in zip(got, pol):
+                if p:
+                    ratio = ratio if ratio is not None else g / p
+                    assert ratio > 0 and g == ratio * p, (ident, t)
+                else:
+                    assert g == 0, (ident, t)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linearized_plan_is_a_positive_multiple_of_the_polarization(seed):
+    rng = fresh_rng(100 + seed)
+    b, weight = scaled_copy(random_table_algebra(rng, 2 + seed % 4),
+                            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(2 + seed % 4)))
+    _assert_forms_agree(b, weight, rng)
+
+
+@given(big_tables(digits=40), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_linearized_plan_agrees_with_the_polarization_on_big_tables(case, rng):
+    _assert_forms_agree(*case, rng)
+
+
+# ---------------------------------------------------------------- spin factors
+
+
+def spin_factor(dim):
+    """e0 e0 = e0, e0 ei = ei, ei ei = e0 for i >= 1: a Jordan algebra
+    with unit e0, so not nil."""
+    products = {(0, i): [int(k == i) for k in range(dim)] for i in range(dim)}
+    products.update({(i, i): [int(k == 0) for k in range(dim)] for i in range(1, dim)})
+    return CommAlgebra([f"e{i}" for i in range(dim)], products)
+
+
+SPIN_CASES = ([(f"spin{d}", spin_factor(d)) for d in range(3, 15)]
+              + [(f"spin5@{seed}", change_of_basis_copy(spin_factor(5), None, seed)[0])
+                 for seed in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("name, a", SPIN_CASES, ids=[c[0] for c in SPIN_CASES])
+def test_jordan_scan_runs_to_the_end_on_spin_factors(name, a):
+    assert not identity_defect(a, Identity.CUBE_ZERO, {"x": a.basis_element(0)}).is_zero()
+    assert check_identity(a, Identity.JORDAN) is True
+    assert engine_scan(a, Identity.JORDAN) is None
+    assert reference_scan_jordan(a) is None
 
 
 @given(st.integers(0, 10 ** 300), st.data())
