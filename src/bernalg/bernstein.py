@@ -92,11 +92,7 @@ class NotBernsteinError(ValueError):
 def bernstein_witnesses(b: BaricAlgebra) -> dict:
     """{} when the weight is valid and the Bernstein identity holds, else
     {"baric": w} or {"bernstein": w} for the first check that fails."""
-    w = verify_weight(b)
-    if w is not True:
-        return {"baric": w}
-    w = check_identity(b.algebra, Identity.BERNSTEIN, b.weight)
-    return {} if w is True else {"bernstein": w}
+    return Analysis(b).bernstein_witnesses
 
 
 def verify_weight(b: BaricAlgebra):
@@ -287,18 +283,25 @@ class Analysis:
         return self._chains[key]
 
     @cached_property
+    def bernstein_witnesses(self) -> dict:
+        """The weight, then the Bernstein identity: {} when both hold, else
+        the first failure's witness under "baric" or "bernstein"."""
+        if self.weight_ok is not True:
+            return {"baric": self.weight_ok}
+        bern = self.identity(Identity.BERNSTEIN)
+        return {} if bern is True else {"bernstein": bern}
+
+    @cached_property
     def flags(self) -> ClassificationFlags:
         """Weight, Bernstein identity, Jordan (structural condition on the
         Peirce components), nuclearity U^2 = V, and nilpotency of the
         barideal; baric input only."""
+        failed = self.bernstein_witnesses
+        if failed:
+            baric = "bernstein" in failed
+            return ClassificationFlags(baric, False if baric else None, None, None, None,
+                                       dict(failed))
         witnesses: dict = {}
-        if self.weight_ok is not True:
-            witnesses["baric"] = self.weight_ok
-            return ClassificationFlags(False, None, None, None, None, witnesses)
-        bern = self.identity(Identity.BERNSTEIN)
-        if bern is not True:
-            witnesses["bernstein"] = bern
-            return ClassificationFlags(True, False, None, None, None, witnesses)
         a, p = self.algebra, self.peirce
         jordan = _jordan_structural(self.source, p)
         if jordan is not True:

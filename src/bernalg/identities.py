@@ -1,25 +1,31 @@
 """Exact verification of polynomial identities on a commutative algebra.
 
 Each identity is written once, as terms (`_TERMS`): a coefficient, the
-variables whose weight it carries and a product tree.  `_linearize` derives
-the rest: variables and degrees, the terms' scales to one common multiple
-for the one integer defect evaluator (`_int_defect`, shared by
-`identity_defect` and the witness search), and the full linearization, in
-which a variable of degree d gets d slots that fill its occurrences in
-every order, as canonical commutative monomials whose multiplicities are
-divided by their gcd.  Over the rationals an identity holds exactly when
-that form vanishes on every basis tuple (one sorted multiset of slots per
-variable; degree-1 variables the form is symmetric in share one).  A
-failing tuple yields a witness at subset sums of each variable's slots.
+variables whose weight it carries and a product tree.  `_linearize`
+derives, once per identity, all that does not depend on the algebra: the
+variables and degrees, the terms' scales to one common multiple for the one
+integer defect evaluator (`_int_defect`, shared by `identity_defect` and
+the witness search), and the full linearization, in which a variable of
+degree d gets d slots that fill its occurrences in every order, as
+canonical commutative monomials whose multiplicities are divided by their
+gcd.  Over the rationals an identity holds exactly when that form vanishes
+on every basis tuple (one sorted multiset of slots per variable; degree-1
+variables the form is symmetric in share one).  A failing tuple yields a
+witness at subset sums of each variable's slots.
 
 Everything runs on the algebra's integer table (D times the structure
 constants) and the weight times Dw, each term weighted to one positive
 multiple of its rational value, so verdicts and first failing tuples are
-the rational ones.  The scan (`_scan`) accumulates a tuple's sum in one
-int: rows D e_i e_j are packed on first use as sum_k v_k 2^(B k), with B
-from a bound built up each monomial's tree (`_digit_bound`), so that
-`acc == 0` exactly when the unpacked sum is zero.  A weight monomial
-w(a) w(b) (c d) rides on the product (a b)(c d) through coordinate dim.
+the rational ones.  The form also holds the scan's plan (`_plan`): one step
+per product monomial, a vector factor times the packed operator of the
+other factor, with its sign, the kind and slots of each factor and the pair
+the outer multisets fix; a weight monomial w(a) w(b) (c d) rides on the
+product (a b)(c d) through coordinate dim.  It holds too the exponents of
+a bound on the sums, built up each monomial's tree (`_digit_bound`).  The
+scan (`_scan`) binds the plan to the algebra and accumulates a tuple's sum
+in one int: rows D e_i e_j are packed on first use as sum_k v_k 2^(B k),
+with B from the bound, so that `acc == 0` exactly when the unpacked sum is
+zero.
 """
 
 from __future__ import annotations
@@ -72,8 +78,10 @@ class _Form(NamedTuple):
     products: int      # the common multiple is D^products Dw^weights
     weights: int
     monomials: tuple   # (multiplicity, weight slots, canonical tree over slots)
-    steps: tuple       # see `_steps`
-    fused: tuple
+    bound: tuple       # see `_digit_bound`
+    dots: tuple        # the scan's plan, derived by `_plan`
+    columns: tuple
+    fused: tuple       # (u, h): the steps' multiplicity up to sign, the weight monomials'
 
 
 @functools.cache
@@ -128,39 +136,61 @@ def _linearize(terms) -> _Form:
         else:
             groups.append(list(s))
     groups = tuple(map(len, groups))
-    return _Form(variables, slots, groups, max(len(_leaves(t)) - 1 for _, _, t in terms),
-                 max(len(ws) for _, ws, _ in terms), monomials, *_steps(groups, monomials))
+    products = max(len(_leaves(t)) - 1 for _, _, t in terms)
+    weights = max(len(ws) for _, ws, _ in terms)
+    bound = {}   # exponents of (D, Dw, max |ws|, dim, M) -> the monomials' total |multiplicity|
+    for n, ws, tree in monomials:
+        leaves, e, f = _shape(tree)
+        exponents = (products + 1 - leaves, weights - len(ws), len(ws), e, f)
+        bound[exponents] = bound.get(exponents, 0) + abs(n)
+    return _Form(variables, slots, groups, products, weights, monomials,
+                 tuple((n, e) for e, n in bound.items()), *_plan(groups, monomials))
 
 
-def _steps(groups: tuple, monomials: tuple) -> tuple:
-    """One step per product monomial x y: (multiplicity, operator factor,
-    vector factor, whether each carries its slots' weight, None), taking
+def _plan(groups: tuple, monomials: tuple) -> tuple:
+    """The scan's steps, one per product monomial x y of the form, taken as
+    the vector factor y times the operator of x (the packed columns D x e_n):
     the operator of a leaf (a table row), else of a factor fixed while the
-    last multiset varies, else of one holding slot 0; for m (y S),
-    (multiplicity, S, y, False, False, m): S[n] times column m of the
-    operator of e_n e_y.  Weight monomials w(slots of x) y ride on x y; the
-    (multiplicity, tree, weight count) they share is returned too."""
-    inner = set(range(sum(groups[:-1]), sum(groups)))
+    last multiset varies, else of one holding slot 0.  A factor is (pair,
+    weighted, i, j), the vector D e_p e_q (a pair) or e_q (a leaf, i = j)
+    at p = t_i and q = t_j.  A dot step is (the pair the outer multisets fix
+    or (), sign, vector factor, operator factor); for m (y S) a column step
+    (fixed pair, sign, S, y, m) reads S_n times column m of the operator of
+    e_n e_y.  Weight monomials w(slots of x) y ride on x y, the factor x
+    carrying its slots' weight through coordinate dim.  The steps share one
+    multiplicity u up to sign, the weight monomials one h; fused is (u, h)."""
+    outer = sum(groups[:-1])   # the slots of all multisets but the last
+    inner = set(range(outer, sum(groups)))
     weight_terms = {(ws, tree): n for n, ws, tree in monomials if ws}
-    steps, fused = [], []
+    units = {abs(n) for n, ws, _ in monomials if not ws}
+    fused = {(n, len(ws)) for (ws, _), n in weight_terms.items()}
+
+    def factor(f, weighted: bool) -> tuple:   # the factor and the pair the outer slots fix
+        pair = not isinstance(f, int)
+        i, j = f if pair else (f, f)
+        return (pair, weighted, i, j), (f if pair and not weighted and j < outer else ())
+
+    dots, columns = [], []
     for n, ws, tree in monomials:
         if ws:
             continue
         if len(_leaves(tree)) > 4:
             raise ValueError(f"no scan for the monomial {tree!r} of degree above 4")
+        sign = 1 if n > 0 else -1
         if not all(len(_leaves(f)) <= 2 for f in tree):   # m (y S): leaves sort first
-            steps.append((n, tree[1][1], tree[1][0], False, False, tree[0]))
+            s, fixed = factor(tree[1][1], False)
+            columns.append((fixed, sign, s, tree[1][0], tree[0]))
             continue
         x, y = sorted(tree, key=lambda f: (not isinstance(f, int), bool(inner & set(_leaves(f))),
                                            0 not in _leaves(f)))
-        splits = ((x, y), (y, x))
-        hits = [weight_terms.pop((tuple(sorted(_leaves(f))), g), None) for f, g in splits]
-        fused += [(h, g, len(_leaves(f))) for h, (f, g) in zip(hits, splits) if h is not None]
-        steps.append((n, x, y, hits[0] is not None, hits[1] is not None, None))
-    if (weight_terms or len({(h, len(_leaves(g)), k) for h, g, k in fused}) > 1
-            or fused and len({step[0] for step in steps}) > 1):
-        raise ValueError("the weight terms do not ride on the product terms")
-    return tuple(steps), (fused[0] if fused else None)
+        (xf, x_fixed), (yf, y_fixed) = (
+            factor(f, weight_terms.pop((tuple(sorted(_leaves(f))), g), None) is not None)
+            for f, g in ((x, y), (y, x)))
+        dots.append((x_fixed or y_fixed, sign, yf, xf))
+    if weight_terms or len(units) > 1 or len(fused) > 1:
+        raise ValueError("no scan: the steps' multiplicities differ, or the weight terms "
+                         "do not ride on the product terms")
+    return tuple(dots), tuple(columns), (units.pop(), fused.pop()[0] if fused else 0)
 
 
 class Witness(NamedTuple):
@@ -233,7 +263,8 @@ def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
 
     acc = [0] * a.dim
     for c, weights, tree in _TERMS[ident]:
-        c *= _scale(form, d, dw, tree, len(weights))
+        # brought to the common multiple
+        c *= d ** (form.products + 1 - len(_leaves(tree))) * dw ** (form.weights - len(weights))
         for v in weights:
             c *= sum(ws[k] * x for k, x in memo[v])
         if c:
@@ -244,16 +275,15 @@ def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
 
 def _digit_bound(form: _Form, a: CommAlgebra, ws, dw: int) -> int:
     """A bound on every coordinate of the form's integer sum at a basis
-    tuple, built up each monomial's tree: a leaf is 1, a product of x and y
-    at most |supp x| |supp y| max|x| max|y| M (M the largest |table entry|,
-    supports up to dim), a weight factor at most max |ws|."""
-    w = max(map(abs, ws or [0]))
-    return sum(abs(n) * _scale(form, a._den, dw, tree, len(wslots)) * w ** len(wslots)
-               * a.dim ** _shape(tree)[1] * a._int_max ** _shape(tree)[2]
-               for n, wslots, tree in form.monomials)
+    tuple, built up each monomial's tree when the form is derived: a leaf
+    is 1, a product of x and y at most |supp x| |supp y| max|x| max|y| M
+    (M the largest |table entry|, supports up to dim), a weight factor at
+    most max |ws|, and the monomial scaled to the common multiple.  The
+    form keeps the exponents of (D, Dw, max |ws|, dim, M) of each."""
+    numbers = (a._den, dw, max(map(abs, ws or [0])), a.dim, a._int_max)
+    return sum(n * math.prod(map(pow, numbers, exponents)) for n, exponents in form.bound)
 
 
-@functools.cache
 def _shape(tree) -> tuple:
     """(leaves, e, f): a product is at most |supp x| |supp y| max|x| max|y| M,
     with support 1 for a leaf and dim for a product, so the tree is at
@@ -262,12 +292,6 @@ def _shape(tree) -> tuple:
         return 1, 0, 0
     (l1, e1, f1), (l2, e2, f2) = map(_shape, tree)
     return l1 + l2, e1 + e2 + (l1 > 1) + (l2 > 1), f1 + f2 + 1
-
-
-def _scale(form: _Form, d: int, dw: int, tree, weights: int) -> int:
-    """The factor that brings a term with this tree and this many weight
-    factors to the common multiple D^products Dw^weights."""
-    return d ** (form.products + 1 - _shape(tree)[0]) * dw ** (form.weights - weights)
 
 
 def _packing(bound: int):
@@ -290,33 +314,26 @@ class _Lazy(dict):
 
 def _scan(a: CommAlgebra, ident: Identity, weight):
     """First tuple (all slots, concatenated) in scan order where the
-    linearized form is nonzero, or None.  Vectors and operators are kept
-    by key, a basis index k for a leaf and p dim + q for a pair; those of
-    a pair holding the tuple's first slot while that index leads."""
-    form, dim, pairs, d = _form(ident), a.dim, a._int_rows, a._den
-    if form.weights and weight is None:
-        raise ValueError(f"identity {ident.value} needs a weight functional")
+    linearized form is nonzero, or None.  The form's plan is bound to the
+    algebra: table rows are packed, and each kind of factor's vectors and
+    operators made, on first use, and kept for the whole scan."""
+    form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
-    scale = c_weight = 1
-    if form.fused:
-        n, x, y = form.steps[0][:3]
-        scale = n * _scale(form, d, dw, (x, y), 0)
-        n, tree, k = form.fused
-        c_weight = n * _scale(form, d, dw, tree, k)
+    u, h = form.fused
+    scale, c_weight = u * dw ** form.weights, h * a._den ** form.weights
 
     def pack_row(r: int) -> list:   # scaled, with e_n e_dim = c_weight e_n
         if r == dim:
             return [pack(((n, c_weight),)) for n in range(dim)] + [0]
         out = [rows[n][r] if n in rows else scale * pack(v) for n, v in enumerate(pairs[r])]
-        return out + [pack(((r, c_weight),))] if form.fused else out
+        return out + [pack(((r, c_weight),))]
 
     rows = _Lazy(pack_row)
 
-    def vector(c: int, idx: tuple, ext: bool) -> tuple:   # c e_i or c D e_p e_q
-        v = pairs[idx[0]][idx[1]] if len(idx) == 2 else ((idx[0], 1),)
-        v = v if c == 1 else tuple((k, c * x) for k, x in v)
-        w = c * math.prod(ws[i] for i in idx) if ext else 0
+    def vector(pair: bool, weighted: bool, p: int, q: int) -> tuple:   # e_q, or D e_p e_q
+        v = pairs[p][q] if pair else ((q, 1),)
+        w = (ws[p] if pair else 1) * ws[q] if weighted else 0
         return v + ((dim, w),) if w else v
 
     def operator(x) -> list:   # the packed columns D x e_n
@@ -326,41 +343,19 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
             out = [o + v * e for o, e in zip(out, r)] if out else [v * e for e in r]
         return out
 
-    tables = {}   # by kind, coefficient, leaf or pair, and weight
+    def grid(make, pair: bool) -> list:   # [p][q] is make(p, q), made on first use; a leaf's [any][q]
+        made = [_Lazy(functools.partial(make, p)) for p in range(dim if pair else 1)]
+        return made if pair else made * dim
 
-    def table(kind: str, c: int, leaf: bool, ext: bool):
-        """Vectors [p][q] (a leaf: [any][q]), or operators by key k (a leaf)
-        or p dim + q (a pair)."""
-        key = (kind, c, leaf, ext)
-        if key not in tables and kind == "vec":
-            tables[key] = ([[vector(c, (q,), ext) for q in range(dim)]] * dim if leaf
-                           else pairs if c == 1 and not ext
-                           else [[vector(c, (p, q), ext) for q in range(dim)] for p in range(dim)])
-        elif key not in tables:
-            tables[key] = _Lazy((lambda k: operator(vector(1, (k,), ext)) if ext else rows[k])
-                                if leaf else lambda k: operator(vector(1, divmod(k, dim), ext)))
-        return tables[key]
-
-    outer = sum(form.groups[:-1])   # the slots of all multisets but the last
-
-    def fixed(f, ext) -> tuple:   # a pair factor that the outer multisets fix, else ()
-        return () if ext or isinstance(f, int) or max(f) >= outer else f
-
-    dots, columns = [], []
-    for n, x, y, x_ext, y_ext, column in form.steps:
-        tree, vec = ((x, y), y) if column is None else ((column, (y, x)), x)
-        leaf = isinstance(vec, int)
-        c = n * _scale(form, d, dw, tree, 0) // scale
-        vecs = ((0, vec) if leaf else vec) + (table("vec", c, leaf, y_ext),)
-        if column is not None:
-            columns.append((fixed(x, False), (*vecs, y, table("op", 1, False, False), column)))
-        elif isinstance(x, int):
-            dots.append((fixed(vec, y_ext), (*vecs, x, 0, x, table("op", 1, True, x_ext))))
-        else:
-            ops = table("lead" if 0 in x else "op", 1, False, x_ext)
-            dots.append((fixed(x, x_ext) or fixed(vec, y_ext), (*vecs, x[0], dim, x[1], ops)))
-    per_lead = [ops for key, ops in tables.items() if key[0] == "lead"]
-    lead = None
+    # one table of vectors and one of operators per kind of factor, (pair, weighted)
+    vectors = _Lazy(lambda kind: pairs if kind == (True, False)
+                    else grid(functools.partial(vector, *kind), kind[0]))
+    operators = _Lazy(lambda kind: [rows] * dim if kind == (False, False)
+                      else grid(lambda p, q: operator(vectors[kind][p][q]), kind[0]))
+    dots = [(fixed, (*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign))
+            for fixed, sign, y, x in form.dots]
+    columns = [(fixed, (*f[2:], vectors[f[:2]], y, operators[True, False], m, sign))
+               for fixed, sign, f, y, m in form.columns]
     for head in map(sum, itertools.product(*(itertools.combinations_with_replacement(
             range(dim), g) for g in form.groups[:-1])), itertools.repeat(())):
         # the steps with a factor that is zero for every tuple of this head drop out
@@ -368,23 +363,20 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
                 for steps in (dots, columns)]
         for t in itertools.combinations_with_replacement(range(dim), form.groups[-1]):
             t = head + t
-            if t[0] != lead:
-                lead = t[0]
-                for ops in per_lead:
-                    ops.clear()
             acc = 0
-            for j1, j2, vecs, i1, k1, i2, ops in live[0]:
-                vec = vecs[t[j1]][t[j2]]
+            for i1, j1, vecs, i2, j2, ops, sign in live[0]:
+                vec = vecs[t[i1]][t[j1]]
                 if vec:
-                    op = ops[t[i1] * k1 + t[i2]]
+                    op = ops[t[i2]][t[j2]]
                     if op:
-                        acc += sum(v * op[n] for n, v in vec)
-            for j1, j2, vecs, y, ops, m in live[1]:   # column m of e_n e_y's operator
+                        s = sum(v * op[n] for n, v in vec)
+                        acc = acc + s if sign > 0 else acc - s
+            for i, j, vecs, y, ops, m, sign in live[1]:   # column m of e_n e_y's operator
                 ty, tm = t[y], t[m]
-                for n, v in vecs[t[j1]][t[j2]]:
-                    op = ops[n * dim + ty]
+                for n, v in vecs[t[i]][t[j]]:
+                    op = ops[n][ty]
                     if op:
-                        acc += v * op[tm]
+                        acc += sign * v * op[tm]
             if acc:
                 return t
     return None

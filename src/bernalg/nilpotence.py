@@ -145,6 +145,15 @@ def stable_subspace_check(b: BaricAlgebra, p: PeirceData, s: Subspace) -> Stabil
 NOT_NILPOTENT = "generated subalgebra is not nilpotent; the decomposition does not apply"
 
 
+def _no_certificate(f_chain) -> str:
+    """Why F's full chain, which has no zero term, gives no certificate: it
+    stabilized without vanishing, or max_steps cut it before it could."""
+    if f_chain.stabilized:
+        return NOT_NILPOTENT
+    return (f"the chain of the generated subalgebra was cut at max_steps = "
+            f"{f_chain.runs[-1].end} before it vanished; the decomposition is not decided")
+
+
 class DecompositionCertificate(NamedTuple):
     """Checked decomposition N = F + N^m with F^m = 0 for the subalgebra F
     generated by ideal generators of N, including the power inclusions
@@ -171,7 +180,7 @@ def decompose_nilpotent_ideal(a: CommAlgebra, n: Subspace, gens,
     f = generated_subalgebra(a, gens)
     f_chain = power_chain(a, f, FULL, max_steps)
     if f_chain.nil_index is None:
-        raise ValueError(NOT_NILPOTENT)
+        raise ValueError(_no_certificate(f_chain))
     m = f_chain.nil_index
     n_chain = f_chain if f == n else power_chain(a, n, FULL, m + 1)
     # the inclusion N^i <= F^i + N^{i+1} can only change where one of its

@@ -24,7 +24,7 @@ from .bernstein import Analysis, check_peirce_relations
 # bench/tests reads report.check_identity, so the name stays importable here
 from .identities import Witness, check_identity  # noqa: F401
 from .linalg import Subspace
-from .nilpotence import (NOT_NILPOTENT, DecompositionCertificate, MultClosure,
+from .nilpotence import (DecompositionCertificate, MultClosure, _no_certificate,
                          decompose_nilpotent_ideal, greatest_fixed_subspace,
                          mult_closure_nilpotent)
 
@@ -148,7 +148,7 @@ def chain_certificate(n: Subspace, n_chain) -> dict:
     so F = N, m is N's full nil index and every check holds by construction."""
     m = n_chain.nil_index
     if m is None:
-        return {"error": NOT_NILPOTENT}
+        return {"error": _no_certificate(n_chain)}
     return certificate_json(DecompositionCertificate(n, m, m, True, True))
 
 

@@ -423,6 +423,19 @@ def change_of_basis_copy(a, weight, seed):
             return rebased(a, weight, rows)
 
 
+def weighted_basis_copy(b, seed):
+    """A seeded copy of a baric algebra in a random invertible basis with
+    entries in [-2, 2] in which every basis vector has nonzero weight, the
+    shape of the dense copies that reports are benchmarked on: every fused
+    weight term of the weighted identity scans is then live."""
+    a, rng = b.algebra, fresh_rng(seed)
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(a.dim)]
+        if (all(weight_of(b.weight, a.element(r)) for r in rows)
+                and Subspace(rows, a.dim).dim == a.dim):
+            return BaricAlgebra(*rebased(a, b.weight, rows))
+
+
 def rebased_copies(alg):
     """Seeded basis permutations, seeded rational changes of basis and a
     copy with rational scales, each as (label, algebra)."""

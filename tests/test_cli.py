@@ -185,6 +185,18 @@ def test_decompose_barideal_default_generators(capsys, monkeypatch):
     assert payload["n_nilpotent"] is True
 
 
+def test_decompose_cut_by_max_steps_exits_1_naming_max_steps(capsys):
+    # F's full chain vanishes at m = 4, so two steps cut it short
+    code, out, _ = run_cli(["decompose", path("bdown3.alg"), "--max-steps", "2", "--json"],
+                           capsys=capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert "cut at max_steps = 2" in error and "not nilpotent" not in error
+    code, out, _ = run_cli(["check", path("bdown3.alg"), "--max-steps", "2", "--json"],
+                           capsys=capsys)
+    assert code == 0 and json.loads(out)["certificate"] == {"error": error}
+
+
 def test_quotient_subcommand(capsys, monkeypatch):
     code, out, _ = run_cli(["quotient", path("bdown3.alg"), "--by", "annU"],
                            capsys=capsys)

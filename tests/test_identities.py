@@ -16,7 +16,8 @@ from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus
                       non_nilpotent_baric, random_table_algebra, reference_identity_defect,
                       rebased, reference_products, reference_scan_degree3,
                       reference_scan_degree4, reference_scan_jordan,
-                      reference_witness_from_tuple, scaled_copy, sparse_int_mul)
+                      reference_witness_from_tuple, scaled_copy, sparse_int_mul,
+                      weighted_basis_copy)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -368,6 +369,19 @@ def test_integer_kernel_returns_the_rational_witness_on_changed_bases(name, a, w
         _assert_same_checks(*change_of_basis_copy(a, weight, seed), f"{name}@{seed}")
 
 
+WEIGHTED_BASIS_CASES = [(f"{name}@{seed}", weighted_basis_copy(b, seed))
+                        for name, b in (("bdown3", make_family("bdown", 3)),
+                                        ("bup3", make_family("bup", 3)),
+                                        ("jordan3", make_family("jordan3")))
+                        for seed in range(20)]
+
+
+@pytest.mark.parametrize("name, b", WEIGHTED_BASIS_CASES, ids=[c[0] for c in WEIGHTED_BASIS_CASES])
+def test_integer_kernel_returns_the_rational_witness_when_every_basis_vector_has_weight(name, b):
+    assert all(b.weight)
+    _assert_same_checks(b.algebra, b.weight, name)
+
+
 @pytest.mark.parametrize("name, a, weight", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_integer_kernel_returns_the_rational_witness_on_scaled_bases(name, a, weight):
     b, w = scaled_copy(a, weight)
@@ -565,7 +579,9 @@ def plan_sum(a, ident, weight, t) -> list:
 
     acc = [0] * a.dim
     for n, wslots, tree in form.monomials:
-        c = n * identities._scale(form, a._den, dw, tree, len(wslots))
+        # brought to the common multiple D^products Dw^weights
+        c = (n * a._den ** (form.products + 1 - len(identities._leaves(tree)))
+             * dw ** (form.weights - len(wslots)))
         for s in wslots:
             c *= ws[t[s]]
         for k, v in value(tree):

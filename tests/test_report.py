@@ -12,7 +12,8 @@ from bernalg import nilpotence as nilpotence_module
 from bernalg import report as report_module
 from bernalg.report import build_report, certificate_summary, emit_report
 
-from conftest import bernstein_corpus, change_of_basis_copy, rebased_copies
+from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
+                      rebased_copies)
 
 
 def test_one_dimensional_report_is_minimal():
@@ -118,6 +119,34 @@ def test_report_certificate_equals_the_fully_checked_certificate(name, alg, monk
             continue
         want = certificate_summary(alg.algebra, alg.barideal(), None, max_steps)
         assert report["certificate"] == want, (name, max_steps)
+
+
+CHAIN_END_CASES = CERTIFICATE_CASES + [("non_nilpotent", non_nilpotent_baric())]
+
+
+@pytest.mark.parametrize("name, alg", CHAIN_END_CASES, ids=[c[0] for c in CHAIN_END_CASES])
+def test_a_cut_chain_is_not_reported_as_non_nilpotency(name, alg):
+    if not build_report(name, alg)[0].get("flags", {}).get("bernstein"):
+        return
+    a, n = alg.algebra, alg.barideal()
+    for max_steps in (None, 1, 2, 3):
+        cert = build_report(name, alg, max_steps)[0]["certificate"]
+        assert cert == certificate_summary(a, n, None, max_steps), (name, max_steps)
+        chain = algebra_module.power_chain(a, n, "full", max_steps)
+        if chain.nil_index is not None:
+            assert "error" not in cert, (name, max_steps)
+        elif chain.stabilized:
+            assert cert == {"error": nilpotence_module.NOT_NILPOTENT}, (name, max_steps)
+        else:
+            assert f"cut at max_steps = {max_steps} " in cert["error"], (name, max_steps)
+            assert "not nilpotent" not in cert["error"], (name, max_steps)
+
+
+def test_cut_and_non_nilpotent_certificates_are_both_reached():
+    errors = {build_report(name, alg, max_steps)[0].get("certificate", {}).get("error")
+              for name, alg in CHAIN_END_CASES for max_steps in (None, 1, 2, 3)}
+    assert nilpotence_module.NOT_NILPOTENT in errors
+    assert any(e and "cut at max_steps = 3 " in e for e in errors)
 
 
 def test_certificate_cases_reach_both_branches():
