@@ -18,14 +18,24 @@ constants) and the weight times Dw, each term weighted to one positive
 multiple of its rational value, so verdicts and first failing tuples are
 the rational ones.  The form also holds the scan's plan (`_plan`): one step
 per product monomial, a vector factor times the packed operator of the
-other factor, with its sign, the kind and slots of each factor and the pair
-the outer multisets fix; a weight monomial w(a) w(b) (c d) rides on the
-product (a b)(c d) through coordinate dim.  It holds too the exponents of
-a bound on the sums, built up each monomial's tree (`_digit_bound`).  The
-scan (`_scan`) binds the plan to the algebra and accumulates a tuple's sum
-in one int: rows D e_i e_j are packed on first use as sum_k v_k 2^(B k),
-with B from the bound, so that `acc == 0` exactly when the unpacked sum is
-zero.
+other factor, with its sign and the kind and slots of each factor; a weight
+monomial w(a) w(b) (c d) rides on the product (a b)(c d) through coordinate
+dim, and w(c) (a b) on (a b) c as a scalar step.  It holds too the
+exponents of a bound on the sums, built up each monomial's tree
+(`_digit_bound`), and the support tests of the walk.  The scan (`_scan`)
+binds the plan to the algebra and accumulates a tuple's sum in one int:
+rows D e_i e_j are packed on first use as sum_k v_k 2^(B k), with B from the
+bound, so that `acc == 0` exactly when the unpacked sum is zero.
+
+On a sparse table most tuples are zero in every step, so after the first
+tuple the scan walks (`_walk`) the tuples in scan order one slot at a time,
+keeping at each slot only the values at which some step can still be
+nonzero: the step's pair factors nonzero, an operator factor acting on some
+row, and at its last slot the support of its vector factor meeting the
+columns where its operator is nonzero, all read as bitmasks off the table
+(`_tables`, kept with the algebra while it lives).  A skipped tuple is
+exactly zero.  A table with half its entries nonzero or more, or with
+fewer than 7 basis vectors (`_SMALL`), is enumerated (`_walks`).
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ import enum
 import functools
 import itertools
 import math
+import operator
+import weakref
 from typing import NamedTuple
 
 from .algebra import CommAlgebra, Element, _dense, _sparse
@@ -81,7 +93,11 @@ class _Form(NamedTuple):
     bound: tuple       # see `_digit_bound`
     dots: tuple        # the scan's plan, derived by `_plan`
     columns: tuple
+    scalars: tuple
     fused: tuple       # (u, h): the steps' multiplicity up to sign, the weight monomials'
+    tests: tuple       # per slot, the support tests of the walk (see `_plan`)
+    drops: bool        # whether a scan drops the made grids' rows behind t_0
+    fixed: tuple       # per step, the pair of outer slots it needs nonzero, or ()
 
 
 @functools.cache
@@ -153,24 +169,30 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     the operator of a leaf (a table row), else of a factor fixed while the
     last multiset varies, else of one holding slot 0.  A factor is (pair,
     weighted, i, j), the vector D e_p e_q (a pair) or e_q (a leaf, i = j)
-    at p = t_i and q = t_j.  A dot step is (the pair the outer multisets fix
-    or (), sign, vector factor, operator factor); for m (y S) a column step
-    (fixed pair, sign, S, y, m) reads S_n times column m of the operator of
-    e_n e_y.  Weight monomials w(slots of x) y ride on x y, the factor x
-    carrying its slots' weight through coordinate dim.  The steps share one
-    multiplicity u up to sign, the weight monomials one h; fused is (u, h)."""
-    outer = sum(groups[:-1])   # the slots of all multisets but the last
-    inner = set(range(outer, sum(groups)))
+    at p = t_i and q = t_j.  A dot step is (sign, vector factor, operator
+    factor); for m (y S) a column step (sign, S, y, m) reads S_n times
+    column m of the operator of e_n e_y.  Weight monomials w(slots of x) y
+    ride on x y: a pair x carries its slots' weight through coordinate dim,
+    and for a leaf x = q a scalar step (sign, y, q) adds w_q times packed y
+    to the table row's product.  The steps share one multiplicity u up to
+    sign, the weight monomials one h; fused is (u, h).
+
+    The walk's tests are, per slot s, (bit, test) for the step of that bit
+    (dots, then columns, then scalars), test(v, t) the values of t_s at
+    which the step can still be nonzero, from the scan's masks v and the
+    slots before s (see `_walk`).  A step with no test at a slot passes
+    there.  `drops` says whether no tuple after t_0 passes p reads row p of
+    the grids that the scan makes for its pair factors."""
+    inner = set(range(sum(groups[:-1]), sum(groups)))
     weight_terms = {(ws, tree): n for n, ws, tree in monomials if ws}
     units = {abs(n) for n, ws, _ in monomials if not ws}
     fused = {(n, len(ws)) for (ws, _), n in weight_terms.items()}
 
-    def factor(f, weighted: bool) -> tuple:   # the factor and the pair the outer slots fix
+    def factor(f, weighted: bool) -> tuple:
         pair = not isinstance(f, int)
-        i, j = f if pair else (f, f)
-        return (pair, weighted, i, j), (f if pair and not weighted and j < outer else ())
+        return (pair, weighted, *(f if pair else (f, f)))
 
-    dots, columns = [], []
+    dots, columns, scalars = [], [], []
     for n, ws, tree in monomials:
         if ws:
             continue
@@ -178,19 +200,73 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
             raise ValueError(f"no scan for the monomial {tree!r} of degree above 4")
         sign = 1 if n > 0 else -1
         if not all(len(_leaves(f)) <= 2 for f in tree):   # m (y S): leaves sort first
-            s, fixed = factor(tree[1][1], False)
-            columns.append((fixed, sign, s, tree[1][0], tree[0]))
+            columns.append((sign, factor(tree[1][1], False), tree[1][0], tree[0]))
             continue
         x, y = sorted(tree, key=lambda f: (not isinstance(f, int), bool(inner & set(_leaves(f))),
                                            0 not in _leaves(f)))
-        (xf, x_fixed), (yf, y_fixed) = (
-            factor(f, weight_terms.pop((tuple(sorted(_leaves(f))), g), None) is not None)
-            for f, g in ((x, y), (y, x)))
-        dots.append((x_fixed or y_fixed, sign, yf, xf))
+        xf, yf = (factor(f, weight_terms.pop((tuple(sorted(_leaves(f))), g), None) is not None)
+                  for f, g in ((x, y), (y, x)))
+        if xf[1] and not xf[0] and yf[:2] == (True, False):   # w_q y on the leaf q
+            scalars.append((sign, yf, xf[2]))
+            xf = (False, False, *xf[2:])
+        if any(f[1] and not f[0] for f in (xf, yf)):
+            raise ValueError(f"no scan for the weight monomial on {tree!r}")
+        dots.append((sign, yf, xf))
     if weight_terms or len(units) > 1 or len(fused) > 1:
         raise ValueError("no scan: the steps' multiplicities differ, or the weight terms "
                          "do not ride on the product terms")
-    return tuple(dots), tuple(columns), (units.pop(), fused.pop()[0] if fused else 0)
+
+    group = [g for g, n in enumerate(groups) for _ in range(n)]
+    found = {}   # (slot, step) -> the step's tests at that slot
+
+    def leaf(q: int) -> tuple:
+        return (False, False, q, q)
+
+    def meets(y, x):   # at its last slot a dot step's factors must meet
+        last = max(*y[2:], *x[2:])
+        if y[0] and y[3] == last > max(x[2:]):
+            return functools.partial(_meet, y[1], y[2], x)
+        if x[3] == last > max(y[2:]):
+            return functools.partial(_meet, x[1], x[2] if x[0] else None, y)
+        return None
+
+    # per step its factors, each with its role, and the test at its last
+    # slot; a weighted vector meets a leaf operator at dim, so that leaf
+    # gets no row test
+    specs = [((y, "vector"), (x, "operator" if x[0] or not y[1] else None), meets(y, x))
+             for _, y, x in dots]
+    specs += [((f, "vector"), (leaf(y), "operator"), (leaf(m), "operator"),
+               y > max(*f[2:], m) and functools.partial(_column, *f[2:], m))
+              for _, f, y, m in columns]
+    specs += [((y, "vector"), (leaf(q), "weight"), None) for _, y, q in scalars]
+    for k, (*factors, exact) in enumerate(specs):
+        last = max(i for f, _ in factors for i in f[2:])
+        if exact:
+            found.setdefault((last, k), []).append(exact)
+        for (pair, weighted, i, j), role in factors:
+            upper = pair and group[i] == group[j]
+            for s in range(i, j + 1) if role else ():
+                # see `_factor`; a pair is tested below its last slot only
+                # within a multiset, and at the step's last slot only when
+                # nothing tests the step there
+                if s < last and (upper or s in (i, j)) or s == j == last and not exact:
+                    found.setdefault((s, k), []).append(
+                        _weights if role == "weight" else
+                        functools.partial(_factor, weighted, role == "operator", i, j, upper))
+    tests = tuple(tuple((1 << k, ts[0] if len(ts) == 1 else functools.partial(_every, tuple(ts)))
+                        for (at, k), ts in sorted(found.items()) if at == s)
+                  for s in range(sum(groups)))
+    # when every dot factor's first slot lies in the first multiset, no
+    # tuple after t_0 passes p reads row p of the grids made for them; a
+    # column step reads e_n e_y at any n
+    drops = not columns and all(f[2] < groups[0] for _, y, x in dots for f in (y, x))
+    # per step a plain pair the outer multisets fix, so that an enumeration
+    # drops the step under a head where that pair multiplies to zero
+    outer = sum(groups[:-1])
+    fixed = tuple(next((f[2:] for f, _ in factors if f[0] and not f[1] and f[3] < outer), ())
+                  for *factors, _ in specs)
+    return (tuple(dots), tuple(columns), tuple(scalars),
+            (units.pop(), fused.pop()[0] if fused else 0), tests, drops, fixed)
 
 
 class Witness(NamedTuple):
@@ -312,11 +388,160 @@ class _Lazy(dict):
         return out
 
 
+# Below this dimension a scan neither walks nor drops rows: on the families
+# making the masks costs more than the tuples they skip (up to dimension 8
+# on bdown and bup), and the kept operators are small.
+_SMALL = 7
+
+
+def _walks(a: CommAlgebra) -> bool:
+    """Whether a scan walks the support of the algebra's table rather than
+    enumerate every tuple: when under half of its dim^3 entries are nonzero
+    and it is not small."""
+    return a.dim >= _SMALL and 2 * sum(map(len, itertools.chain.from_iterable(a._int_rows))) < a.dim ** 3
+
+
+def _walk(make_masks, groups: tuple, tests: tuple, steps_of, alive: int):
+    """(t, steps) in scan order for each tuple t, one sorted multiset per
+    group, at which some step passes all its support tests (`_plan`) on the
+    masks make_masks() makes: steps_of[live] are the steps whose bits are
+    set in live, alive holds them all, and a slot's values are the union of
+    its live steps' tests."""
+    masks = make_masks()
+    last, every = len(tests) - 1, masks.low
+    starts = frozenset(itertools.accumulate(groups[:-1], initial=0))
+
+    def visit(t: tuple, s: int, alive: int):
+        found, free, todo = [], alive, 0   # found: each tested step's bit, then its mask
+        for bit, test in tests[s]:
+            if alive & bit:
+                m = test(masks, t)
+                found.append(bit)
+                found.append(m)
+                free ^= bit
+                todo |= m
+        if free:
+            todo = every
+        if s not in starts:
+            todo = todo >> t[-1] << t[-1]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            live = free
+            for k in range(0, len(found), 2):
+                if found[k + 1] & low:
+                    live |= found[k]
+            u = (*t, low.bit_length() - 1)
+            if s == last:
+                yield u, steps_of[live]
+            else:
+                yield from visit(u, s + 1, live)
+
+    try:
+        yield from visit((), 0, alive)
+    finally:
+        visit = None   # the recursive closure refers to itself
+
+
+def _tables(a: CommAlgebra) -> tuple:
+    """Where the algebra's integer table is nonzero, as bitmasks over the
+    basis: adj[k] holds the n with e_k e_n != 0, supp[p][q] the support of
+    e_p e_q (a row made on first use), cols[m] the union of adj[k] over k
+    in m, meet[p][c] the q at which supp[p][q] meets c (both made on first
+    use), and filled[upper] the p whose row has a nonzero entry (at some
+    q >= p when upper)."""
+    dim, pairs = a.dim, a._int_rows
+    adj = [sum(map((1).__lshift__, itertools.compress(range(dim), row))) for row in pairs]
+    supp = _Lazy(lambda p: [sum(1 << k for k, _ in r) if r else 0 for r in pairs[p]])
+    return (pairs, adj, supp,
+            _Lazy(lambda m: functools.reduce(operator.or_, itertools.compress(
+                adj, map(int, bin(m)[:1:-1])), 0)),
+            _Lazy(lambda p: _Lazy(lambda c: sum(1 << q for q, m in enumerate(supp[p]) if m & c))),
+            [sum(1 << p for p, row in enumerate(pairs) if any(row[p:] if upper else row))
+             for upper in (False, True)])
+
+
+_supports = weakref.WeakKeyDictionary()   # the algebras' `_tables`, kept while they live
+
+
+class _Masks:
+    """A scan's view of the algebra's `_tables`.  With a fused weight
+    (c_weight != 0) bit dim stands for coordinate dim, where
+    e_n e_dim = c_weight e_n, and a weighted pair (p, q) has w_p w_q there."""
+
+    def __init__(self, a: CommAlgebra, ws, fused: bool):
+        tables = _supports.get(a) or _supports.setdefault(a, _tables(a))
+        self.pairs, self.adj, self.supp, self.cols, self.meet, self.filled = tables
+        self.ws, self.fused = ws, fused
+        self.low, self.top = (1 << a.dim) - 1, 1 << a.dim
+        self.wmask = sum(1 << k for k, w in enumerate(ws or ()) if w)
+
+
+# The walk's tests (see `_plan`): each gives, from a scan's masks v and the
+# tuple t so far, the values of the next slot at which its step can be
+# nonzero.
+
+def _weights(v: _Masks, t: tuple) -> int:
+    return v.wmask
+
+
+def _factor(weighted: bool, acts: bool, i: int, j: int, upper: bool, v: _Masks, t: tuple) -> int:
+    """The values of slot s = len(t) at which the factor (t_i, t_j) can
+    still be nonzero, or act on some row if acts: at s = i the p whose row
+    has a nonzero entry (at some q >= p when upper), below j those up to the
+    last entry of row t_i that can serve, and at j those entries."""
+    if len(t) == i:
+        return v.filled[upper] | v.wmask if weighted else v.filled[upper]
+    p = t[i]
+    row = v.adj[p] | v.wmask if weighted and v.ws[p] else v.adj[p]
+    if acts and not v.fused:
+        row = v.meet[p][v.filled[False]]
+    return row if len(t) == j else (1 << row.bit_length()) - 1
+
+
+def _reach(f, v: _Masks, t: tuple) -> int:
+    """The n for which the factor f at t times e_n can be nonzero."""
+    pair, weighted, i, j = f
+    q = t[j]
+    if not pair:
+        return v.adj[q] | v.top if v.fused else v.adj[q]
+    p = t[i]
+    m = v.supp[p][q]
+    if not v.fused:
+        return v.cols[m]
+    return v.cols[m] | (v.top if m else 0) | (v.low if weighted and v.ws[p] and v.ws[q] else 0)
+
+
+def _meet(weighted: bool, i, f, v: _Masks, t: tuple) -> int:   # (t_i, q), or e_q if i is None, times f
+    c = _reach(f, v, t)
+    if i is None:
+        return c & v.low
+    p = t[i]
+    out = v.meet[p][c & v.low]
+    return out | v.wmask if weighted and v.ws[p] and c & v.top else out
+
+
+def _column(i: int, j: int, m: int, v: _Masks, t: tuple) -> int:   # e_n e_y, n in (t_i, t_j), times e_m
+    row, out = v.adj[t[m]], 0
+    for n, _ in v.pairs[t[i]][t[j]]:
+        out |= v.meet[n][row]
+    return out
+
+
+def _every(tests: tuple, v: _Masks, t: tuple) -> int:
+    out = -1
+    for test in tests:
+        out &= test(v, t)
+    return out
+
+
 def _scan(a: CommAlgebra, ident: Identity, weight):
     """First tuple (all slots, concatenated) in scan order where the
     linearized form is nonzero, or None.  The form's plan is bound to the
     algebra: table rows are packed, and each kind of factor's vectors and
-    operators made, on first use, and kept for the whole scan."""
+    operators made, on first use.  The first tuple is summed before any
+    support mask is made, as most failing identities fail there; then a
+    sparse table is walked, each tuple summing only its live steps."""
     form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
@@ -332,11 +557,12 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     rows = _Lazy(pack_row)
 
     def vector(pair: bool, weighted: bool, p: int, q: int) -> tuple:   # e_q, or D e_p e_q
-        v = pairs[p][q] if pair else ((q, 1),)
-        w = (ws[p] if pair else 1) * ws[q] if weighted else 0
-        return v + ((dim, w),) if w else v
+        if not pair:
+            return ((q, 1),)
+        w = ws[p] * ws[q] if weighted else 0
+        return pairs[p][q] + ((dim, w),) if w else pairs[p][q]
 
-    def operator(x) -> list:   # the packed columns D x e_n
+    def operator_of(x) -> list:   # the packed columns D x e_n
         out = ()
         for m, v in x:
             r = rows[m]
@@ -351,34 +577,78 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     vectors = _Lazy(lambda kind: pairs if kind == (True, False)
                     else grid(functools.partial(vector, *kind), kind[0]))
     operators = _Lazy(lambda kind: [rows] * dim if kind == (False, False)
-                      else grid(lambda p, q: operator(vectors[kind][p][q]), kind[0]))
-    dots = [(fixed, (*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign))
-            for fixed, sign, y, x in form.dots]
-    columns = [(fixed, (*f[2:], vectors[f[:2]], y, operators[True, False], m, sign))
-               for fixed, sign, f, y, m in form.columns]
-    for head in map(sum, itertools.product(*(itertools.combinations_with_replacement(
-            range(dim), g) for g in form.groups[:-1])), itertools.repeat(())):
-        # the steps with a factor that is zero for every tuple of this head drop out
-        live = [[step for f, step in steps if not f or pairs[head[f[0]]][head[f[1]]]]
-                for steps in (dots, columns)]
-        for t in itertools.combinations_with_replacement(range(dim), form.groups[-1]):
-            t = head + t
-            acc = 0
-            for i1, j1, vecs, i2, j2, ops, sign in live[0]:
-                vec = vecs[t[i1]][t[j1]]
-                if vec:
-                    op = ops[t[i2]][t[j2]]
-                    if op:
-                        s = sum(v * op[n] for n, v in vec)
-                        acc = acc + s if sign > 0 else acc - s
-            for i, j, vecs, y, ops, m, sign in live[1]:   # column m of e_n e_y's operator
-                ty, tm = t[y], t[m]
-                for n, v in vecs[t[i]][t[j]]:
-                    op = ops[n][ty]
-                    if op:
-                        acc += sign * v * op[tm]
-            if acc:
-                return t
+                      else grid(lambda p, q: operator_of(vectors[kind][p][q]), kind[0]))
+    # the packed pairs D e_p e_q: the table rows, unless they carry a scale
+    packed = rows if scale == 1 or not form.scalars else grid(lambda p, q: pack(pairs[p][q]), True)
+    everything = ([(*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign)
+                   for sign, y, x in form.dots],
+                  [(*f[2:], pairs, y, operators[True, False], m, sign)
+                   for sign, f, y, m in form.columns],
+                  [(*f[2:], packed, q, [sign * c_weight * w for w in ws])
+                   for sign, f, q in form.scalars])
+
+    def select(live: int) -> list:   # the steps whose bits are set in live
+        out, k = [], 0
+        for steps in everything:
+            out.append([step for n, step in enumerate(steps, k) if live >> n & 1])
+            k += len(steps)
+        return out
+
+    def rest():   # (steps, t_0, tuples) blocks past the first tuple, in scan order
+        if _walks(a):
+            return ((steps, t[0], (t,)) for t, steps in _walk(
+                functools.partial(_Masks, a, ws, c_weight != 0), form.groups, form.tests,
+                _Lazy(select), (1 << sum(map(len, everything))) - 1))
+        *outer, k = form.groups
+        if outer:   # a block per multiset of the outer slots
+            blocks = ((head, range(dim), k) for head in map(sum, itertools.product(*(
+                itertools.combinations_with_replacement(range(dim), g) for g in outer)),
+                itertools.repeat(())))
+        elif made:  # a block per t_0
+            blocks = (((v,), range(v, dim), k - 1) for v in range(dim))
+        else:
+            blocks = (((), range(dim), k),)
+        steps_of = _Lazy(select)
+        return ((steps_of[sum(1 << n for n, f in enumerate(form.fixed)
+                              if not f or pairs[head[f[0]]][head[f[1]]])],
+                 head[0] if head else 0, itertools.islice(map(
+                     head.__add__, itertools.combinations_with_replacement(values, k)), n == 0, None))
+                for n, (head, values, k) in enumerate(blocks))
+
+    lead, made = 0, []
+    for blocks in (((everything, 0, ((0,) * len(form.tests),)),), None):
+        if blocks is None:   # the first tuple is zero; most failing identities fail there
+            # the grids made for pair factors, whose rows below t_0 no later tuple reads
+            made = [g for table in (vectors, operators) for kind, g in table.items()
+                    if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
+            blocks = rest()
+        for (dots, columns, scalars), t0, tuples in blocks:
+            if made and t0 != lead:
+                for grid_rows in made:
+                    for p in range(lead, t0):
+                        grid_rows[p].clear()
+                lead = t0
+            for t in tuples:
+                acc = 0
+                for i1, j1, vecs, i2, j2, ops, sign in dots:
+                    vec = vecs[t[i1]][t[j1]]
+                    if vec:
+                        op = ops[t[i2]][t[j2]]
+                        if op:
+                            s = sum(v * op[n] for n, v in vec)
+                            acc = acc + s if sign > 0 else acc - s
+                for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
+                    ty, tm = t[y], t[m]
+                    for n, v in vecs[t[i]][t[j]]:
+                        op = ops[n][ty]
+                        if op:
+                            acc += sign * v * op[tm]
+                for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
+                    w = wq[t[q]]
+                    if w:
+                        acc += w * packs[t[i]][t[j]]
+                if acc:
+                    return t
     return None
 
 

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import (QQ, CommAlgebra, Identity, PrimeField, Witness, check_identity, from_algebra,
-                     identity_defect, make_family, parse, plenary_power, serialize,
+from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PrimeField, Witness, check_identity,
+                     from_algebra, identity_defect, make_family, parse, plenary_power, serialize,
                      subalgebra_on, to_algebra)
 from bernalg import identities
 
 from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
                       non_nilpotent_baric, random_table_algebra, reference_identity_defect,
-                      rebased, reference_products, reference_scan_degree3,
+                      rebased, rebased_copies, reference_products, reference_scan_degree3,
                       reference_scan_degree4, reference_scan_jordan,
                       reference_witness_from_tuple, scaled_copy, sparse_int_mul,
                       weighted_basis_copy)
@@ -732,3 +732,172 @@ def test_identity_defect_matches_element_arithmetic_over_prime_fields():
                 want = reference_identity_defect(b.algebra, ident, assignment, b.weight)
                 assert got == want, (p, kind, ident)
 
+
+# ---------------------------------------------------------------- support walk
+
+
+def scans_both_ways(a, ident, weight):
+    """The scan's first failing tuple with the support walk and with every
+    tuple enumerated."""
+    saved = identities._walks
+    try:
+        out = []
+        for walks in (True, False):
+            identities._walks = lambda _, walks=walks: walks
+            out.append(identities._scan(a, ident, weight))
+        return out
+    finally:
+        identities._walks = saved
+
+
+def weight_of_kind(kind, dim, rng):
+    """None, or a weight of dim entries: all zero, some zero or none zero."""
+    if kind is None:
+        return None
+    entries = {"zero": (0,), "sparse": (0, 0, 1, -2, Fraction(1, 2)), "full": (1, -2, Fraction(1, 2))}
+    return tuple(Fraction(rng.choice(entries[kind])) for _ in range(dim))
+
+
+@st.composite
+def sparse_tables(draw):
+    """(algebra, weight or None) of dim 1..5 whose pair products are
+    nonzero at a drawn density, from none to all, each a monomial or a
+    general row."""
+    dim = draw(st.integers(1, 5))
+    density = draw(st.sampled_from((0.0, 0.15, 0.35, 0.6, 1.0)))
+    monomial = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+    entries = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < density:
+                row = [0] * dim
+                for k in ([rng.randrange(dim)] if monomial else range(dim)):
+                    row[k] = rng.choice(entries if monomial else (0, 0) + entries)
+                products[i, j] = row
+    a = CommAlgebra([f"b{i}" for i in range(dim)], products)
+    return a, weight_of_kind(draw(st.sampled_from((None, "zero", "sparse", "full"))), dim, rng)
+
+
+def _assert_walk_matches_enumeration(a, weight, label):
+    for ident in ALL_IDENTITIES:
+        w = (weight or tuple(Fraction(k + 1, 2) for k in range(a.dim))) if ident.needs_weight else None
+        walked, enumerated = scans_both_ways(a, ident, w)
+        assert walked == enumerated, (label, ident)
+
+
+@given(sparse_tables())
+@settings(max_examples=200, deadline=None)
+def test_support_walk_returns_the_enumerated_first_failing_tuple(case):
+    _assert_walk_matches_enumeration(*case, "sparse table")
+
+
+@pytest.mark.parametrize("name", list(CARRY_TABLES))
+def test_support_walk_keeps_a_failure_whose_sum_carries(name):
+    (t00, t01, t11), first = CARRY_TABLES[name]
+    a = CommAlgebra(["b0", "b1"], {(0, 0): t00, (0, 1): t01, (1, 1): t11})
+    for weight in (None, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(-2))):
+        _assert_walk_matches_enumeration(a, weight, name)
+
+
+def direct_sum(a, b):
+    """a (x) b, a's basis first."""
+    products = {}
+    for alg, shift in ((a, 0), (b, a.dim)):
+        for i in range(alg.dim):
+            for j in range(i, alg.dim):
+                row = [0] * (a.dim + b.dim)
+                for k, c in alg.table_row(i, j) or ():
+                    row[shift + k] = c
+                products[shift + i, shift + j] = row
+    return CommAlgebra([f"b{i}" for i in range(a.dim + b.dim)], products)
+
+
+def test_support_walk_passes_candidates_whose_terms_cancel(monkeypatch):
+    # the Jordan form vanishes on jordan3 with nonzero terms, so the walk
+    # must sum, and pass, its candidates there before bdown3's first failure
+    a = direct_sum(make_family("jordan3").algebra, make_family("bdown", 3).algebra)
+    walked, enumerated = scans_both_ways(a, Identity.JORDAN, None)
+    assert walked == enumerated and walked is not None and min(walked) >= 3
+    seen, walk = [], identities._walk
+
+    def recorded(*args):
+        for t, steps in walk(*args):
+            seen.append(t)
+            yield t, steps
+
+    monkeypatch.setattr(identities, "_walk", recorded)
+    assert identities._scan(a, Identity.JORDAN, None) == walked
+    mul = sparse_int_mul(a)
+
+    def value(tree, t):
+        return ((t[tree], 1),) if isinstance(tree, int) else mul(value(tree[0], t), value(tree[1], t))
+
+    monomials = [tree for _, _, tree in identities._form(Identity.JORDAN).monomials]
+    cancelled = [t for t in seen[:-1] if any(value(tree, t) for tree in monomials)]
+    assert cancelled and all(not any(plan_sum(a, Identity.JORDAN, None, t)) for t in cancelled)
+
+
+def test_a_scan_failing_on_its_first_tuple_makes_no_masks(monkeypatch):
+    b = make_family("bdown", 8)
+    monkeypatch.setattr(identities, "_tables", None)
+    for ident in (Identity.JACOBI, Identity.CUBE_ZERO, Identity.SQUARE_SQUARE_ZERO):
+        assert identities._scan(b.algebra, ident, None) == (0,) * len(identities._form(ident).tests)
+    assert b.algebra not in identities._supports
+
+
+def test_bernstein_walk_on_bdown62_sums_few_tuples(monkeypatch):
+    # every one of the 766,480 sorted 4-tuples of the 64 basis vectors is
+    # zero but for the few where a product of the monomial table lands
+    b = make_family("bdown", 62)
+    seen, walk = [], identities._walk
+
+    def counted(*args):
+        for item in walk(*args):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(identities, "_walk", counted)
+    assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
+    assert 0 < len(seen) <= 5920
+
+
+METAMORPHIC_CASES = ([(f"{kind}{n}", make_family(kind, n)) for kind in ("bdown", "bup")
+                      for n in range(2, 11)]
+                     + [(f"{kind}{n}", make_family(kind, n)) for kind in ("squareshift", "zhevlakov")
+                        for n in range(3, 11)]
+                     + [("jordan3", make_family("jordan3"))])
+
+
+@pytest.mark.parametrize("name, alg", METAMORPHIC_CASES, ids=[c[0] for c in METAMORPHIC_CASES])
+def test_verdicts_agree_on_walked_and_enumerated_copies(name, alg, monkeypatch):
+    """A permuted family stays monomial and is walked from dimension 7 on;
+    a change of basis makes it dense and it is enumerated.  Every copy,
+    walked as the library chooses and then walked throughout, gives the
+    family's verdicts, and every witness re-evaluates to its residual."""
+    baric = isinstance(alg, BaricAlgebra)
+    copies = [("family", alg)] + rebased_copies(alg)
+    if baric:
+        copies.append(("weighted", weighted_basis_copy(alg, 0)))
+    monomial = ("family", "permuted0", "permuted1", "scaled")
+    for label, c in copies:
+        a = getattr(c, "algebra", c)
+        assert identities._walks(a) == (a.dim >= 7 and label in monomial), label
+    idents = [i for i in ALL_IDENTITIES if baric or not i.needs_weight]
+    want = None
+    for walked in (False, True):
+        if walked:
+            monkeypatch.setattr(identities, "_walks", lambda a: True)
+        for label, copy in copies:
+            a, weight = (copy.algebra, copy.weight) if baric else (copy, None)
+            verdicts = {}
+            for ident in idents:
+                w = weight if ident.needs_weight else None
+                result = check_identity(a, ident, w)
+                verdicts[ident] = result is True
+                if result is not True:
+                    residual = identity_defect(a, ident, result.assignment_dict(), w)
+                    assert residual == result.residual and not residual.is_zero(), (label, ident)
+            want = want or verdicts
+            assert verdicts == want, (label, walked)
