@@ -6,7 +6,9 @@ commutativity is structural.  On top of the bilinear product the module
 provides memoised subspace products, the three power chains (full,
 principal, plenary), subalgebra and ideal closures, and nilpotency
 reporting.  Every first-order chain T -> step(T) goes through
-`iterate_chain`.
+`iterate_chain`.  `BaricAlgebra`, an algebra paired with a weight
+functional, lives here beside `CommAlgebra`: building one from a file
+needs no Bernstein machinery, which `bernstein` adds on top.
 
 Every product runs on one integer table, the structure constants times D
 (the lcm of their denominators; 1 over GF(p)), through one kernel: it
@@ -230,6 +232,36 @@ class CommAlgebra:
 
     def __repr__(self):
         return f"CommAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
+
+
+class BaricAlgebra:
+    """A commutative algebra together with a weight functional given by its
+    values on the basis."""
+
+    def __init__(self, algebra: CommAlgebra, weight):
+        self.algebra = algebra
+        self.weight = tuple(algebra.field.of(x) for x in weight)
+        if len(self.weight) != algebra.dim:
+            raise ValueError("weight vector length does not match the dimension")
+        self._barideal = None
+
+    @property
+    def field(self):
+        return self.algebra.field
+
+    @property
+    def dim(self):
+        return self.algebra.dim
+
+    def barideal(self) -> Subspace:
+        """N = ker(weight), the codimension-one ideal of a valid weight;
+        solved on the first call and kept, as the weight never changes."""
+        if self._barideal is None:
+            self._barideal = Subspace([self.weight], self.dim, self.field).null_space()
+        return self._barideal
+
+    def __repr__(self):
+        return f"BaricAlgebra(dim={self.dim}, basis={list(self.algebra.basis_names)})"
 
 
 def _nonzero(row) -> list:

@@ -1,7 +1,9 @@
 """Baric and Bernstein structure: weight verification, idempotents, Peirce
 decompositions, the annihilator ideal ann_U(U), classification flags,
 baric quotients, the nuclear core Ke + U + U^2, and the per-call
-`Analysis` that computes each of these facts at most once.
+`Analysis` that computes each of these facts at most once.  The baric
+pair itself, `BaricAlgebra`, is defined in `algebra` (so that reading a
+file loads no Bernstein logic) and imported here under the same name.
 
 The weight check, the Peirce split and annU run on the integer kernel
 (`CommAlgebra._int_mul` over `Subspace.int_rows`): the weight is compared
@@ -17,40 +19,10 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import (CommAlgebra, Element, PRINCIPAL, PowerChain, _sparse, induced_table,
-                      is_ideal, power_chain, weight_of)
+from .algebra import (BaricAlgebra, CommAlgebra, Element, PRINCIPAL, PowerChain, _sparse,
+                      induced_table, is_ideal, power_chain, weight_of)
 from .identities import Identity, Witness, check_identity
 from .linalg import Subspace
-
-
-class BaricAlgebra:
-    """A commutative algebra together with a weight functional given by its
-    values on the basis."""
-
-    def __init__(self, algebra: CommAlgebra, weight):
-        self.algebra = algebra
-        self.weight = tuple(algebra.field.of(x) for x in weight)
-        if len(self.weight) != algebra.dim:
-            raise ValueError("weight vector length does not match the dimension")
-        self._barideal = None
-
-    @property
-    def field(self):
-        return self.algebra.field
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    def barideal(self) -> Subspace:
-        """N = ker(weight), the codimension-one ideal of a valid weight;
-        solved on the first call and kept, as the weight never changes."""
-        if self._barideal is None:
-            self._barideal = Subspace([self.weight], self.dim, self.field).null_space()
-        return self._barideal
-
-    def __repr__(self):
-        return f"BaricAlgebra(dim={self.dim}, basis={list(self.algebra.basis_names)})"
 
 
 class PeirceData(NamedTuple):
@@ -159,7 +131,10 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
                for i, r in enumerate(rows)]
     u, v = (n.span_of_coords(Subspace.of_int_rows(system, n.dim, field).null_space())
             for system in (shifted, rows))
-    if u.dim + v.dim != n.dim or u.plus(v) != n:
+    # U and V are eigenspaces of L_e for distinct eigenvalues, so they meet
+    # only in 0 and U + V is direct; both lie in N, so equal dimensions
+    # already give N = U + V
+    if u.dim + v.dim != n.dim:
         raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
                                 "the algebra is not Bernstein", bernstein_witnesses(b))
     return PeirceData(e, u, v, n, _annihilator_in_u(a, u))

@@ -15,9 +15,9 @@ import argparse
 import functools
 import sys
 
-from .algebra import CHAIN_KINDS, ChainCapError, power_chain
-from .bernstein import (BaricAlgebra, NotBernsteinError, bernstein_witnesses, classify,
-                        find_idempotent, peirce, quotient)
+from .algebra import CHAIN_KINDS, BaricAlgebra, ChainCapError, power_chain
+from .bernstein import (NotBernsteinError, bernstein_witnesses, classify, find_idempotent,
+                        peirce, quotient)
 from .families import FAMILY_KINDS, make_family
 from .fileformat import MAX_DIM, from_algebra, parse, serialize, spec_rational, to_algebra
 from .linalg import Subspace

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import CommAlgebra, Element
-from .bernstein import BaricAlgebra
+from .algebra import BaricAlgebra, CommAlgebra, Element
 from .fields import QQ
 from .fileformat import MAX_DIM
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import CommAlgebra
-from .bernstein import BaricAlgebra
+from .algebra import BaricAlgebra, CommAlgebra
 
 # input bounds: the identity scans visit C(dim + 3, 4) tuples, and every
 # product pays for the digits of its rationals

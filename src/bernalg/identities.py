@@ -330,13 +330,6 @@ def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
     m = D^products Dw^weights and the weight as the integers ws = Dw w."""
     form, d = _form(ident), a._den
     memo = dict(zip(form.variables, xs))   # each subtree's value, the leaves first
-
-    def value(tree):
-        out = memo.get(tree)
-        if out is None:
-            out = memo[tree] = _sparse(a._int_mul(value(tree[0]), value(tree[1])))
-        return out
-
     acc = [0] * a.dim
     for c, weights, tree in _TERMS[ident]:
         # brought to the common multiple
@@ -344,9 +337,21 @@ def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
         for v in weights:
             c *= sum(ws[k] * x for k, x in memo[v])
         if c:
-            for k, x in value(tree):
+            for k, x in _tree_value(a, memo, tree):
                 acc[k] += c * x
     return acc, d ** form.products * dw ** form.weights
+
+
+def _tree_value(a: CommAlgebra, memo: dict, tree) -> tuple:
+    """The sparse integer value of a product tree, each subtree's value
+    kept in memo (which holds the leaves).  A module function, not a
+    closure: a recursive closure refers to itself, and the cycle would keep
+    the algebra alive until the cyclic collector runs."""
+    out = memo.get(tree)
+    if out is None:
+        out = memo[tree] = _sparse(a._int_mul(_tree_value(a, memo, tree[0]),
+                                              _tree_value(a, memo, tree[1])))
+    return out
 
 
 def _digit_bound(form: _Form, a: CommAlgebra, ws, dw: int) -> int:
@@ -616,40 +621,43 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
                 for n, (head, values, k) in enumerate(blocks))
 
     lead, made = 0, []
-    for blocks in (((everything, 0, ((0,) * len(form.tests),)),), None):
-        if blocks is None:   # the first tuple is zero; most failing identities fail there
-            # the grids made for pair factors, whose rows below t_0 no later tuple reads
-            made = [g for table in (vectors, operators) for kind, g in table.items()
-                    if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
-            blocks = rest()
-        for (dots, columns, scalars), t0, tuples in blocks:
-            if made and t0 != lead:
-                for grid_rows in made:
-                    for p in range(lead, t0):
-                        grid_rows[p].clear()
-                lead = t0
-            for t in tuples:
-                acc = 0
-                for i1, j1, vecs, i2, j2, ops, sign in dots:
-                    vec = vecs[t[i1]][t[j1]]
-                    if vec:
-                        op = ops[t[i2]][t[j2]]
-                        if op:
-                            s = sum(v * op[n] for n, v in vec)
-                            acc = acc + s if sign > 0 else acc - s
-                for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
-                    ty, tm = t[y], t[m]
-                    for n, v in vecs[t[i]][t[j]]:
-                        op = ops[n][ty]
-                        if op:
-                            acc += sign * v * op[tm]
-                for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
-                    w = wq[t[q]]
-                    if w:
-                        acc += w * packs[t[i]][t[j]]
-                if acc:
-                    return t
-    return None
+    try:
+        for blocks in (((everything, 0, ((0,) * len(form.tests),)),), None):
+            if blocks is None:   # the first tuple is zero; most failing identities fail there
+                # the grids made for pair factors, whose rows below t_0 no later tuple reads
+                made = [g for table in (vectors, operators) for kind, g in table.items()
+                        if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
+                blocks = rest()
+            for (dots, columns, scalars), t0, tuples in blocks:
+                if made and t0 != lead:
+                    for grid_rows in made:
+                        for p in range(lead, t0):
+                            grid_rows[p].clear()
+                    lead = t0
+                for t in tuples:
+                    acc = 0
+                    for i1, j1, vecs, i2, j2, ops, sign in dots:
+                        vec = vecs[t[i1]][t[j1]]
+                        if vec:
+                            op = ops[t[i2]][t[j2]]
+                            if op:
+                                s = sum(v * op[n] for n, v in vec)
+                                acc = acc + s if sign > 0 else acc - s
+                    for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
+                        ty, tm = t[y], t[m]
+                        for n, v in vecs[t[i]][t[j]]:
+                            op = ops[n][ty]
+                            if op:
+                                acc += sign * v * op[tm]
+                    for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
+                        w = wq[t[q]]
+                        if w:
+                            acc += w * packs[t[i]][t[j]]
+                    if acc:
+                        return t
+        return None
+    finally:
+        rows = None   # pack_row refers to rows
 
 
 def _subset_sums(positions: tuple) -> list:

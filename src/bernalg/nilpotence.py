@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (CommAlgebra, Element, FULL, generated_ideal, generated_subalgebra,
-                      is_ideal, iterate_chain, power_chain)
-from .bernstein import BaricAlgebra, PeirceData
+from .algebra import (BaricAlgebra, CommAlgebra, Element, FULL, generated_ideal,
+                      generated_subalgebra, is_ideal, iterate_chain, power_chain)
+from .bernstein import PeirceData
 from .linalg import Subspace, combine_rows
 
 

@@ -71,6 +71,22 @@ def proper_ann_u_baric():
     return BaricAlgebra(a, [1, 0, 0, 0])
 
 
+def wide_v_bernstein(r: int, s: int, seed: int) -> BaricAlgebra:
+    """A Bernstein algebra of Peirce type (1 + r, s) on (e, u1..ur, v1..vs):
+    e^2 = e, e u_i = u_i/2, e v_j = 0, U^2 = V^2 = 0, and a seeded random
+    bilinear U x V -> U with entries in [-2, 2].  For x = ae + u + v,
+    x^2 = a^2 e + (au + 2uv) and (x^2)^2 = a^2 x^2, so every such table
+    satisfies the Bernstein identity, whatever dim V is."""
+    rng = fresh_rng(seed)
+    names = ["e"] + [f"u{i + 1}" for i in range(r)] + [f"v{j + 1}" for j in range(s)]
+    table = {("e", "e"): {"e": 1}}
+    table.update({("e", f"u{i + 1}"): {f"u{i + 1}": Fraction(1, 2)} for i in range(r)})
+    for i in range(r):
+        for j in range(s):
+            table[f"u{i + 1}", f"v{j + 1}"] = {f"u{k + 1}": rng.randint(-2, 2) for k in range(r)}
+    return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (r + s))
+
+
 def random_vector_in(rng, space: Subspace, lo=-3, hi=3):
     field = space.field
     v = [field.zero] * space.ambient_dim

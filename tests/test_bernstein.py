@@ -16,7 +16,8 @@ from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_bari
                       operator_matrix, proper_ann_u_baric, rebased_copies,
                       reference_annihilator, reference_identity_defect,
                       reference_left_mult_matrix, reference_mul_coords, reference_peirce,
-                      reference_subspace_product, reference_verify_weight, scaled_copy)
+                      reference_subspace_product, reference_verify_weight, scaled_copy,
+                      wide_v_bernstein)
 
 
 def span_named(a, *names):
@@ -106,6 +107,21 @@ def test_one_dimensional_peirce():
     a = CommAlgebra.from_table(["e"], {("e", "e"): {"e": 1}})
     p = peirce(BaricAlgebra(a, [1]))
     assert p.U.is_zero() and p.V.is_zero() and p.N.is_zero()
+
+
+@pytest.mark.parametrize("r, s", ((3, 3), (4, 2), (3, 4)))
+def test_wide_v_peirce_split_and_its_rebased_copies(r, s):
+    # the split is decided by dimensions alone: U and V meet only in 0
+    b = wide_v_bernstein(r, s, seed=r + s)
+    a = b.algebra
+    p = peirce(b)
+    assert p.U == span_named(a, *(f"u{i + 1}" for i in range(r)))
+    assert p.V == span_named(a, *(f"v{j + 1}" for j in range(s)))
+    assert check_peirce_relations(b, p) is True
+    for label, c in rebased_copies(b):
+        q = peirce(c)
+        assert (q.U.dim, q.V.dim) == (r, s) and q.U.plus(q.V) == q.N, label
+        assert q == reference_peirce(c, q.e), label
 
 
 def test_jordan3_ann_u_is_zero():

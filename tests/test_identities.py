@@ -17,7 +17,7 @@ from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus
                       rebased, rebased_copies, reference_products, reference_scan_degree3,
                       reference_scan_degree4, reference_scan_jordan,
                       reference_witness_from_tuple, scaled_copy, sparse_int_mul,
-                      weighted_basis_copy)
+                      weighted_basis_copy, wide_v_bernstein)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -799,6 +799,18 @@ def test_support_walk_keeps_a_failure_whose_sum_carries(name):
     a = CommAlgebra(["b0", "b1"], {(0, 0): t00, (0, 1): t01, (1, 1): t11})
     for weight in (None, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(-2))):
         _assert_walk_matches_enumeration(a, weight, name)
+
+
+WIDE_V_TYPES = ((3, 3), (4, 2), (3, 4))   # (r, s): dims 7, 7 and 8
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("r, s", WIDE_V_TYPES, ids=[f"r{r}s{s}" for r, s in WIDE_V_TYPES])
+def test_wide_v_tables_are_bernstein_and_walked_as_enumerated(r, s, seed):
+    b = wide_v_bernstein(r, s, seed)
+    assert identities._walks(b.algebra)
+    assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
+    _assert_walk_matches_enumeration(b.algebra, b.weight, f"wide V {r} {s} seed {seed}")
 
 
 def direct_sum(a, b):

@@ -1,5 +1,6 @@
 """Semantics of the package's record types, and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,13 +14,90 @@ from bernalg import (AlgebraFile, Matrix, ModP, NilpotencyReport, Witness, make_
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    code = ("import sys; before = set(sys.modules); import bernalg, bernalg.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+MODULES = ("fields", "linalg", "algebra", "identities", "bernstein", "nilpotence", "report",
+           "fileformat", "cli", "families")
+
+# every name the package exported when its __init__ imported each module
+# eagerly, under the module it was imported from
+EXPORTS = {
+    "algebra": ("CHAIN_KINDS", "FULL", "PLENARY", "PRINCIPAL", "CommAlgebra", "Element",
+                "NilpotencyReport", "PowerChain", "generated_ideal", "generated_subalgebra",
+                "is_ideal", "nilpotency_report", "plenary_power", "power_chain",
+                "subalgebra_on", "subspace_product", "weight_of"),
+    "bernstein": ("Analysis", "BaricAlgebra", "ClassificationFlags", "NotBernsteinError",
+                  "PeirceData", "bernstein_witnesses", "check_peirce_relations", "classify",
+                  "find_idempotent", "nuclear_core", "peirce", "quotient", "verify_weight"),
+    "families": ("FAMILY_KINDS", "make_family", "plenary_trace"),
+    "fields": ("QQ", "ModP", "PrimeField"),
+    "fileformat": ("AlgebraFile", "ParseError", "from_algebra", "parse", "serialize",
+                   "to_algebra"),
+    "identities": ("Identity", "Witness", "check_identity", "identity_defect"),
+    "linalg": ("Matrix", "Subspace"),
+    "nilpotence": ("DecompositionCertificate", "FixedSubspaceResult", "MultClosure",
+                   "StabilityReport", "SubmoduleIdealReport", "decompose_nilpotent_ideal",
+                   "greatest_fixed_subspace", "module_action", "mult_closure_nilpotent",
+                   "stable_subspace_check", "submodule_ideal_check"),
+    "report": ("build_report", "emit_report"),
+}
+
+
+def run_fresh(code: str):
+    """What `code` prints, as a Python literal, run in a fresh interpreter
+    that imports the package from the source tree."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    return ast.literal_eval(out.stdout.strip())
+
+
+LOADED = "sorted(m[8:] for m in sys.modules if m.startswith('bernalg.'))"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = ("before = set(sys.modules); import bernalg, bernalg.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert run_fresh(code) == []
+
+
+def test_import_loads_no_submodule():
+    assert run_fresh(f"import bernalg\nprint({LOADED})") == []
+
+
+def test_reading_a_file_loads_only_the_loader():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "bdown3.alg")
+    code = ("from bernalg import fileformat\n"
+            f"with open({path!r}, encoding='utf-8') as fh:\n"
+            "    b = fileformat.to_algebra(fileformat.parse(fh.read()))\n"
+            f"print((type(b).__name__, b.dim, {LOADED}))")
+    assert run_fresh(code) == ("BaricAlgebra", 5, ["algebra", "fields", "fileformat", "linalg"])
+
+
+def test_the_cli_loads_every_module():
+    assert run_fresh(f"import bernalg, bernalg.cli\nprint({LOADED})") == sorted(MODULES)
+
+
+def test_every_former_export_is_its_module_object():
+    code = (f"import bernalg, importlib\nexports = {EXPORTS!r}\nwrong = []\n"
+            "for module, names in exports.items():\n"
+            "    for name in names:\n"
+            "        scope = {}\n"
+            "        exec(f'from bernalg import {name} as got', scope)\n"
+            "        home = importlib.import_module(f'bernalg.{module}')\n"
+            "        if not (scope['got'] is getattr(home, name) is getattr(bernalg, name)\n"
+            "                and name in bernalg.__all__ and name in dir(bernalg)):\n"
+            "            wrong.append(name)\n"
+            "import bernalg.algebra as algebra\n"
+            "print((wrong, len(bernalg.__all__), bernalg.BaricAlgebra is algebra.BaricAlgebra))")
+    assert run_fresh(code) == ([], sum(map(len, EXPORTS.values())), True)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    code = ("import bernalg\n"
+            "try:\n"
+            "    bernalg.no_such_name\n"
+            "except AttributeError as exc:\n"
+            f"    print((str(exc), {LOADED}))")
+    assert run_fresh(code) == ("module 'bernalg' has no attribute 'no_such_name'", [])
 
 
 def test_records_are_tuples():

@@ -1,7 +1,9 @@
 import collections
+import gc
 import glob
 import json
 import os
+import weakref
 
 import pytest
 
@@ -13,7 +15,7 @@ from bernalg import report as report_module
 from bernalg.report import build_report, certificate_summary, emit_report
 
 from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
-                      rebased_copies)
+                      rebased_copies, weighted_basis_copy)
 
 
 def test_one_dimensional_report_is_minimal():
@@ -23,6 +25,24 @@ def test_one_dimensional_report_is_minimal():
     assert report["peirce"]["n_dim"] == 0
     assert report["flags"]["jordan"] is True
     assert report["flags"]["nuclear"] is True
+
+
+def test_a_reported_algebra_is_freed_without_the_cyclic_collector():
+    # a sparse baric family, a plain family and a dense copy: the scans,
+    # their witnesses and the chains leave no reference cycle behind
+    algs = [make_family("bdown", 6), make_family("zhevlakov", 8),
+            weighted_basis_copy(make_family("bdown", 3), 1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for k, alg in enumerate(algs):
+            build_report(f"a{k}", alg)
+        refs = [weakref.ref(a) for alg in algs for a in (alg, getattr(alg, "algebra", alg))]
+        del algs, alg
+        assert [r() for r in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_non_baric_report_omits_baric_sections():
