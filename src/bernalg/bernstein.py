@@ -204,9 +204,9 @@ def _jordan_structural(b: BaricAlgebra, p: PeirceData):
                 vk = a.element(p.V.rows[k])
                 defect = (u * vj) * vk if j == k else (u * vj) * vk + (u * vk) * vj
                 if not defect.is_zero():
-                    return Witness((("u", u), ("v", vj)) if j == k else
-                                   (("u", u), ("v", vj), ("w", vk)),
-                                   defect, note="(u v) v does not vanish")
+                    named = (("u", u), ("v", vj)) + ((("w", vk),) if j < k else ())
+                    return Witness(named, defect, note="(u v) v does not vanish" if j == k
+                                   else "(u v) w + (u w) v does not vanish")
     return True
 
 

@@ -27,15 +27,17 @@ binds the plan to the algebra and accumulates a tuple's sum in one int:
 rows D e_i e_j are packed on first use as sum_k v_k 2^(B k), with B from the
 bound, so that `acc == 0` exactly when the unpacked sum is zero.
 
-On a sparse table most tuples are zero in every step, so after the first
-tuple the scan walks (`_walk`) the tuples in scan order one slot at a time,
-keeping at each slot only the values at which some step can still be
-nonzero: the step's pair factors nonzero, an operator factor acting on some
-row, and at its last slot the support of its vector factor meeting the
-columns where its operator is nonzero, all read as bitmasks off the table
-(`_tables`, kept with the algebra while it lives).  A skipped tuple is
-exactly zero.  A table with half its entries nonzero or more, or with
-fewer than 7 basis vectors (`_SMALL`), is enumerated (`_walks`).
+On a sparse table most tuples are zero in every step, so the scan walks
+(`_walk`) the tuples in scan order one slot at a time, keeping at each slot
+only the values at which some step can still be nonzero: the step's pair
+factors nonzero, an operator factor acting on some row, and at its last
+slot the support of its vector factor meeting the columns where its
+operator is nonzero, all read as bitmasks off the table (`_tables`, kept
+with the algebra while it lives).  The walk sums the first tuple with every
+step before it makes the masks.  A skipped tuple is exactly zero.  A table
+with half its entries nonzero or more is enumerated, every tuple with every
+step, and so is one with fewer than 7 basis vectors (`_SMALL`) for a form
+of one multiset (`_walks`); Jordan's form, of two, walks it.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ class _Form(NamedTuple):
     fused: tuple       # (u, h): the steps' multiplicity up to sign, the weight monomials'
     tests: tuple       # per slot, the support tests of the walk (see `_plan`)
     drops: bool        # whether a scan drops the made grids' rows behind t_0
-    fixed: tuple       # per step, the pair of outer slots it needs nonzero, or ()
 
 
 @functools.cache
@@ -181,8 +182,9 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     (dots, then columns, then scalars), test(v, t) the values of t_s at
     which the step can still be nonzero, from the scan's masks v and the
     slots before s (see `_walk`).  A step with no test at a slot passes
-    there.  `drops` says whether no tuple after t_0 passes p reads row p of
-    the grids that the scan makes for its pair factors."""
+    there.  They are the scan's only pruning: an enumerated tuple sums
+    every step.  `drops` says whether no tuple after t_0 passes p reads
+    row p of the grids that the scan makes for its pair factors."""
     inner = set(range(sum(groups[:-1]), sum(groups)))
     weight_terms = {(ws, tree): n for n, ws, tree in monomials if ws}
     units = {abs(n) for n, ws, _ in monomials if not ws}
@@ -260,13 +262,8 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     # tuple after t_0 passes p reads row p of the grids made for them; a
     # column step reads e_n e_y at any n
     drops = not columns and all(f[2] < groups[0] for _, y, x in dots for f in (y, x))
-    # per step a plain pair the outer multisets fix, so that an enumeration
-    # drops the step under a head where that pair multiplies to zero
-    outer = sum(groups[:-1])
-    fixed = tuple(next((f[2:] for f, _ in factors if f[0] and not f[1] and f[3] < outer), ())
-                  for *factors, _ in specs)
     return (tuple(dots), tuple(columns), tuple(scalars),
-            (units.pop(), fused.pop()[0] if fused else 0), tests, drops, fixed)
+            (units.pop(), fused.pop()[0] if fused else 0), tests, drops)
 
 
 class Witness(NamedTuple):
@@ -393,25 +390,29 @@ class _Lazy(dict):
         return out
 
 
-# Below this dimension a scan neither walks nor drops rows: on the families
-# making the masks costs more than the tuples they skip (up to dimension 8
-# on bdown and bup), and the kept operators are small.
+# Below this dimension a scan of one multiset neither walks nor drops rows:
+# on the families making the masks costs more than the tuples they skip (up
+# to dimension 8 on bdown and bup), and the kept operators are small.
 _SMALL = 7
 
 
-def _walks(a: CommAlgebra) -> bool:
-    """Whether a scan walks the support of the algebra's table rather than
-    enumerate every tuple: when under half of its dim^3 entries are nonzero
-    and it is not small."""
-    return a.dim >= _SMALL and 2 * sum(map(len, itertools.chain.from_iterable(a._int_rows))) < a.dim ** 3
+def _walks(a: CommAlgebra, form: _Form) -> bool:
+    """Whether a scan of the form walks the support of the algebra's table
+    rather than enumerate every tuple: when under half of its dim^3 entries
+    are nonzero and, for a form of one multiset, it is not small."""
+    return ((len(form.groups) > 1 or a.dim >= _SMALL)
+            and 2 * sum(map(len, itertools.chain.from_iterable(a._int_rows))) < a.dim ** 3)
 
 
 def _walk(make_masks, groups: tuple, tests: tuple, steps_of, alive: int):
-    """(t, steps) in scan order for each tuple t, one sorted multiset per
-    group, at which some step passes all its support tests (`_plan`) on the
-    masks make_masks() makes: steps_of[live] are the steps whose bits are
-    set in live, alive holds them all, and a slot's values are the union of
-    its live steps' tests."""
+    """(steps, t_0, (t,)) blocks in scan order: first the first tuple with
+    every step, summed before make_masks() makes the masks (most failing
+    identities fail there), then each tuple t, one sorted multiset per
+    group, at which some step passes all its support tests (`_plan`) on
+    them.  steps_of[live] are the steps whose bits are set in live, alive
+    holds them all, and a slot's values are the union of its live steps'
+    tests."""
+    yield steps_of[alive], 0, ((0,) * len(tests),)
     masks = make_masks()
     last, every = len(tests) - 1, masks.low
     starts = frozenset(itertools.accumulate(groups[:-1], initial=0))
@@ -438,7 +439,7 @@ def _walk(make_masks, groups: tuple, tests: tuple, steps_of, alive: int):
                     live |= found[k]
             u = (*t, low.bit_length() - 1)
             if s == last:
-                yield u, steps_of[live]
+                yield steps_of[live], u[0], (u,)
             else:
                 yield from visit(u, s + 1, live)
 
@@ -544,9 +545,9 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     """First tuple (all slots, concatenated) in scan order where the
     linearized form is nonzero, or None.  The form's plan is bound to the
     algebra: table rows are packed, and each kind of factor's vectors and
-    operators made, on first use.  The first tuple is summed before any
-    support mask is made, as most failing identities fail there; then a
-    sparse table is walked, each tuple summing only its live steps."""
+    operators made, on first use.  A sparse table is walked (`_walk`), each
+    tuple summing only its live steps; else every tuple is enumerated with
+    every step, in blocks that share an outer multiset or t_0."""
     form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
@@ -599,62 +600,56 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
             k += len(steps)
         return out
 
-    def rest():   # (steps, t_0, tuples) blocks past the first tuple, in scan order
-        if _walks(a):
-            return ((steps, t[0], (t,)) for t, steps in _walk(
-                functools.partial(_Masks, a, ws, c_weight != 0), form.groups, form.tests,
-                _Lazy(select), (1 << sum(map(len, everything))) - 1))
+    # the grids made for pair factors, whose rows below t_0 no later tuple reads
+    made = [g for table in (vectors, operators) for kind, g in table.items()
+            if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
+    if _walks(a, form):
+        steps_of, alive = _Lazy(select), (1 << sum(map(len, everything))) - 1
+        steps_of[alive] = everything
+        blocks = _walk(functools.partial(_Masks, a, ws, c_weight != 0), form.groups, form.tests,
+                       steps_of, alive)
+    else:   # every tuple with every step
         *outer, k = form.groups
+        multisets = itertools.combinations_with_replacement
         if outer:   # a block per multiset of the outer slots
-            blocks = ((head, range(dim), k) for head in map(sum, itertools.product(*(
-                itertools.combinations_with_replacement(range(dim), g) for g in outer)),
-                itertools.repeat(())))
+            blocks = ((everything, head[0], map(head.__add__, multisets(range(dim), k)))
+                      for head in map(sum, itertools.product(*(
+                          multisets(range(dim), g) for g in outer)), itertools.repeat(())))
         elif made:  # a block per t_0
-            blocks = (((v,), range(v, dim), k - 1) for v in range(dim))
+            blocks = ((everything, v, map((v,).__add__, multisets(range(v, dim), k - 1)))
+                      for v in range(dim))
         else:
-            blocks = (((), range(dim), k),)
-        steps_of = _Lazy(select)
-        return ((steps_of[sum(1 << n for n, f in enumerate(form.fixed)
-                              if not f or pairs[head[f[0]]][head[f[1]]])],
-                 head[0] if head else 0, itertools.islice(map(
-                     head.__add__, itertools.combinations_with_replacement(values, k)), n == 0, None))
-                for n, (head, values, k) in enumerate(blocks))
+            blocks = ((everything, 0, multisets(range(dim), k)),)
 
-    lead, made = 0, []
+    lead = 0
     try:
-        for blocks in (((everything, 0, ((0,) * len(form.tests),)),), None):
-            if blocks is None:   # the first tuple is zero; most failing identities fail there
-                # the grids made for pair factors, whose rows below t_0 no later tuple reads
-                made = [g for table in (vectors, operators) for kind, g in table.items()
-                        if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
-                blocks = rest()
-            for (dots, columns, scalars), t0, tuples in blocks:
-                if made and t0 != lead:
-                    for grid_rows in made:
-                        for p in range(lead, t0):
-                            grid_rows[p].clear()
-                    lead = t0
-                for t in tuples:
-                    acc = 0
-                    for i1, j1, vecs, i2, j2, ops, sign in dots:
-                        vec = vecs[t[i1]][t[j1]]
-                        if vec:
-                            op = ops[t[i2]][t[j2]]
-                            if op:
-                                s = sum(v * op[n] for n, v in vec)
-                                acc = acc + s if sign > 0 else acc - s
-                    for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
-                        ty, tm = t[y], t[m]
-                        for n, v in vecs[t[i]][t[j]]:
-                            op = ops[n][ty]
-                            if op:
-                                acc += sign * v * op[tm]
-                    for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
-                        w = wq[t[q]]
-                        if w:
-                            acc += w * packs[t[i]][t[j]]
-                    if acc:
-                        return t
+        for (dots, columns, scalars), t0, tuples in blocks:
+            if made and t0 != lead:
+                for grid_rows in made:
+                    for p in range(lead, t0):
+                        grid_rows[p].clear()
+                lead = t0
+            for t in tuples:
+                acc = 0
+                for i1, j1, vecs, i2, j2, ops, sign in dots:
+                    vec = vecs[t[i1]][t[j1]]
+                    if vec:
+                        op = ops[t[i2]][t[j2]]
+                        if op:
+                            s = sum(v * op[n] for n, v in vec)
+                            acc = acc + s if sign > 0 else acc - s
+                for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
+                    ty, tm = t[y], t[m]
+                    for n, v in vecs[t[i]][t[j]]:
+                        op = ops[n][ty]
+                        if op:
+                            acc += sign * v * op[tm]
+                for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
+                    w = wq[t[q]]
+                    if w:
+                        acc += w * packs[t[i]][t[j]]
+                if acc:
+                    return t
         return None
     finally:
         rows = None   # pack_row refers to rows

@@ -243,6 +243,25 @@ def test_classify_jordan3():
     assert not fl.witnesses
 
 
+def test_classify_names_the_three_variable_jordan_witness():
+    # (u v) v vanishes on every U x V pair here, and the polarized form
+    # (u v) w + (u w) v does not: (u2 v1) v2 = u1 v2 = u3
+    h = Fraction(1, 2)
+    a = CommAlgebra.from_table(["e", "u1", "u2", "u3", "v1", "v2"], {
+        ("e", "e"): {"e": 1}, ("e", "u1"): {"u1": h}, ("e", "u2"): {"u2": h},
+        ("e", "u3"): {"u3": h}, ("u2", "v1"): {"u1": 1}, ("u1", "v2"): {"u3": 1}})
+    b = BaricAlgebra(a, [1, 0, 0, 0, 0, 0])
+    fl = classify(b)
+    assert (fl.is_bernstein, fl.is_jordan) == (True, False)
+    jw = fl.witnesses["jordan"]
+    assert jw.note == "(u v) w + (u w) v does not vanish"
+    u, v, w = (x for _, x in jw.assignment)
+    assert [name for name, _ in jw.assignment] == ["u", "v", "w"]
+    assert [a.basis_names[x.coords.index(1)] for x in (u, v, w)] == ["u2", "v1", "v2"]
+    assert jw.residual == (u * v) * w + (u * w) * v == a.basis_element(a.index_of("u3"))
+    assert check_identity(a, Identity.JORDAN) is not True
+
+
 def test_classify_one_dimensional():
     a = CommAlgebra.from_table(["e"], {("e", "e"): {"e": 1}})
     fl = classify(BaricAlgebra(a, [1]))

@@ -335,6 +335,31 @@ def test_zero_weight_seed_still_exits_2(capsys):
     assert "weight zero" in err
 
 
+def test_seed_that_is_not_an_element_expression_exits_2(capsys):
+    code, out, err = run_cli(["peirce", path("bdown3.alg"), "--seed", "1"], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: bad element expression '1'\n")
+
+
+def test_name_overrides_the_file_name(tmp_path, capsys):
+    f = tmp_path / "bdown3.alg"
+    f.write_text(serialize(from_algebra(make_family("bdown", 3), "bdown3")))
+    code, out, _ = run_cli(["check", str(f), "--name", "renamed", "--json"], capsys=capsys)
+    assert code == 0 and json.loads(out)["algebra"] == "renamed"
+    code, out, _ = run_cli(["check", str(f), "--name", "renamed"], capsys=capsys)
+    assert code == 0 and out.startswith("algebra renamed (dim 5)\n")
+
+
+def test_check_text_of_an_invalid_weight(tmp_path, capsys):
+    f = tmp_path / "zero_weight.alg"
+    f.write_text("algebra zero_weight\nbasis e u\nweight e 0\n")
+    code, out, _ = run_cli(["check", str(f)], capsys=capsys)
+    assert code == 1
+    assert out == ("algebra zero_weight (dim 2)\n"
+                   "  weight: INVALID\n"
+                   "  witness: {'assignment': {}, 'residual': '0', "
+                   "'note': 'weight functional is identically zero'}\n")
+
+
 def test_full_chain_cap_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     f = tmp_path / "sq4.alg"
     f.write_text(serialize(from_algebra(make_family("squareshift", 4), "sq4")))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bernalg import (BaricAlgebra, ParseError, classify, from_algebra,
                      make_family, parse, serialize, to_algebra)
 from bernalg import fileformat
+from bernalg.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -264,3 +265,38 @@ def test_parse_error_message_line_and_column(kind):
         parse(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
     assert str(exc.value) == f"line {line}, column {col}: {message}"
+
+
+# the remaining malformed kinds, each with its (message, line, column)
+STRUCTURE_ERRORS = {
+    "duplicate algebra line": ("algebra a\nalgebra b\nbasis x\n",
+                               ("duplicate algebra line", 2, 1)),
+    "duplicate basis line": ("algebra a\nbasis x\nbasis y\n", ("duplicate basis line", 3, 1)),
+    "bad basis identifier": ("algebra a\nbasis x 1y\n", ("bad basis identifier '1y'", 2, 9)),
+    "duplicate basis identifier": ("algebra a\nbasis x y  x\n",
+                                   ("duplicate basis identifier 'x'", 2, 12)),
+    "short weight line": ("algebra a\nbasis x\nweight x\n",
+                          ("weight line needs '<id> <p/q>'", 3, 1)),
+    "unknown weight identifier": ("algebra a\nbasis x\nweight z 1\n",
+                                  ("unknown basis identifier 'z'", 3, 8)),
+    "short prod line": ("algebra a\nbasis e\nprod e e =\n",
+                        ("prod line needs '<id> <id> = <p/q> <id> ...'", 3, 1)),
+    "missing equals": ("algebra a\nbasis e\nprod e e 1 e\n",
+                       ("expected '=' after the basis pair", 3, 10)),
+    "dangling plus": ("algebra a\nbasis e\nprod e e = 1 e +\n", ("dangling '+' in product", 3, 16)),
+    "term without identifier": ("algebra a\nbasis e\nprod e e = 1 e + 2\n",
+                                ("product term needs '<p/q> <id>'", 3, 18)),
+}
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURE_ERRORS))
+def test_structure_errors_name_their_token_and_check_exits_2(kind, tmp_path, capsys):
+    text, (message, line, col) = STRUCTURE_ERRORS[kind]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+    alg = tmp_path / "bad.alg"
+    alg.write_text(text, encoding="utf-8")
+    assert main(["check", str(alg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: line {line}, column {col}: {message}\n"

@@ -743,7 +743,7 @@ def scans_both_ways(a, ident, weight):
     try:
         out = []
         for walks in (True, False):
-            identities._walks = lambda _, walks=walks: walks
+            identities._walks = lambda a, form, walks=walks: walks
             out.append(identities._scan(a, ident, weight))
         return out
     finally:
@@ -808,7 +808,7 @@ WIDE_V_TYPES = ((3, 3), (4, 2), (3, 4))   # (r, s): dims 7, 7 and 8
 @pytest.mark.parametrize("r, s", WIDE_V_TYPES, ids=[f"r{r}s{s}" for r, s in WIDE_V_TYPES])
 def test_wide_v_tables_are_bernstein_and_walked_as_enumerated(r, s, seed):
     b = wide_v_bernstein(r, s, seed)
-    assert identities._walks(b.algebra)
+    assert all(identities._walks(b.algebra, identities._form(i)) for i in ALL_IDENTITIES)
     assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
     _assert_walk_matches_enumeration(b.algebra, b.weight, f"wide V {r} {s} seed {seed}")
 
@@ -835,9 +835,9 @@ def test_support_walk_passes_candidates_whose_terms_cancel(monkeypatch):
     seen, walk = [], identities._walk
 
     def recorded(*args):
-        for t, steps in walk(*args):
-            seen.append(t)
-            yield t, steps
+        for block in walk(*args):
+            seen.extend(block[2])
+            yield block
 
     monkeypatch.setattr(identities, "_walk", recorded)
     assert identities._scan(a, Identity.JORDAN, None) == walked
@@ -866,13 +866,41 @@ def test_bernstein_walk_on_bdown62_sums_few_tuples(monkeypatch):
     seen, walk = [], identities._walk
 
     def counted(*args):
-        for item in walk(*args):
-            seen.append(item[0])
-            yield item
+        for block in walk(*args):
+            seen.extend(block[2])
+            yield block
 
     monkeypatch.setattr(identities, "_walk", counted)
     assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
     assert 0 < len(seen) <= 5920
+
+
+SMALL_SPARSE = [(name, make_family(*kind)) for name, kind in (
+    ("jordan3", ("jordan3",)), ("bdown2", ("bdown", 2)), ("squareshift4", ("squareshift", 4)),
+    ("zhevlakov5", ("zhevlakov", 5)))]
+
+
+@pytest.mark.parametrize("name, alg", SMALL_SPARSE, ids=[c[0] for c in SMALL_SPARSE])
+def test_jordan_walks_small_sparse_tables_that_one_multiset_forms_enumerate(name, alg,
+                                                                             monkeypatch):
+    a = getattr(alg, "algebra", alg)
+    weight = getattr(alg, "weight", tuple(Fraction(k + 1, 2) for k in range(a.dim)))
+    walks, walk = [], identities._walk
+
+    def recorded(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(identities, "_walk", recorded)
+    for b, w, sparse in ((a, weight, True), (*change_of_basis_copy(a, weight, 1), False)):
+        for ident in ALL_IDENTITIES:
+            walks.clear()
+            identities._scan(b, ident, w if ident.needs_weight else None)
+            assert len(walks) == (sparse and ident is Identity.JORDAN), (name, sparse, ident)
+    walked, enumerated = scans_both_ways(a, Identity.JORDAN, None)
+    assert walked == enumerated
+    assert engine_scan(a, Identity.JORDAN) == reference_scan_jordan(a) == (
+        walked and (walked[:3], walked[3]))
 
 
 METAMORPHIC_CASES = ([(f"{kind}{n}", make_family(kind, n)) for kind in ("bdown", "bup")
@@ -884,8 +912,9 @@ METAMORPHIC_CASES = ([(f"{kind}{n}", make_family(kind, n)) for kind in ("bdown",
 
 @pytest.mark.parametrize("name, alg", METAMORPHIC_CASES, ids=[c[0] for c in METAMORPHIC_CASES])
 def test_verdicts_agree_on_walked_and_enumerated_copies(name, alg, monkeypatch):
-    """A permuted family stays monomial and is walked from dimension 7 on;
-    a change of basis makes it dense and it is enumerated.  Every copy,
+    """A permuted family stays monomial and is walked, by Jordan at any
+    dimension and by the other identities from dimension 7 on; a change of
+    basis makes it dense and it is enumerated.  Every copy,
     walked as the library chooses and then walked throughout, gives the
     family's verdicts, and every witness re-evaluates to its residual."""
     baric = isinstance(alg, BaricAlgebra)
@@ -895,12 +924,15 @@ def test_verdicts_agree_on_walked_and_enumerated_copies(name, alg, monkeypatch):
     monomial = ("family", "permuted0", "permuted1", "scaled")
     for label, c in copies:
         a = getattr(c, "algebra", c)
-        assert identities._walks(a) == (a.dim >= 7 and label in monomial), label
+        for ident in ALL_IDENTITIES:
+            small = a.dim < 7 and ident is not Identity.JORDAN
+            assert identities._walks(a, identities._form(ident)) == (
+                label in monomial and not small), (label, ident)
     idents = [i for i in ALL_IDENTITIES if baric or not i.needs_weight]
     want = None
     for walked in (False, True):
         if walked:
-            monkeypatch.setattr(identities, "_walks", lambda a: True)
+            monkeypatch.setattr(identities, "_walks", lambda a, form: True)
         for label, copy in copies:
             a, weight = (copy.algebra, copy.weight) if baric else (copy, None)
             verdicts = {}
