@@ -17,7 +17,9 @@ field clears each operand to integers, the kernel takes them as sparse
 vectors and returns the product as a dense row of ints, and the field
 maps results back.  A product of two coordinate subspaces (spans of basis
 vectors, as N, U, V and the chain terms of the built-in families are)
-needs no kernel: it is the span of the table rows at their pivots.
+needs no kernel: it is the span of the table rows at their pivots, and
+when each of those rows has a single entry, as on the built-in families,
+the span of the unit vectors at those entries, with no reduction.
 """
 
 from __future__ import annotations
@@ -80,11 +82,13 @@ class CommAlgebra:
         ints, self._den = field.clear([c for _, cs in table.values() for c in cs])
         self._int_max = max(map(abs, ints), default=0)   # bounds the identity scans' sums
         self._int_rows = [[()] * self.dim for _ in range(self.dim)]
+        self._int_nonzeros = 0   # of the dim^3 entries [i][j][k]; the identity scans read it
         ints = iter(ints)
         for (i, j), (ks, _) in table.items():
             # zip takes exactly len(ks) integers, ks being its first argument
-            self._int_rows[i][j] = self._int_rows[j][i] = tuple(
+            row = self._int_rows[i][j] = self._int_rows[j][i] = tuple(
                 (k, v) for k, v in zip(ks, ints) if v)
+            self._int_nonzeros += len(row) if i == j else 2 * len(row)
         self._products = {}
 
     @classmethod
@@ -195,7 +199,8 @@ class CommAlgebra:
         unordered pair of rows once, and zero or repeated products are
         dropped before the reduction.  Two coordinate subspaces multiply
         without the kernel: the products of their rows are the table rows
-        D e_i e_j at their pivots.
+        D e_i e_j at their pivots, and when each of those has a single
+        entry (a monomial table) their span is read off without reduction.
         """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
@@ -209,7 +214,13 @@ class CommAlgebra:
                 found = itertools.chain.from_iterable(
                     map(table[i].__getitem__, p1[k:] if square else p2)
                     for k, i in enumerate(p1))
-                prods = [_dense(row, self.dim) for row in dict.fromkeys(found) if row]
+                rows = [row for row in dict.fromkeys(found) if row]
+                if all(len(row) == 1 for row in rows):
+                    # multiples of unit vectors span those unit vectors
+                    hit = Subspace._coordinate({row[0][0] for row in rows}, self.dim, self.field)
+                else:
+                    hit = Subspace.of_int_rows([_dense(row, self.dim) for row in rows],
+                                               self.dim, self.field)
             else:
                 # an integer row is a positive multiple of the rational one, and
                 # so is its integer product, which spans the same line
@@ -218,7 +229,8 @@ class CommAlgebra:
                          else itertools.product(rows, [_sparse(r) for r in s2.int_rows]))
                 prods = dict.fromkeys(tuple(p) for p in itertools.starmap(self._int_mul, pairs)
                                       if any(p))
-            hit = self._products[key] = Subspace.of_int_rows(prods, self.dim, self.field)
+                hit = Subspace.of_int_rows(prods, self.dim, self.field)
+            self._products[key] = hit
         return hit
 
     def full_space(self) -> Subspace:

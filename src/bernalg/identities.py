@@ -11,7 +11,11 @@ canonical commutative monomials whose multiplicities are divided by their
 gcd.  Over the rationals an identity holds exactly when that form vanishes
 on every basis tuple (one sorted multiset of slots per variable; degree-1
 variables the form is symmetric in share one).  A failing tuple yields a
-witness at subset sums of each variable's slots.
+witness at subset sums of each variable's slots.  At the first tuple
+(0, ..., 0) the form is a positive multiple of the defect at e_0 for every
+variable, which is also the first witness tried there, so `check_identity`
+evaluates that one defect before it sets up a scan: on a Bernstein algebra
+with its idempotent first, most failing identities fail there.
 
 Everything runs on the algebra's integer table (D times the structure
 constants) and the weight times Dw, each term weighted to one positive
@@ -33,8 +37,7 @@ only the values at which some step can still be nonzero: the step's pair
 factors nonzero, an operator factor acting on some row, and at its last
 slot the support of its vector factor meeting the columns where its
 operator is nonzero, all read as bitmasks off the table (`_tables`, kept
-with the algebra while it lives).  The walk sums the first tuple with every
-step before it makes the masks.  A skipped tuple is exactly zero.  A table
+with the algebra while it lives).  A skipped tuple is exactly zero.  A table
 with half its entries nonzero or more is enumerated, every tuple with every
 step, and so is one with fewer than 7 basis vectors (`_SMALL`) for a form
 of one multiset (`_walks`); Jordan's form, of two, walks it.
@@ -91,6 +94,7 @@ class _Form(NamedTuple):
     groups: tuple      # the sizes of the multisets a scan visits
     products: int      # the common multiple is D^products Dw^weights
     weights: int
+    terms: tuple       # (coefficient, weight variables, tree, D and Dw exponents to the multiple)
     monomials: tuple   # (multiplicity, weight slots, canonical tree over slots)
     bound: tuple       # see `_digit_bound`
     dots: tuple        # the scan's plan, derived by `_plan`
@@ -155,12 +159,15 @@ def _linearize(terms) -> _Form:
     groups = tuple(map(len, groups))
     products = max(len(_leaves(t)) - 1 for _, _, t in terms)
     weights = max(len(ws) for _, ws, _ in terms)
+    # each term brought to the common multiple D^products Dw^weights
+    scaled = tuple((c, ws, tree, products + 1 - len(_leaves(tree)), weights - len(ws))
+                   for c, ws, tree in terms)
     bound = {}   # exponents of (D, Dw, max |ws|, dim, M) -> the monomials' total |multiplicity|
     for n, ws, tree in monomials:
         leaves, e, f = _shape(tree)
         exponents = (products + 1 - leaves, weights - len(ws), len(ws), e, f)
         bound[exponents] = bound.get(exponents, 0) + abs(n)
-    return _Form(variables, slots, groups, products, weights, monomials,
+    return _Form(variables, slots, groups, products, weights, scaled, monomials,
                  tuple((n, e) for e, n in bound.items()), *_plan(groups, monomials))
 
 
@@ -328,9 +335,8 @@ def _int_defect(a: CommAlgebra, ident: Identity, xs, ws, dw: int) -> tuple:
     form, d = _form(ident), a._den
     memo = dict(zip(form.variables, xs))   # each subtree's value, the leaves first
     acc = [0] * a.dim
-    for c, weights, tree in _TERMS[ident]:
-        # brought to the common multiple
-        c *= d ** (form.products + 1 - len(_leaves(tree))) * dw ** (form.weights - len(weights))
+    for c, weights, tree, e, f in form.terms:
+        c *= d ** e * dw ** f
         for v in weights:
             c *= sum(ws[k] * x for k, x in memo[v])
         if c:
@@ -401,19 +407,15 @@ def _walks(a: CommAlgebra, form: _Form) -> bool:
     rather than enumerate every tuple: when under half of its dim^3 entries
     are nonzero and, for a form of one multiset, it is not small."""
     return ((len(form.groups) > 1 or a.dim >= _SMALL)
-            and 2 * sum(map(len, itertools.chain.from_iterable(a._int_rows))) < a.dim ** 3)
+            and 2 * a._int_nonzeros < a.dim ** 3)
 
 
-def _walk(make_masks, groups: tuple, tests: tuple, steps_of, alive: int):
-    """(steps, t_0, (t,)) blocks in scan order: first the first tuple with
-    every step, summed before make_masks() makes the masks (most failing
-    identities fail there), then each tuple t, one sorted multiset per
-    group, at which some step passes all its support tests (`_plan`) on
-    them.  steps_of[live] are the steps whose bits are set in live, alive
-    holds them all, and a slot's values are the union of its live steps'
-    tests."""
-    yield steps_of[alive], 0, ((0,) * len(tests),)
-    masks = make_masks()
+def _walk(masks: _Masks, groups: tuple, tests: tuple, steps_of, alive: int):
+    """(steps, t_0, (t,)) blocks in scan order, one for each tuple t, one
+    sorted multiset per group, at which some step passes all its support
+    tests (`_plan`) on the masks.  steps_of[live] are the steps whose bits
+    are set in live, alive holds them all, and a slot's values are the
+    union of its live steps' tests."""
     last, every = len(tests) - 1, masks.low
     starts = frozenset(itertools.accumulate(groups[:-1], initial=0))
 
@@ -545,9 +547,11 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     """First tuple (all slots, concatenated) in scan order where the
     linearized form is nonzero, or None.  The form's plan is bound to the
     algebra: table rows are packed, and each kind of factor's vectors and
-    operators made, on first use.  A sparse table is walked (`_walk`), each
-    tuple summing only its live steps; else every tuple is enumerated with
-    every step, in blocks that share an outer multiset or t_0."""
+    operators made, on first use.  A sparse table is walked (`_walk`) on
+    masks made up front, each tuple summing only its live steps; else every
+    tuple is enumerated with every step, in blocks that share an outer
+    multiset or t_0.  `check_identity` has decided the first tuple by then,
+    and scans only when the form vanishes there."""
     form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
@@ -606,8 +610,7 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     if _walks(a, form):
         steps_of, alive = _Lazy(select), (1 << sum(map(len, everything))) - 1
         steps_of[alive] = everything
-        blocks = _walk(functools.partial(_Masks, a, ws, c_weight != 0), form.groups, form.tests,
-                       steps_of, alive)
+        blocks = _walk(_Masks(a, ws, c_weight != 0), form.groups, form.tests, steps_of, alive)
     else:   # every tuple with every step
         *outer, k = form.groups
         multisets = itertools.combinations_with_replacement
@@ -663,28 +666,48 @@ def _subset_sums(positions: tuple) -> list:
     return [tuple((k, m.count(k)) for k in sorted(set(m))) for m in multisets]
 
 
+def _witness_at(a: CommAlgebra, ident: Identity, xs, ws, dw: int):
+    """The Witness at the sparse integer vectors xs (in the order of
+    `ident.variables`) when the defect there is nonzero, else None; only
+    then is anything built as rational elements."""
+    v, m = _int_defect(a, ident, xs, ws, dw)
+    if not any(v):
+        return None
+    assignment = tuple((name, Element(a, a._back(_dense(x, a.dim), 1)))
+                       for name, x in zip(ident.variables, xs))
+    return Witness(assignment, Element(a, a._back(v, m)))
+
+
 def _witness_from_tuple(a, ident, weight, t):
     """A witness for the identity from a failing tuple of the scan: by
     polarization some choice of a subset sum of each variable's slots has
-    a nonzero defect (the raise guards that argument).  Only the one
-    returned is built as rational elements."""
+    a nonzero defect (the raise guards that argument), and the first such
+    choice is returned."""
     ws, dw = (None, 1) if weight is None else QQ.clear(weight)
-    form = _form(ident)
-    for xs in itertools.product(*(_subset_sums([t[s] for s in slots]) for slots in form.slots)):
-        v, m = _int_defect(a, ident, xs, ws, dw)
-        if any(v):
-            assignment = tuple((name, Element(a, a._back(_dense(x, a.dim), 1)))
-                               for name, x in zip(form.variables, xs))
-            return Witness(assignment, Element(a, a._back(v, m)))
+    for xs in itertools.product(*(_subset_sums([t[s] for s in slots])
+                                  for slots in _form(ident).slots)):
+        found = _witness_at(a, ident, xs, ws, dw)
+        if found is not None:
+            return found
     raise RuntimeError("linearized form is nonzero but no witness was found")
 
 
 def check_identity(a: CommAlgebra, ident: Identity, weight=None):
     """True if the identity holds for every element of the algebra, else a
     Witness.  Only rational algebras are accepted: the multilinearization
-    argument needs an infinite field of characteristic zero."""
+    argument needs an infinite field of characteristic zero.
+
+    The defect at every variable e_0 decides the first tuple (0, ..., 0)
+    of the scan before any scan is set up: the form's sum there is a
+    positive multiple of that defect, and e_0 for every variable is the
+    first subset-sum choice `_witness_from_tuple` tries at that tuple, so a
+    nonzero defect is the witness the scan would lead to."""
     if a.field != QQ:
         raise ValueError("identity checking is only supported over the rationals")
     weight = _weight_for(a, ident, weight)
+    ws, dw = (None, 1) if weight is None else QQ.clear(weight)
+    first = _witness_at(a, ident, (((0, 1),),) * len(ident.variables), ws, dw)
+    if first is not None:
+        return first
     bad = _scan(a, ident, weight)
     return True if bad is None else _witness_from_tuple(a, ident, weight, bad)

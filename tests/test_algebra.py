@@ -321,6 +321,56 @@ def test_coordinate_paths_match_the_references():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def mixed_table_algebra(rng, dim, field):
+    """A seeded random table whose products are each a multiple of one
+    basis vector or a general row, either possibly zero in the field."""
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            coords = [0] * dim
+            if rng.random() < 0.5:
+                coords[rng.randrange(dim)] = rng.choice((1, -3, Fraction(2, 3), 5))
+            else:
+                coords = [rng.choice((0, 1, -1, Fraction(1, 2), 5)) for _ in range(dim)]
+            products[(i, j)] = coords
+    return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
+
+
+def test_coordinate_products_span_the_pair_rows_without_reduction(monkeypatch):
+    """A product of two coordinate subspaces is the span of the table rows
+    D e_i e_j at their pivots; when every such row has a single entry it is
+    built as a coordinate subspace without `of_int_rows`."""
+    rng = fresh_rng(67)
+    reduced, of_int_rows = [], Subspace.of_int_rows
+
+    def recorded(cls, rows, *args):
+        reduced.append(rows)
+        return of_int_rows(rows, *args)
+
+    monkeypatch.setattr(Subspace, "of_int_rows", classmethod(recorded))
+    kinds = set()
+    for n in range(60):
+        field, dim = (QQ, PrimeField(5))[n % 2], rng.randint(1, 6)
+        make = monomial_table_algebra if n % 3 else mixed_table_algebra
+        a = make(fresh_rng(4000 + n), dim, field)
+        spaces = [Subspace._coordinate(rng.sample(range(dim), rng.randint(0, dim)), dim, field)
+                  for _ in range(4)]
+        for x in spaces:
+            for y in spaces:
+                rows = [[dict(a._int_rows[i][j]).get(k, 0) for k in range(dim)]
+                        for i in x.pivots for j in y.pivots]
+                want = of_int_rows(rows, dim, field)
+                monomial = all(len(a._int_rows[i][j]) <= 1 for i in x.pivots for j in y.pivots)
+                a._products.clear()
+                reduced.clear()
+                got = a.subspace_product(x, y)
+                assert got == want and got.is_coordinate() is want.is_coordinate(), (n, x, y)
+                assert (got.int_rows, got.pivots) == (want.int_rows, want.pivots)
+                assert bool(reduced) is not monomial, (n, x.pivots, y.pivots)
+                kinds.add((monomial, got.is_coordinate()))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
 def test_product_monotone():
     rng = fresh_rng(5)
     a = make_family("bdown", 4).algebra

@@ -852,11 +852,72 @@ def test_support_walk_passes_candidates_whose_terms_cancel(monkeypatch):
 
 
 def test_a_scan_failing_on_its_first_tuple_makes_no_masks(monkeypatch):
+    # e_0 is bdown's idempotent, so these fail at e_0 for every variable,
+    # which `check_identity` evaluates before it sets up any scan
     b = make_family("bdown", 8)
-    monkeypatch.setattr(identities, "_tables", None)
+
+    def fail(*args):
+        raise AssertionError("no scan expected")
+
+    monkeypatch.setattr(identities, "_scan", fail)
+    monkeypatch.setattr(identities, "_tables", fail)
+    e0 = b.algebra.basis_element(0)
     for ident in (Identity.JACOBI, Identity.CUBE_ZERO, Identity.SQUARE_SQUARE_ZERO):
-        assert identities._scan(b.algebra, ident, None) == (0,) * len(identities._form(ident).tests)
+        got = check_identity(b.algebra, ident)
+        assert got is not True and got.assignment_dict() == dict.fromkeys(ident.variables, e0)
+        assert identity_defect(b.algebra, ident, got.assignment_dict()) == got.residual
     assert b.algebra not in identities._supports
+
+
+def _first_tuple_cases() -> list:
+    """(label, algebra, weight or None): the families at n = 1..10 and
+    jordan3 with their rebased copies, a copy of each baric one in a basis
+    of weighted vectors, the wide-V Bernstein tables and the carry tables."""
+    cases = []
+    families = [(f"{kind}{n}", make_family(kind, n))
+                for kind in ("bdown", "bup", "squareshift", "zhevlakov") for n in range(1, 11)]
+    for name, alg in families + [("jordan3", make_family("jordan3"))]:
+        copies = [("family", alg)] + rebased_copies(alg)
+        if isinstance(alg, BaricAlgebra):
+            copies.append(("weighted", weighted_basis_copy(alg, 0)))
+        cases += [(f"{name} {label}", getattr(c, "algebra", c), getattr(c, "weight", None))
+                  for label, c in copies]
+    cases += [(f"wide V {r} {s} seed {seed}", b.algebra, b.weight)
+              for r, s in WIDE_V_TYPES for seed in range(10)
+              for b in [wide_v_bernstein(r, s, seed)]]
+    for name, ((t00, t01, t11), _) in CARRY_TABLES.items():
+        a = CommAlgebra(["b0", "b1"], {(0, 0): t00, (0, 1): t01, (1, 1): t11})
+        cases += [(f"carry {name} {w}", a, w) for w in (None, (Fraction(1), Fraction(-2)))]
+    return cases
+
+
+def test_first_tuple_verdicts_match_the_scan_then_witness_route(monkeypatch):
+    """`check_identity` returns the witness of the scan's first failing
+    tuple, assignment, residual and note, and scans only when the defect
+    at e_0 vanishes, that is when the first failing tuple is not (0, ..., 0)."""
+    scan, scans = identities._scan, []
+
+    def recorded(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(identities, "_scan", recorded)
+    first_failures = 0
+    for label, a, weight in _first_tuple_cases():
+        for ident in ALL_IDENTITIES:
+            if ident.needs_weight and weight is None:
+                continue
+            w = weight if ident.needs_weight else None
+            t = scan(a, ident, w)
+            want = True if t is None else identities._witness_from_tuple(a, ident, w, t)
+            scans.clear()
+            got = check_identity(a, ident, w)
+            assert (got is True) == (want is True), (label, ident)
+            if got is not True:
+                assert tuple(got) == tuple(want), (label, ident)
+            assert len(scans) == (t is None or any(t)), (label, ident, t)
+            first_failures += t is not None and not any(t)
+    assert first_failures > 100
 
 
 def test_bernstein_walk_on_bdown62_sums_few_tuples(monkeypatch):
