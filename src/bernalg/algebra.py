@@ -90,6 +90,7 @@ class CommAlgebra:
                 (k, v) for k, v in zip(ks, ints) if v)
             self._int_nonzeros += len(row) if i == j else 2 * len(row)
         self._products = {}
+        self._supports = None   # where the table is nonzero, as the identity scans' bitmasks
 
     @classmethod
     def from_table(cls, basis_names, named_products, field=QQ):

@@ -22,9 +22,10 @@ constants) and the weight times Dw, each term weighted to one positive
 multiple of its rational value, so verdicts and first failing tuples are
 the rational ones.  The form also holds the scan's plan (`_plan`): one step
 per product monomial, a vector factor times the packed operator of the
-other factor, with its sign and the kind and slots of each factor; a weight
-monomial w(a) w(b) (c d) rides on the product (a b)(c d) through coordinate
-dim, and w(c) (a b) on (a b) c as a scalar step.  It holds too the
+other factor, with its sign and the kind and slots of each factor.  A weight
+monomial rides on the product whose operator factor holds its weight slots,
+through coordinate dim, where e_n e_dim is a multiple of e_n: w(a) w(b)
+(c d) on (a b)(c d), w(c) (a b) on c (a b).  It holds too the
 exponents of a bound on the sums, built up each monomial's tree
 (`_digit_bound`), and the support tests of the walk.  The scan (`_scan`)
 binds the plan to the algebra and accumulates a tuple's sum in one int:
@@ -50,7 +51,6 @@ import functools
 import itertools
 import math
 import operator
-import weakref
 from typing import NamedTuple
 
 from .algebra import CommAlgebra, Element, _dense, _sparse
@@ -99,7 +99,6 @@ class _Form(NamedTuple):
     bound: tuple       # see `_digit_bound`
     dots: tuple        # the scan's plan, derived by `_plan`
     columns: tuple
-    scalars: tuple
     fused: tuple       # (u, h): the steps' multiplicity up to sign, the weight monomials'
     tests: tuple       # per slot, the support tests of the walk (see `_plan`)
     drops: bool        # whether a scan drops the made grids' rows behind t_0
@@ -180,13 +179,12 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     at p = t_i and q = t_j.  A dot step is (sign, vector factor, operator
     factor); for m (y S) a column step (sign, S, y, m) reads S_n times
     column m of the operator of e_n e_y.  Weight monomials w(slots of x) y
-    ride on x y: a pair x carries its slots' weight through coordinate dim,
-    and for a leaf x = q a scalar step (sign, y, q) adds w_q times packed y
-    to the table row's product.  The steps share one multiplicity u up to
+    ride on x y, the weighted factor x carrying its slots' weight at
+    coordinate dim (see `_scan`).  The steps share one multiplicity u up to
     sign, the weight monomials one h; fused is (u, h).
 
     The walk's tests are, per slot s, (bit, test) for the step of that bit
-    (dots, then columns, then scalars), test(v, t) the values of t_s at
+    (dots, then columns), test(v, t) the values of t_s at
     which the step can still be nonzero, from the scan's masks v and the
     slots before s (see `_walk`).  A step with no test at a slot passes
     there.  They are the scan's only pruning: an enumerated tuple sums
@@ -201,7 +199,7 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
         pair = not isinstance(f, int)
         return (pair, weighted, *(f if pair else (f, f)))
 
-    dots, columns, scalars = [], [], []
+    dots, columns = [], []
     for n, ws, tree in monomials:
         if ws:
             continue
@@ -215,10 +213,7 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
                                            0 not in _leaves(f)))
         xf, yf = (factor(f, weight_terms.pop((tuple(sorted(_leaves(f))), g), None) is not None)
                   for f, g in ((x, y), (y, x)))
-        if xf[1] and not xf[0] and yf[:2] == (True, False):   # w_q y on the leaf q
-            scalars.append((sign, yf, xf[2]))
-            xf = (False, False, *xf[2:])
-        if any(f[1] and not f[0] for f in (xf, yf)):
+        if yf[1] and not yf[0]:
             raise ValueError(f"no scan for the weight monomial on {tree!r}")
         dots.append((sign, yf, xf))
     if weight_terms or len(units) > 1 or len(fused) > 1:
@@ -227,9 +222,6 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
 
     group = [g for g, n in enumerate(groups) for _ in range(n)]
     found = {}   # (slot, step) -> the step's tests at that slot
-
-    def leaf(q: int) -> tuple:
-        return (False, False, q, q)
 
     def meets(y, x):   # at its last slot a dot step's factors must meet
         last = max(*y[2:], *x[2:])
@@ -244,10 +236,9 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     # gets no row test
     specs = [((y, "vector"), (x, "operator" if x[0] or not y[1] else None), meets(y, x))
              for _, y, x in dots]
-    specs += [((f, "vector"), (leaf(y), "operator"), (leaf(m), "operator"),
+    specs += [((f, "vector"), (factor(y, False), "operator"), (factor(m, False), "operator"),
                y > max(*f[2:], m) and functools.partial(_column, *f[2:], m))
               for _, f, y, m in columns]
-    specs += [((y, "vector"), (leaf(q), "weight"), None) for _, y, q in scalars]
     for k, (*factors, exact) in enumerate(specs):
         last = max(i for f, _ in factors for i in f[2:])
         if exact:
@@ -260,7 +251,6 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
                 # nothing tests the step there
                 if s < last and (upper or s in (i, j)) or s == j == last and not exact:
                     found.setdefault((s, k), []).append(
-                        _weights if role == "weight" else
                         functools.partial(_factor, weighted, role == "operator", i, j, upper))
     tests = tuple(tuple((1 << k, ts[0] if len(ts) == 1 else functools.partial(_every, tuple(ts)))
                         for (at, k), ts in sorted(found.items()) if at == s)
@@ -269,7 +259,7 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     # tuple after t_0 passes p reads row p of the grids made for them; a
     # column step reads e_n e_y at any n
     drops = not columns and all(f[2] < groups[0] for _, y, x in dots for f in (y, x))
-    return (tuple(dots), tuple(columns), tuple(scalars),
+    return (tuple(dots), tuple(columns),
             (units.pop(), fused.pop()[0] if fused else 0), tests, drops)
 
 
@@ -396,9 +386,9 @@ class _Lazy(dict):
         return out
 
 
-# Below this dimension a scan of one multiset neither walks nor drops rows:
-# on the families making the masks costs more than the tuples they skip (up
-# to dimension 8 on bdown and bup), and the kept operators are small.
+# Below this dimension a scan of one multiset does not walk: on the families
+# making the masks costs more than the tuples they skip (up to dimension 8 on
+# bdown and bup).
 _SMALL = 7
 
 
@@ -469,18 +459,16 @@ def _tables(a: CommAlgebra) -> tuple:
              for upper in (False, True)])
 
 
-_supports = weakref.WeakKeyDictionary()   # the algebras' `_tables`, kept while they live
-
-
 class _Masks:
-    """A scan's view of the algebra's `_tables`.  With a fused weight
-    (c_weight != 0) bit dim stands for coordinate dim, where
-    e_n e_dim = c_weight e_n, and a weighted pair (p, q) has w_p w_q there."""
+    """A scan's view of the algebra's `_tables`, kept with it.  With a weight
+    bit dim stands for coordinate dim, where e_n e_dim = c_weight e_n, and a
+    weighted factor has w_p w_q there (a pair) or w_q (a leaf)."""
 
-    def __init__(self, a: CommAlgebra, ws, fused: bool):
-        tables = _supports.get(a) or _supports.setdefault(a, _tables(a))
-        self.pairs, self.adj, self.supp, self.cols, self.meet, self.filled = tables
-        self.ws, self.fused = ws, fused
+    def __init__(self, a: CommAlgebra, ws):
+        if a._supports is None:
+            a._supports = _tables(a)
+        self.pairs, self.adj, self.supp, self.cols, self.meet, self.filled = a._supports
+        self.ws, self.fused = ws, ws is not None
         self.low, self.top = (1 << a.dim) - 1, 1 << a.dim
         self.wmask = sum(1 << k for k, w in enumerate(ws or ()) if w)
 
@@ -488,10 +476,6 @@ class _Masks:
 # The walk's tests (see `_plan`): each gives, from a scan's masks v and the
 # tuple t so far, the values of the next slot at which its step can be
 # nonzero.
-
-def _weights(v: _Masks, t: tuple) -> int:
-    return v.wmask
-
 
 def _factor(weighted: bool, acts: bool, i: int, j: int, upper: bool, v: _Masks, t: tuple) -> int:
     """The values of slot s = len(t) at which the factor (t_i, t_j) can
@@ -508,25 +492,21 @@ def _factor(weighted: bool, acts: bool, i: int, j: int, upper: bool, v: _Masks, 
 
 
 def _reach(f, v: _Masks, t: tuple) -> int:
-    """The n for which the factor f at t times e_n can be nonzero."""
+    """The n for which the factor f at t times e_n can be nonzero; a leaf
+    has p = q, so its weight is nonzero when w_p w_q is."""
     pair, weighted, i, j = f
-    q = t[j]
-    if not pair:
-        return v.adj[q] | v.top if v.fused else v.adj[q]
-    p = t[i]
-    m = v.supp[p][q]
+    p, q = t[i], t[j]
+    m = v.supp[p][q] if pair else 1   # nonzero when e_p e_q, or e_q, is
+    out = v.cols[m] if pair else v.adj[q]
     if not v.fused:
-        return v.cols[m]
-    return v.cols[m] | (v.top if m else 0) | (v.low if weighted and v.ws[p] and v.ws[q] else 0)
+        return out
+    return out | (v.top if m else 0) | (v.low if weighted and v.ws[p] and v.ws[q] else 0)
 
 
 def _meet(weighted: bool, i, f, v: _Masks, t: tuple) -> int:   # (t_i, q), or e_q if i is None, times f
     c = _reach(f, v, t)
-    if i is None:
-        return c & v.low
-    p = t[i]
-    out = v.meet[p][c & v.low]
-    return out | v.wmask if weighted and v.ws[p] and c & v.top else out
+    out = c & v.low if i is None else v.meet[t[i]][c & v.low]
+    return out | v.wmask if weighted and (i is None or v.ws[t[i]]) and c & v.top else out
 
 
 def _column(i: int, j: int, m: int, v: _Masks, t: tuple) -> int:   # e_n e_y, n in (t_i, t_j), times e_m
@@ -547,11 +527,14 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     """First tuple (all slots, concatenated) in scan order where the
     linearized form is nonzero, or None.  The form's plan is bound to the
     algebra: table rows are packed, and each kind of factor's vectors and
-    operators made, on first use.  A sparse table is walked (`_walk`) on
-    masks made up front, each tuple summing only its live steps; else every
-    tuple is enumerated with every step, in blocks that share an outer
-    multiset or t_0.  `check_identity` has decided the first tuple by then,
-    and scans only when the form vanishes there."""
+    operators made, on first use.  A weighted factor has w_p w_q (a pair)
+    or w_q (a leaf q) at coordinate dim, where e_n e_dim = c_weight e_n, so
+    a weighted leaf's operator is q's plus c_weight w_q times the identity.
+    A sparse table is walked (`_walk`) on masks made up front, each tuple
+    summing only its live steps; else every tuple is enumerated with every
+    step, in blocks that share an outer multiset or t_0.  `check_identity`
+    has decided the first tuple by then, and scans only when the form
+    vanishes there."""
     form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
@@ -567,16 +550,16 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     rows = _Lazy(pack_row)
 
     def vector(pair: bool, weighted: bool, p: int, q: int) -> tuple:   # e_q, or D e_p e_q
-        if not pair:
-            return ((q, 1),)
-        w = ws[p] * ws[q] if weighted else 0
-        return pairs[p][q] + ((dim, w),) if w else pairs[p][q]
+        x = pairs[p][q] if pair else ((q, 1),)
+        w = (ws[p] * ws[q] if pair else ws[q]) if weighted else 0
+        return x + ((dim, w),) if w else x
 
-    def operator_of(x) -> list:   # the packed columns D x e_n
+    def operator_of(x) -> list:   # the packed columns D x e_n, never changed in place
         out = ()
         for m, v in x:
             r = rows[m]
-            out = [o + v * e for o, e in zip(out, r)] if out else [v * e for e in r]
+            out = ([o + v * e for o, e in zip(out, r)] if out
+                   else r if v == 1 else [v * e for e in r])
         return out
 
     def grid(make, pair: bool) -> list:   # [p][q] is make(p, q), made on first use; a leaf's [any][q]
@@ -588,14 +571,10 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
                     else grid(functools.partial(vector, *kind), kind[0]))
     operators = _Lazy(lambda kind: [rows] * dim if kind == (False, False)
                       else grid(lambda p, q: operator_of(vectors[kind][p][q]), kind[0]))
-    # the packed pairs D e_p e_q: the table rows, unless they carry a scale
-    packed = rows if scale == 1 or not form.scalars else grid(lambda p, q: pack(pairs[p][q]), True)
     everything = ([(*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign)
                    for sign, y, x in form.dots],
                   [(*f[2:], pairs, y, operators[True, False], m, sign)
-                   for sign, f, y, m in form.columns],
-                  [(*f[2:], packed, q, [sign * c_weight * w for w in ws])
-                   for sign, f, q in form.scalars])
+                   for sign, f, y, m in form.columns])
 
     def select(live: int) -> list:   # the steps whose bits are set in live
         out, k = [], 0
@@ -606,11 +585,11 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
 
     # the grids made for pair factors, whose rows below t_0 no later tuple reads
     made = [g for table in (vectors, operators) for kind, g in table.items()
-            if kind[0] and g is not pairs] if form.drops and dim >= _SMALL else []
+            if kind[0] and g is not pairs] if form.drops else []
     if _walks(a, form):
         steps_of, alive = _Lazy(select), (1 << sum(map(len, everything))) - 1
         steps_of[alive] = everything
-        blocks = _walk(_Masks(a, ws, c_weight != 0), form.groups, form.tests, steps_of, alive)
+        blocks = _walk(_Masks(a, ws), form.groups, form.tests, steps_of, alive)
     else:   # every tuple with every step
         *outer, k = form.groups
         multisets = itertools.combinations_with_replacement
@@ -618,15 +597,13 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
             blocks = ((everything, head[0], map(head.__add__, multisets(range(dim), k)))
                       for head in map(sum, itertools.product(*(
                           multisets(range(dim), g) for g in outer)), itertools.repeat(())))
-        elif made:  # a block per t_0
-            blocks = ((everything, v, map((v,).__add__, multisets(range(v, dim), k - 1)))
-                      for v in range(dim))
-        else:
-            blocks = ((everything, 0, multisets(range(dim), k)),)
+        else:   # a block per t_0
+            blocks = ((everything, v, ts) for v, ts in itertools.groupby(
+                multisets(range(dim), k), operator.itemgetter(0)))
 
     lead = 0
     try:
-        for (dots, columns, scalars), t0, tuples in blocks:
+        for (dots, columns), t0, tuples in blocks:
             if made and t0 != lead:
                 for grid_rows in made:
                     for p in range(lead, t0):
@@ -647,10 +624,6 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
                         op = ops[n][ty]
                         if op:
                             acc += sign * v * op[tm]
-                for i, j, packs, q, wq in scalars:   # w_q times packed (t_i, t_j)
-                    w = wq[t[q]]
-                    if w:
-                        acc += w * packs[t[i]][t[j]]
                 if acc:
                     return t
         return None
@@ -701,13 +674,16 @@ def check_identity(a: CommAlgebra, ident: Identity, weight=None):
     of the scan before any scan is set up: the form's sum there is a
     positive multiple of that defect, and e_0 for every variable is the
     first subset-sum choice `_witness_from_tuple` tries at that tuple, so a
-    nonzero defect is the witness the scan would lead to."""
+    nonzero defect is the witness the scan would lead to.  When e_0 e_0 = 0
+    that defect is 0 unevaluated, as every term's tree holds a product of
+    two leaves; a term with a bare leaf, such as w(x)^2 x, would void this."""
     if a.field != QQ:
         raise ValueError("identity checking is only supported over the rationals")
     weight = _weight_for(a, ident, weight)
-    ws, dw = (None, 1) if weight is None else QQ.clear(weight)
-    first = _witness_at(a, ident, (((0, 1),),) * len(ident.variables), ws, dw)
-    if first is not None:
-        return first
+    if a._int_rows[0][0]:
+        ws, dw = (None, 1) if weight is None else QQ.clear(weight)
+        first = _witness_at(a, ident, (((0, 1),),) * len(ident.variables), ws, dw)
+        if first is not None:
+            return first
     bad = _scan(a, ident, weight)
     return True if bad is None else _witness_from_tuple(a, ident, weight, bad)

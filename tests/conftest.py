@@ -87,6 +87,16 @@ def wide_v_bernstein(r: int, s: int, seed: int) -> BaricAlgebra:
     return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (r + s))
 
 
+def gametic(dim: int) -> BaricAlgebra:
+    """The simple Mendelian (gametic) algebra of dim alleles (Lyubich 1992):
+    e_i e_j = (e_i + e_j)/2, weight 1 on every basis vector.  x^2 = w(x) x,
+    so both weighted identities hold, with every basis vector weighted."""
+    names = [f"g{i}" for i in range(dim)]
+    table = {(names[i], names[j]): {names[k]: Fraction((k == i) + (k == j), 2) for k in {i, j}}
+             for i, j in itertools.combinations_with_replacement(range(dim), 2)}
+    return BaricAlgebra(CommAlgebra.from_table(names, table), [1] * dim)
+
+
 def random_vector_in(rng, space: Subspace, lo=-3, hi=3):
     field = space.field
     v = [field.zero] * space.ambient_dim

@@ -13,9 +13,9 @@ from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PrimeField, Witnes
 from bernalg import identities
 
 from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
-                      non_nilpotent_baric, random_table_algebra, reference_identity_defect,
-                      rebased, rebased_copies, reference_products, reference_scan_degree3,
-                      reference_scan_degree4, reference_scan_jordan,
+                      gametic, non_nilpotent_baric, random_table_algebra,
+                      reference_identity_defect, rebased, rebased_copies, reference_products,
+                      reference_scan_degree3, reference_scan_degree4, reference_scan_jordan,
                       reference_witness_from_tuple, scaled_copy, sparse_int_mul,
                       weighted_basis_copy, wide_v_bernstein)
 
@@ -813,6 +813,23 @@ def test_wide_v_tables_are_bernstein_and_walked_as_enumerated(r, s, seed):
     _assert_walk_matches_enumeration(b.algebra, b.weight, f"wide V {r} {s} seed {seed}")
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gametic_scans_walked_enumerated_and_referenced_agree(dim):
+    """Every basis vector of the gametic algebra has weight 1 and both
+    weighted identities hold on it, in every basis, so their scans run to
+    the end with every weight term live.  On it and its rebased copies the
+    walk, the enumeration and the reference scans agree for all six
+    identities; from dimension 7 every form walks the family."""
+    g = gametic(dim)
+    assert all(identities._walks(g.algebra, identities._form(i))
+               == (dim >= (4 if i is Identity.JORDAN else 7)) for i in ALL_IDENTITIES)
+    for label, c in [("family", g)] + rebased_copies(g):
+        for ident in (Identity.BERNSTEIN, Identity.CUBE_WEIGHT):
+            assert identities._scan(c.algebra, ident, c.weight) is None, (label, ident)
+        _assert_walk_matches_enumeration(c.algebra, c.weight, f"gametic{dim} {label}")
+        _assert_scans_match_the_references(c.algebra, c.weight, f"gametic{dim} {label}")
+
+
 def direct_sum(a, b):
     """a (x) b, a's basis first."""
     products = {}
@@ -866,7 +883,7 @@ def test_a_scan_failing_on_its_first_tuple_makes_no_masks(monkeypatch):
         got = check_identity(b.algebra, ident)
         assert got is not True and got.assignment_dict() == dict.fromkeys(ident.variables, e0)
         assert identity_defect(b.algebra, ident, got.assignment_dict()) == got.residual
-    assert b.algebra not in identities._supports
+    assert b.algebra._supports is None
 
 
 def _first_tuple_cases() -> list:
@@ -894,15 +911,20 @@ def _first_tuple_cases() -> list:
 def test_first_tuple_verdicts_match_the_scan_then_witness_route(monkeypatch):
     """`check_identity` returns the witness of the scan's first failing
     tuple, assignment, residual and note, and scans only when the defect
-    at e_0 vanishes, that is when the first failing tuple is not (0, ..., 0)."""
-    scan, scans = identities._scan, []
+    at e_0 vanishes, that is when the first failing tuple is not (0, ..., 0).
+    Where e_0 e_0 = 0 that defect is 0 unevaluated: the scan comes before
+    any witness is built."""
+    scan, witness_at, calls = identities._scan, identities._witness_at, []
 
-    def recorded(*args):
-        scans.append(args)
-        return scan(*args)
+    def recorded(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
 
-    monkeypatch.setattr(identities, "_scan", recorded)
-    first_failures = 0
+    monkeypatch.setattr(identities, "_scan", recorded("scan", scan))
+    monkeypatch.setattr(identities, "_witness_at", recorded("witness", witness_at))
+    first_failures = skipped = 0
     for label, a, weight in _first_tuple_cases():
         for ident in ALL_IDENTITIES:
             if ident.needs_weight and weight is None:
@@ -910,14 +932,17 @@ def test_first_tuple_verdicts_match_the_scan_then_witness_route(monkeypatch):
             w = weight if ident.needs_weight else None
             t = scan(a, ident, w)
             want = True if t is None else identities._witness_from_tuple(a, ident, w, t)
-            scans.clear()
+            calls.clear()
             got = check_identity(a, ident, w)
             assert (got is True) == (want is True), (label, ident)
             if got is not True:
                 assert tuple(got) == tuple(want), (label, ident)
-            assert len(scans) == (t is None or any(t)), (label, ident, t)
+            assert calls.count("scan") == (t is None or any(t)), (label, ident, t)
+            if not a._int_rows[0][0]:
+                assert calls[0] == "scan", (label, ident)
+                skipped += 1
             first_failures += t is not None and not any(t)
-    assert first_failures > 100
+    assert first_failures > 100 and skipped > 400
 
 
 def test_bernstein_walk_on_bdown62_sums_few_tuples(monkeypatch):
