@@ -268,9 +268,27 @@ class BaricAlgebra:
 
     def barideal(self) -> Subspace:
         """N = ker(weight), the codimension-one ideal of a valid weight;
-        solved on the first call and kept, as the weight never changes."""
+        built on the first call and kept, as the weight never changes.
+
+        No elimination runs: with q the last index of nonzero weight w, the
+        rows w_q e_f - w_f e_q for f != q are N's RREF rows up to scale, as
+        each is zero at every other f and q is no pivot (past q, w_f = 0
+        and the row is e_f).  A zero weight has the whole space as its
+        kernel."""
         if self._barideal is None:
-            self._barideal = Subspace([self.weight], self.dim, self.field).null_space()
+            field, n = self.field, self.dim
+            ws, _ = field.clear(self.weight)
+            q = max((k for k, w in enumerate(ws) if w), default=None)
+            if q is None:
+                self._barideal = Subspace.full(n, field)
+            else:
+                pivots = [f for f in range(n) if f != q]
+                rows = []
+                for f in pivots:
+                    r = [0] * n
+                    r[f], r[q] = ws[q], -ws[f]
+                    rows.append(field.normalize(field.reduce(r), f))
+                self._barideal = Subspace._of_rref(rows, pivots, n, field)
         return self._barideal
 
     def __repr__(self):

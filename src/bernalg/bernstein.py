@@ -7,10 +7,12 @@ file loads no Bernstein logic) and imported here under the same name.
 
 The weight check, the Peirce split and annU run on the integer kernel
 (`CommAlgebra._int_mul` over `Subspace.int_rows`): the weight is compared
-on the integer table, U and V are kernels of the integer operator of e on N
-(`CommAlgebra._int_operator_on`), and annU is one integer system over U's
-rows.  Rationals are built only for what a report prints: the idempotent,
-the RREF views of the subspaces and the witnesses.
+on the integer table; 2L_e restricted to N is a projection in a Bernstein
+algebra, so U = eN and V = (I - 2L_e)N are spanned by integer images of
+N's rows, with no kernel solved; and annU is U itself when U*U = 0, else
+one integer system over U's rows.  Rationals are built only for what a
+report prints: the idempotent, the RREF views of the subspaces and the
+witnesses.
 """
 
 from __future__ import annotations
@@ -119,21 +121,28 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     """Peirce decomposition N = U + V for the idempotent e, plus annU.
 
     U and V are the 1/2- and 0-eigenspaces of multiplication by e restricted
-    to N; the decomposition must be direct, which fails on non-Bernstein
+    to N.  In a Bernstein algebra P = 2L_e on N is a projection, so they are
+    its image and kernel: U = eN and V = {x - 2ex : x in N}, spanned by the
+    images of N's rows; no kernel is solved.  The image of P and that of
+    I - P always sum to N, and the sum is direct exactly when P(I - P) = 0
+    (a vector P(I - P)x lies in both), so dim U + dim V = dim N is the
+    projection test, L_e (2L_e - I) N = 0; it fails on non-Bernstein
     input."""
     if e is None:
         e = find_idempotent(b)
     a, n, field = b.algebra, b.barideal(), b.field
     xs, dx = field.clear(e.coords)
-    rows, scale = a._int_operator_on(xs, n)
-    # the rows are M = c L_e with c > 0, so V = ker M and U = ker(2M - c I)
-    shifted = [[2 * x - scale * dx if i == j else 2 * x for j, x in enumerate(r)]
-               for i, r in enumerate(rows)]
-    u, v = (n.span_of_coords(Subspace.of_int_rows(system, n.dim, field).null_space())
-            for system in (shifted, rows))
-    # U and V are eigenspaces of L_e for distinct eigenvalues, so they meet
-    # only in 0 and U + V is direct; both lie in N, so equal dimensions
-    # already give N = U + V
+    xs, c = _sparse(xs), a._den * dx
+    rows, _ = n._common_pivot_rows()
+    # y = c e r for each common-pivot row r of N, with c = D dx
+    images = [a._int_mul(xs, _sparse(r)) for r in rows]
+    # N = ker w, so y lies in N exactly when w(y) = 0
+    ws, _ = field.clear(b.weight)
+    if any(field.reduce([sum(w * t for w, t in zip(ws, y) if w) for y in images])):
+        raise ValueError("restriction subspace is not invariant under this multiplication")
+    u = Subspace.of_int_rows(images, a.dim, field)
+    v = Subspace.of_int_rows([[c * s - 2 * t for s, t in zip(r, y)]
+                              for r, y in zip(rows, images)], a.dim, field)
     if u.dim + v.dim != n.dim:
         raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
                                 "the algebra is not Bernstein", bernstein_witnesses(b))
@@ -141,9 +150,12 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
 
 
 def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
-    """{x in U : x*U = 0}, solved as one integer system over U's
-    coordinates: sum_i c_i D r_i r_j = 0 for every j, with r_i the
-    common-pivot rows, one positive multiple L of the RREF rows."""
+    """{x in U : x*U = 0}: U itself when the memoised U*U is zero, else one
+    integer system over U's coordinates: sum_i c_i D r_i r_j = 0 for every
+    j, with r_i the common-pivot rows, one positive multiple L of the RREF
+    rows."""
+    if a.subspace_product(u, u).is_zero():
+        return u
     rows = [_sparse(r) for r in u._common_pivot_rows()[0]]
     system = []
     for y in rows:
@@ -192,22 +204,38 @@ def _row_witness(a: CommAlgebra, s: Subspace, target: Subspace, name: str, note:
 
 def _jordan_structural(b: BaricAlgebra, p: PeirceData):
     """Condition: V^2 = 0 and (u v) v = 0, checked on basis tuples via the
-    polarized form (u v) w + (u w) v (valid away from characteristic 2)."""
+    polarized form (u v) w + (u w) v (valid away from characteristic 2).
+
+    The tuples run on the integer rows, each a positive multiple of its
+    RREF row, so both terms of a defect carry the same positive factor and
+    its zero test is exact; only the first nonzero one is rebuilt as a
+    witness on the RREF rows."""
     a = b.algebra
     if not a.subspace_product(p.V, p.V).is_zero():
         return _product_witness(a, p.V, p.V, a.zero_space(), "V*V is nonzero", ("v", "w"))
-    for urow in p.U.rows:
-        u = a.element(urow)
-        for j in range(p.V.dim):
-            vj = a.element(p.V.rows[j])
-            for k in range(j, p.V.dim):
-                vk = a.element(p.V.rows[k])
-                defect = (u * vj) * vk if j == k else (u * vj) * vk + (u * vk) * vj
-                if not defect.is_zero():
-                    named = (("u", u), ("v", vj)) + ((("w", vk),) if j < k else ())
-                    return Witness(named, defect, note="(u v) v does not vanish" if j == k
-                                   else "(u v) w + (u w) v does not vanish")
+    mul, reduce = a._int_mul, a.field.reduce
+    vs = [_sparse(r) for r in p.V.int_rows]
+    for i, urow in enumerate(p.U.int_rows):
+        u = _sparse(urow)
+        uvs = [_sparse(mul(u, v)) for v in vs]
+        for j, (vj, uvj) in enumerate(zip(vs, uvs)):
+            for k in range(j, len(vs)):
+                defect = mul(uvj, vs[k])
+                if j < k:
+                    defect = [s + t for s, t in zip(defect, mul(uvs[k], vj))]
+                if any(reduce(defect)):
+                    return _jordan_witness(a, p, i, j, k)
     return True
+
+
+def _jordan_witness(a: CommAlgebra, p: PeirceData, i: int, j: int, k: int) -> Witness:
+    """The witness of the structural Jordan condition at RREF rows u_i of U
+    and v_j, v_k of V (j <= k), whose defect the caller has seen nonzero."""
+    u, vj, vk = a.element(p.U.rows[i]), a.element(p.V.rows[j]), a.element(p.V.rows[k])
+    if j == k:
+        return Witness((("u", u), ("v", vj)), (u * vj) * vj, note="(u v) v does not vanish")
+    return Witness((("u", u), ("v", vj), ("w", vk)), (u * vj) * vk + (u * vk) * vj,
+                   note="(u v) w + (u w) v does not vanish")
 
 
 class Analysis:

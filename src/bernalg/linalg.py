@@ -218,6 +218,14 @@ class Subspace:
         return s
 
     @classmethod
+    def _of_rref(cls, int_rows, pivots, ambient_dim: int, field) -> "Subspace":
+        """The subspace whose canonical integer RREF rows (the form of
+        `int_rows`) and pivots are given, unchecked: no elimination runs."""
+        s = object.__new__(cls)
+        s._set_rref(int_rows, pivots, ambient_dim, field)
+        return s
+
+    @classmethod
     def _coordinate(cls, pivots, ambient_dim: int, field) -> "Subspace":
         """The span of the unit vectors at the given columns."""
         s = object.__new__(cls)
@@ -235,7 +243,11 @@ class Subspace:
                              ambient_dim, field)
             return
         rows, pivots, _ = _echelon(rows, ambient_dim, field)
-        rows = tuple(map(tuple, rows))
+        self._set_rref(rows, pivots, ambient_dim, field)
+
+    def _set_rref(self, int_rows, pivots, ambient_dim, field):
+        """The subspace of canonical integer RREF rows with their pivots."""
+        rows = tuple(map(tuple, int_rows))
         # a row with a single nonzero entry is normalized to a unit row
         self._fill(ambient_dim, rows, tuple(pivots), field,
                    frozenset(pivots) if _single_entries(rows, ambient_dim) else None)

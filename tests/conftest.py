@@ -353,6 +353,26 @@ def reference_peirce(b, e=None) -> PeirceData:
     return PeirceData(e, u, v, n, reference_annihilator(a, u))
 
 
+def reference_jordan_structural(b, p):
+    """The structural Jordan condition in `Element` arithmetic on the RREF
+    rows, kept as the reference of `bernstein._jordan_structural`."""
+    a = b.algebra
+    if not reference_subspace_product(a, p.V, p.V).is_zero():
+        return "V*V is nonzero"
+    for urow in p.U.rows:
+        u = a.element(urow)
+        for j in range(p.V.dim):
+            vj = a.element(p.V.rows[j])
+            for k in range(j, p.V.dim):
+                vk = a.element(p.V.rows[k])
+                defect = (u * vj) * vk if j == k else (u * vj) * vk + (u * vk) * vj
+                if not defect.is_zero():
+                    named = (("u", u), ("v", vj)) + ((("w", vk),) if j < k else ())
+                    return Witness(named, defect, note="(u v) v does not vanish" if j == k
+                                   else "(u v) w + (u w) v does not vanish")
+    return True
+
+
 def reference_verify_weight(b):
     """The weight check in field arithmetic, kept as the reference of
     `bernstein.verify_weight`."""

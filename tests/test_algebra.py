@@ -772,6 +772,40 @@ def test_plenary_power_helper():
     assert plenary_power(a, n, 3).is_zero()
 
 
+# ---------------------------------------------------------------- barideal
+
+
+def _barideal_weights(field, rng):
+    """Weights of dim 1..7 with the last nonzero entry at every index, zeros
+    and nonzeros before it drawn at random, a single nonzero entry, and the
+    all-zero weight."""
+    values = ([Fraction(1, 3), Fraction(-5, 2), 7, -4, Fraction(9, 4), 1] if field == QQ
+              else [1, 2, 3, field.p - 1, Fraction(1, 2), Fraction(-2, 3)])
+    out = []
+    for dim in range(1, 8):
+        out.append([0] * dim)
+        for q in range(dim):
+            single = [0] * dim
+            single[q] = rng.choice(values)
+            out.append(single)
+            for _ in range(6):
+                w = [rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(q)]
+                out.append(w + [rng.choice(values)] + [0] * (dim - q - 1))
+    return out
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), PrimeField(7)), ids=("QQ", "GF5", "GF7"))
+def test_barideal_is_the_kernel_of_the_weight(field):
+    for w in _barideal_weights(field, fresh_rng(field.p if field != QQ else 0)):
+        n = len(w)
+        b = BaricAlgebra(CommAlgebra([f"b{k}" for k in range(n)], {}, field), w)
+        got, want = b.barideal(), Subspace([w], n, field).null_space()
+        assert got == want and got.int_rows == want.int_rows and got.pivots == want.pivots, w
+        assert got.is_coordinate() == want.is_coordinate() and hash(got) == hash(want), w
+        assert got.rows == want.rows and got.dim == n - any(b.weight), w
+        assert b.barideal() is got
+
+
 # ---------------------------------------------------------------- restriction
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import glob
 import os
@@ -6,18 +7,18 @@ from fractions import Fraction
 import pytest
 
 from bernalg import (BaricAlgebra, CommAlgebra, Identity, PeirceData, PrimeField,
-                     Subspace, Witness, check_identity, check_peirce_relations,
-                     classify, find_idempotent, make_family, nilpotency_report,
-                     nuclear_core, parse, peirce, plenary_power, quotient,
+                     Subspace, Witness, bernstein_witnesses, build_report, check_identity,
+                     check_peirce_relations, classify, find_idempotent, make_family,
+                     nilpotency_report, nuclear_core, parse, peirce, plenary_power, quotient,
                      subspace_product, to_algebra, verify_weight, weight_of)
-from bernalg.bernstein import _annihilator_in_u
+from bernalg.bernstein import NotBernsteinError, _annihilator_in_u, _jordan_structural
 
 from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
                       operator_matrix, proper_ann_u_baric, rebased_copies,
                       reference_annihilator, reference_identity_defect,
-                      reference_left_mult_matrix, reference_mul_coords, reference_peirce,
-                      reference_subspace_product, reference_verify_weight, scaled_copy,
-                      wide_v_bernstein)
+                      reference_jordan_structural, reference_left_mult_matrix,
+                      reference_mul_coords, reference_peirce, reference_subspace_product,
+                      reference_verify_weight, scaled_copy, wide_v_bernstein)
 
 
 def span_named(a, *names):
@@ -130,14 +131,61 @@ def test_jordan3_ann_u_is_zero():
     assert p.annU.is_zero()  # u*u = v != 0
 
 
+SPLIT_FAILS = ("barideal does not split into the 1/2- and 0-eigenspaces; "
+               "the algebra is not Bernstein")
+
+
+def assert_split_fails(b):
+    """peirce(b) raises the split's NotBernsteinError, with the witnesses
+    of the Bernstein gate."""
+    with pytest.raises(NotBernsteinError) as exc:
+        peirce(b)
+    assert str(exc.value) == SPLIT_FAILS
+    assert exc.value.witnesses == bernstein_witnesses(b) and "bernstein" in exc.value.witnesses
+
+
 def test_peirce_rejects_wrong_eigenvalue():
     # e*n = n puts n in the 1-eigenspace, so N does not split into U and V
     a = CommAlgebra.from_table(
         ["e", "n"], {("e", "e"): {"e": 1}, ("e", "n"): {"n": 1}})
     b = BaricAlgebra(a, [1, 0])
     assert verify_weight(b) is True
-    with pytest.raises(ValueError):
-        peirce(b)
+    assert_split_fails(b)
+
+
+def skewed_family(kind: str, n: int) -> BaricAlgebra:
+    """bdown(n) or bup(n) with e*u1 = u1 in place of u1/2: the weight stays
+    multiplicative, but u1 is an eigenvector of e for the eigenvalue 1."""
+    a = make_family(kind, n).algebra
+    products = {(i, j): [dict(a.table_row(i, j)).get(k, 0) for k in range(a.dim)]
+                for i in range(a.dim) for j in range(i, a.dim) if a.table_row(i, j)}
+    e, u1 = a.index_of("e"), a.index_of("u1")
+    products[e, u1] = [int(k == u1) for k in range(a.dim)]
+    return BaricAlgebra(CommAlgebra(a.basis_names, products, a.field),
+                        [int(k == e) for k in range(a.dim)])
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("bdown", "bup") for n in (2, 3, 5, 8)])
+def test_peirce_rejects_the_skewed_families(kind, n):
+    # one row of N, u1, fails the split; every other row keeps its eigenvalue
+    b = skewed_family(kind, n)
+    assert verify_weight(b) is True and find_idempotent(b) == b.algebra.basis_element(0)
+    assert_split_fails(b)
+    with pytest.raises(NotBernsteinError):
+        reference_peirce(b)
+
+
+def test_peirce_reports_a_row_leaving_n_before_a_row_failing_the_split():
+    # N's first row n1 fails the split (e*n1 = n1) and its second leaves N
+    # (e*n2 = e); the weight is not multiplicative, as N is then no ideal
+    a = CommAlgebra.from_table(["e", "n1", "n2"], {("e", "e"): {"e": 1}, ("e", "n1"): {"n1": 1},
+                                                   ("e", "n2"): {"e": 1}})
+    b = BaricAlgebra(a, [1, 0, 0])
+    assert verify_weight(b) is not True
+    for route in (peirce, reference_peirce):
+        with pytest.raises(ValueError, match="not invariant") as exc:
+            route(b)
+        assert not isinstance(exc.value, NotBernsteinError)
 
 
 def test_peirce_relations_hold_on_corpus(peirce_corpus):
@@ -562,3 +610,111 @@ def test_flag_witnesses_reevaluate_through_the_reference_products(name, b):
 @pytest.mark.parametrize("name, b, kinds", FLAG_FAILING, ids=[c[0] for c in FLAG_FAILING])
 def test_each_flag_witness_kind_fires_on_a_generated_input(name, b, kinds):
     assert kinds <= flag_witness_kinds(b)
+
+
+# ---------------------------------------------------------------- annU and Jordan
+
+
+def _ann_u_cases():
+    """annU strictly between 0 and U, annU = 0 (jordan3) and annU = U (the
+    wide-V tables), each with its rebased copies."""
+    out = [("proper_ann_u", proper_ann_u_baric()), ("jordan3", make_family("jordan3"))]
+    out += [(f"wide_v_{r}_{s}", wide_v_bernstein(r, s, seed=r + s))
+            for r, s in ((3, 3), (4, 2), (3, 4))]
+    return out + [(f"{name}_{label}", c) for name, b in out for label, c in rebased_copies(b)]
+
+
+ANN_U_CASES = _ann_u_cases()
+
+
+@pytest.mark.parametrize("name, b", ANN_U_CASES, ids=[c[0] for c in ANN_U_CASES])
+def test_ann_u_matches_the_reference(name, b):
+    a, p = b.algebra, peirce(b)
+    got = _annihilator_in_u(a, p.U)
+    assert got == p.annU == reference_annihilator(a, p.U)
+    if name.startswith("proper_ann_u"):
+        assert 0 < got.dim < p.U.dim
+    elif name.startswith("jordan3"):
+        assert got.is_zero()
+    else:
+        # U*U = 0: the memoised product decides, and annU is U itself
+        assert a.subspace_product(p.U, p.U).is_zero() and got is p.U
+
+
+class CountingMemo(dict):
+    """A product memo that counts its misses (stores) and lookups per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.misses, self.lookups = collections.Counter(), collections.Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.misses[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_one_report_multiplies_u_by_u_once():
+    b = make_family("bdown", 6)
+    memo = b.algebra._products = CountingMemo()
+    report, status = build_report("bdown6", b)
+    assert status == 0 and report["peirce"]["relations_ok"] is True
+    key = frozenset((peirce(make_family("bdown", 6)).U,))
+    # annU, the Peirce relations and the nuclear flag all read the one product
+    assert memo.misses[key] == 1 and memo.lookups[key] >= 3
+
+
+def _polarized_only():
+    """A Bernstein algebra of type (1 + 2, 2) where every (u v) v vanishes on
+    basis vectors but (u1 v1) v2 + (u1 v2) v1 = u2 v2 = u1 does not."""
+    a = CommAlgebra.from_table(
+        ["e", "u1", "u2", "v1", "v2"],
+        {("e", "e"): {"e": 1}, ("e", "u1"): {"u1": Fraction(1, 2)},
+         ("e", "u2"): {"u2": Fraction(1, 2)}, ("u1", "v1"): {"u2": 1}, ("u2", "v2"): {"u1": 1}})
+    return BaricAlgebra(a, [1, 0, 0, 0, 0])
+
+
+def _cancelling_pairs():
+    """A Bernstein algebra of type (1 + 4, 2) on which v1 and v2 act on U as
+    the exterior algebra on two generators acts on itself: (u v) v = 0 for
+    every v, while (u1 v1) v2 = -u4 and (u1 v2) v1 = u4 cancel."""
+    a = CommAlgebra.from_table(
+        ["e", "u1", "u2", "u3", "u4", "v1", "v2"],
+        {("e", "e"): {"e": 1}, **{("e", f"u{i}"): {f"u{i}": Fraction(1, 2)} for i in range(1, 5)},
+         ("u1", "v1"): {"u2": 1}, ("u3", "v1"): {"u4": 1},
+         ("u1", "v2"): {"u3": 1}, ("u2", "v2"): {"u4": -1}})
+    return BaricAlgebra(a, [1] + [0] * 6)
+
+
+def _jordan_cases():
+    """Tables whose structural Jordan condition holds or fails at various
+    tuples: the wide-V tables at several seeds, one failing only in its
+    polarized form, one holding only because its polarized terms cancel,
+    the baric corpus, their rebased copies and the families over GF(5)."""
+    out = [(f"wide_v_{r}_{s}@{seed}", wide_v_bernstein(r, s, seed))
+           for r, s in ((3, 3), (4, 2), (3, 4), (1, 2)) for seed in range(4)]
+    out += [("polarized_only", _polarized_only()), ("cancelling_pairs", _cancelling_pairs())]
+    out += [(name, b) for name, b in bernstein_corpus() if b.dim <= 7]
+    out += [(f"{name}_{label}", c) for name, b in out[::5] for label, c in rebased_copies(b)]
+    return out + [(f"{kind}{n}_gf5", make_family(kind, n, PrimeField(5)))
+                  for kind in ("bdown", "bup") for n in (2, 3, 4)]
+
+
+JORDAN_CASES = _jordan_cases()
+
+
+@pytest.mark.parametrize("name, b", JORDAN_CASES, ids=[c[0] for c in JORDAN_CASES])
+def test_integer_jordan_condition_matches_the_element_route(name, b):
+    p = peirce(b)
+    got, want = _jordan_structural(b, p), reference_jordan_structural(b, p)
+    if name == "polarized_only":
+        assert got.note == "(u v) w + (u w) v does not vanish"
+    if name == "cancelling_pairs":
+        assert got is True
+    if want is True or isinstance(want, str):
+        assert got is True if want is True else got.note == want
+        return
+    assert tuple(got) == tuple(want) and got.note == want.note
