@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .algebra import (BaricAlgebra, CommAlgebra, Element, PRINCIPAL, PowerChain, _sparse,
                       induced_table, is_ideal, power_chain, weight_of)
+from .fields import QQ
 from .identities import Identity, Witness, check_identity
 from .linalg import Subspace
 
@@ -56,7 +57,9 @@ class ClassificationFlags(NamedTuple):
 class NotBernsteinError(ValueError):
     """A computation that needs a Bernstein algebra met one that is not.
     witnesses holds the broken weight pair or Bernstein identity, keyed like
-    the witnesses of ClassificationFlags (see bernstein_witnesses)."""
+    the witnesses of ClassificationFlags (see bernstein_witnesses).  Over
+    GF(p), where identities are not checked, it holds only the weight's:
+    {"baric": w} when the weight fails, else {}."""
 
     def __init__(self, message: str, witnesses: dict):
         super().__init__(message)
@@ -67,6 +70,14 @@ def bernstein_witnesses(b: BaricAlgebra) -> dict:
     """{} when the weight is valid and the Bernstein identity holds, else
     {"baric": w} or {"bernstein": w} for the first check that fails."""
     return Analysis(b).bernstein_witnesses
+
+
+def _error_witnesses(b: BaricAlgebra) -> dict:
+    """The witnesses of a NotBernsteinError raised on b (see its docstring)."""
+    if b.field == QQ:
+        return bernstein_witnesses(b)
+    weight = verify_weight(b)
+    return {} if weight is True else {"baric": weight}
 
 
 def verify_weight(b: BaricAlgebra):
@@ -105,7 +116,7 @@ def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
                 break
         if seed is None:
             raise NotBernsteinError("weight functional is zero; no idempotent seed exists",
-                                    bernstein_witnesses(b))
+                                    _error_witnesses(b))
     w = weight_of(b.weight, seed)
     if w == zero:
         raise ValueError("seed element has weight zero")
@@ -113,7 +124,7 @@ def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
     e = x * x
     if e * e != e or weight_of(b.weight, e) != one:
         raise NotBernsteinError("squared seed is not an idempotent of weight one; "
-                                "the algebra is not Bernstein", bernstein_witnesses(b))
+                                "the algebra is not Bernstein", _error_witnesses(b))
     return e
 
 
@@ -145,7 +156,7 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
                               for r, y in zip(rows, images)], a.dim, field)
     if u.dim + v.dim != n.dim:
         raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
-                                "the algebra is not Bernstein", bernstein_witnesses(b))
+                                "the algebra is not Bernstein", _error_witnesses(b))
     return PeirceData(e, u, v, n, _annihilator_in_u(a, u))
 
 

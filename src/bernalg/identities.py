@@ -38,10 +38,12 @@ only the values at which some step can still be nonzero: the step's pair
 factors nonzero, an operator factor acting on some row, and at its last
 slot the support of its vector factor meeting the columns where its
 operator is nonzero, all read as bitmasks off the table (`_tables`, kept
-with the algebra while it lives).  A skipped tuple is exactly zero.  A table
-with half its entries nonzero or more is enumerated, every tuple with every
-step, and so is one with fewer than 7 basis vectors (`_SMALL`) for a form
-of one multiset (`_walks`); Jordan's form, of two, walks it.
+with the algebra while it lives).  The walk only chooses tuples, and it
+skips only tuples at which every step is zero; the scan sums every step at
+every tuple it gets.  A table with half its entries nonzero or more is
+enumerated, every tuple, and so is one with fewer than 7 basis vectors
+(`_SMALL`) for a form of one multiset (`_walks`); Jordan's form, of two,
+walks it.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ def _plan(groups: tuple, monomials: tuple) -> tuple:
     (dots, then columns), test(v, t) the values of t_s at
     which the step can still be nonzero, from the scan's masks v and the
     slots before s (see `_walk`).  A step with no test at a slot passes
-    there.  They are the scan's only pruning: an enumerated tuple sums
+    there.  They are the scan's only pruning, and they only choose tuples:
+    a tuple they skip is zero in every step, and a tuple they keep sums
     every step.  `drops` says whether no tuple after t_0 passes p reads
     row p of the grids that the scan makes for its pair factors."""
     inner = set(range(sum(groups[:-1]), sum(groups)))
@@ -400,12 +403,12 @@ def _walks(a: CommAlgebra, form: _Form) -> bool:
             and 2 * a._int_nonzeros < a.dim ** 3)
 
 
-def _walk(masks: _Masks, groups: tuple, tests: tuple, steps_of, alive: int):
-    """(steps, t_0, (t,)) blocks in scan order, one for each tuple t, one
-    sorted multiset per group, at which some step passes all its support
-    tests (`_plan`) on the masks.  steps_of[live] are the steps whose bits
-    are set in live, alive holds them all, and a slot's values are the
-    union of its live steps' tests."""
+def _walk(masks: _Masks, groups: tuple, tests: tuple, steps: int):
+    """The tuples in scan order, one sorted multiset per group, at which
+    some step passes all its support tests (`_plan`) on the masks.  A step
+    stays live while its tests pass, and a slot's values are the union of
+    its live steps' tests; so every tuple the walk skips is zero in every
+    step, its one invariant."""
     last, every = len(tests) - 1, masks.low
     starts = frozenset(itertools.accumulate(groups[:-1], initial=0))
 
@@ -425,18 +428,18 @@ def _walk(masks: _Masks, groups: tuple, tests: tuple, steps_of, alive: int):
         while todo:
             low = todo & -todo
             todo ^= low
+            u = (*t, low.bit_length() - 1)
+            if s == last:
+                yield u
+                continue
             live = free
             for k in range(0, len(found), 2):
                 if found[k + 1] & low:
                     live |= found[k]
-            u = (*t, low.bit_length() - 1)
-            if s == last:
-                yield steps_of[live], u[0], (u,)
-            else:
-                yield from visit(u, s + 1, live)
+            yield from visit(u, s + 1, live)
 
     try:
-        yield from visit((), 0, alive)
+        yield from visit((), 0, (1 << steps) - 1)
     finally:
         visit = None   # the recursive closure refers to itself
 
@@ -530,11 +533,11 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
     operators made, on first use.  A weighted factor has w_p w_q (a pair)
     or w_q (a leaf q) at coordinate dim, where e_n e_dim = c_weight e_n, so
     a weighted leaf's operator is q's plus c_weight w_q times the identity.
-    A sparse table is walked (`_walk`) on masks made up front, each tuple
-    summing only its live steps; else every tuple is enumerated with every
-    step, in blocks that share an outer multiset or t_0.  `check_identity`
-    has decided the first tuple by then, and scans only when the form
-    vanishes there."""
+    The tuples come from one stream: a sparse table's walk (`_walk`), on
+    masks made up front, which skips only tuples at which every step is
+    zero, else every tuple in scan order.  Each tuple sums every step.
+    `check_identity` has decided the first tuple by then, and scans only
+    when the form vanishes there."""
     form, dim, pairs = _form(ident), a.dim, a._int_rows
     ws, dw = QQ.clear(weight) if form.weights else (None, 1)
     pack = _packing(_digit_bound(form, a, ws, dw))
@@ -571,61 +574,45 @@ def _scan(a: CommAlgebra, ident: Identity, weight):
                     else grid(functools.partial(vector, *kind), kind[0]))
     operators = _Lazy(lambda kind: [rows] * dim if kind == (False, False)
                       else grid(lambda p, q: operator_of(vectors[kind][p][q]), kind[0]))
-    everything = ([(*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign)
-                   for sign, y, x in form.dots],
-                  [(*f[2:], pairs, y, operators[True, False], m, sign)
-                   for sign, f, y, m in form.columns])
-
-    def select(live: int) -> list:   # the steps whose bits are set in live
-        out, k = [], 0
-        for steps in everything:
-            out.append([step for n, step in enumerate(steps, k) if live >> n & 1])
-            k += len(steps)
-        return out
-
+    dots = [(*y[2:], vectors[y[:2]], *x[2:], operators[x[:2]], sign) for sign, y, x in form.dots]
+    columns = [(*f[2:], pairs, y, operators[True, False], m, sign)
+               for sign, f, y, m in form.columns]
     # the grids made for pair factors, whose rows below t_0 no later tuple reads
     made = [g for table in (vectors, operators) for kind, g in table.items()
             if kind[0] and g is not pairs] if form.drops else []
     if _walks(a, form):
-        steps_of, alive = _Lazy(select), (1 << sum(map(len, everything))) - 1
-        steps_of[alive] = everything
-        blocks = _walk(_Masks(a, ws), form.groups, form.tests, steps_of, alive)
-    else:   # every tuple with every step
+        tuples = _walk(_Masks(a, ws), form.groups, form.tests, len(dots) + len(columns))
+    else:   # every tuple: the heads from the outer multisets, then the last one's
         *outer, k = form.groups
-        multisets = itertools.combinations_with_replacement
-        if outer:   # a block per multiset of the outer slots
-            blocks = ((everything, head[0], map(head.__add__, multisets(range(dim), k)))
-                      for head in map(sum, itertools.product(*(
-                          multisets(range(dim), g) for g in outer)), itertools.repeat(())))
-        else:   # a block per t_0
-            blocks = ((everything, v, ts) for v, ts in itertools.groupby(
-                multisets(range(dim), k), operator.itemgetter(0)))
+        multisets = functools.partial(itertools.combinations_with_replacement, range(dim))
+        tuples = (head + t for head in map(sum, itertools.product(*map(multisets, outer)),
+                                            itertools.repeat(()))
+                  for t in multisets(k))
 
     lead = 0
     try:
-        for (dots, columns), t0, tuples in blocks:
-            if made and t0 != lead:
+        for t in tuples:
+            if made and t[0] != lead:
                 for grid_rows in made:
-                    for p in range(lead, t0):
+                    for p in range(lead, t[0]):
                         grid_rows[p].clear()
-                lead = t0
-            for t in tuples:
-                acc = 0
-                for i1, j1, vecs, i2, j2, ops, sign in dots:
-                    vec = vecs[t[i1]][t[j1]]
-                    if vec:
-                        op = ops[t[i2]][t[j2]]
-                        if op:
-                            s = sum(v * op[n] for n, v in vec)
-                            acc = acc + s if sign > 0 else acc - s
-                for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
-                    ty, tm = t[y], t[m]
-                    for n, v in vecs[t[i]][t[j]]:
-                        op = ops[n][ty]
-                        if op:
-                            acc += sign * v * op[tm]
-                if acc:
-                    return t
+                lead = t[0]
+            acc = 0
+            for i1, j1, vecs, i2, j2, ops, sign in dots:
+                vec = vecs[t[i1]][t[j1]]
+                if vec:
+                    op = ops[t[i2]][t[j2]]
+                    if op:
+                        s = sum(v * op[n] for n, v in vec)
+                        acc = acc + s if sign > 0 else acc - s
+            for i, j, vecs, y, ops, m, sign in columns:   # column m of e_n e_y's operator
+                ty, tm = t[y], t[m]
+                for n, v in vecs[t[i]][t[j]]:
+                    op = ops[n][ty]
+                    if op:
+                        acc += sign * v * op[tm]
+            if acc:
+                return t
         return None
     finally:
         rows = None   # pack_row refers to rows

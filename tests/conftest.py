@@ -11,6 +11,7 @@ from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, Matrix, PeirceData
                      find_idempotent, make_family, peirce, weight_of)
 from bernalg.algebra import _sparse, induced_table
 from bernalg.bernstein import NotBernsteinError
+from bernalg import identities
 from bernalg.identities import _weight_for
 
 
@@ -84,6 +85,21 @@ def wide_v_bernstein(r: int, s: int, seed: int) -> BaricAlgebra:
     for i in range(r):
         for j in range(s):
             table[f"u{i + 1}", f"v{j + 1}"] = {f"u{k + 1}": rng.randint(-2, 2) for k in range(r)}
+    return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (r + s))
+
+
+def jordan_bernstein(r: int, s: int) -> BaricAlgebra:
+    """A sparse Jordan-Bernstein algebra of Peirce type (1 + r, s) on
+    (e, u1..ur, v1..vs): e^2 = e, e u_i = u_i/2 and u_{2i} v_j = j u_{2i-1},
+    every other product zero.  It is built like `wide_v_bernstein`, so it
+    is Bernstein.  It is Jordan, as V^2 = 0 and (uv)v = 0 (u_{2i-1} V = 0),
+    the structural conditions of Worz-Busekros (Algebras in Genetics,
+    1980); not nuclear, as U^2 = 0 != V; and N^3 = 0."""
+    names = ["e"] + [f"u{i + 1}" for i in range(r)] + [f"v{j + 1}" for j in range(s)]
+    table = {("e", "e"): {"e": 1}}
+    table.update({("e", f"u{i}"): {f"u{i}": Fraction(1, 2)} for i in range(1, r + 1)})
+    table.update({(f"u{i}", f"v{j}"): {f"u{i - 1}": j}
+                  for i in range(2, r + 1, 2) for j in range(1, s + 1)})
     return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (r + s))
 
 
@@ -296,6 +312,20 @@ def reference_scan_jordan(a):
             if any(acc.values()):
                 return t, y
     return None
+
+
+def scans_both_ways(a, ident, weight):
+    """The scan's first failing tuple with the support walk and with every
+    tuple enumerated."""
+    saved = identities._walks
+    try:
+        out = []
+        for walks in (True, False):
+            identities._walks = lambda a, form, walks=walks: walks
+            out.append(identities._scan(a, ident, weight))
+        return out
+    finally:
+        identities._walks = saved
 
 
 def reference_left_mult_matrix(a, x, restrict_to=None) -> Matrix:

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from bernalg import (BaricAlgebra, CommAlgebra, Identity, PeirceData, PrimeField,
+from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PeirceData, PrimeField,
                      Subspace, Witness, bernstein_witnesses, build_report, check_identity,
                      check_peirce_relations, classify, find_idempotent, make_family,
                      nilpotency_report, nuclear_core, parse, peirce, plenary_power, quotient,
                      subspace_product, to_algebra, verify_weight, weight_of)
 from bernalg.bernstein import NotBernsteinError, _annihilator_in_u, _jordan_structural
 
-from conftest import (bernstein_corpus, change_of_basis_copy, non_nilpotent_baric,
-                      operator_matrix, proper_ann_u_baric, rebased_copies,
+from conftest import (bernstein_corpus, change_of_basis_copy, jordan_bernstein,
+                      non_nilpotent_baric, operator_matrix, proper_ann_u_baric, rebased_copies,
                       reference_annihilator, reference_identity_defect,
                       reference_jordan_structural, reference_left_mult_matrix,
                       reference_mul_coords, reference_peirce, reference_subspace_product,
@@ -153,10 +153,10 @@ def test_peirce_rejects_wrong_eigenvalue():
     assert_split_fails(b)
 
 
-def skewed_family(kind: str, n: int) -> BaricAlgebra:
+def skewed_family(kind: str, n: int, field=QQ) -> BaricAlgebra:
     """bdown(n) or bup(n) with e*u1 = u1 in place of u1/2: the weight stays
     multiplicative, but u1 is an eigenvector of e for the eigenvalue 1."""
-    a = make_family(kind, n).algebra
+    a = make_family(kind, n, field).algebra
     products = {(i, j): [dict(a.table_row(i, j)).get(k, 0) for k in range(a.dim)]
                 for i in range(a.dim) for j in range(i, a.dim) if a.table_row(i, j)}
     e, u1 = a.index_of("e"), a.index_of("u1")
@@ -173,6 +173,30 @@ def test_peirce_rejects_the_skewed_families(kind, n):
     assert_split_fails(b)
     with pytest.raises(NotBernsteinError):
         reference_peirce(b)
+
+
+def test_not_bernstein_over_a_prime_field_carries_the_weight_witness_only():
+    # the identity engine refuses GF(p), so the error's witnesses come from
+    # the weight alone; classify and bernstein_witnesses keep refusing
+    gf5 = PrimeField(5)
+    skewed = skewed_family("bdown", 2, gf5)
+    a = CommAlgebra.from_table(["e", "n"], {("e", "e"): {"e": 1, "n": 1}, ("e", "n"): {"n": 1}},
+                               gf5)
+    not_idempotent = BaricAlgebra(a, [1, 0])
+    for b, route, message in ((skewed, peirce, SPLIT_FAILS),
+                              (not_idempotent, find_idempotent, "squared seed is not an")):
+        assert verify_weight(b) is True
+        with pytest.raises(NotBernsteinError, match=message) as exc:
+            route(b)
+        assert exc.value.witnesses == {}
+        for refused in (classify, bernstein_witnesses):
+            with pytest.raises(ValueError, match="only supported over the rationals") as exc:
+                refused(b)
+            assert not isinstance(exc.value, NotBernsteinError)
+    with pytest.raises(NotBernsteinError) as exc:
+        find_idempotent(BaricAlgebra(make_family("bdown", 2, gf5).algebra, [0, 0, 0, 0]))
+    assert exc.value.witnesses.keys() == {"baric"}
+    assert exc.value.witnesses["baric"].note == "weight functional is identically zero"
 
 
 def test_peirce_reports_a_row_leaving_n_before_a_row_failing_the_split():
@@ -330,6 +354,20 @@ def test_structural_jordan_matches_identity_routes(peirce_corpus):
         via_identity = check_identity(b.algebra, Identity.JORDAN) is True
         via_cube = check_identity(b.algebra, Identity.CUBE_WEIGHT, b.weight) is True
         assert fl.is_jordan == via_identity == via_cube, name
+
+
+@pytest.mark.parametrize("r, s", ((3, 2), (4, 2), (10, 3)))
+def test_jordan_bernstein_tables_read_jordan_not_nuclear_n_nilpotent(r, s):
+    # a flag set the wide-V tables do not reach, with dim V > 1
+    b = jordan_bernstein(r, s)
+    for ident in (Identity.BERNSTEIN, Identity.JORDAN, Identity.CUBE_WEIGHT):
+        assert check_identity(b.algebra, ident, b.weight if ident.needs_weight else None) is True
+    fl = classify(b)
+    assert (fl.is_baric, fl.is_bernstein, fl.is_jordan, fl.is_nuclear,
+            fl.barideal_nilpotent) == (True, True, True, False, True)
+    assert fl.witnesses.keys() == {"nuclear"}
+    p = peirce(b)
+    assert (p.U.dim, p.V.dim) == (r, s) and p == reference_peirce(b, p.e)
 
 
 def test_classify_non_nilpotent_barideal():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PrimeField, Witness, check_identity,
                      from_algebra, identity_defect, make_family, parse, plenary_power, serialize,
@@ -13,11 +13,11 @@ from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PrimeField, Witnes
 from bernalg import identities
 
 from conftest import (bernstein_corpus, change_of_basis_copy, commutative_corpus, fresh_rng,
-                      gametic, non_nilpotent_baric, random_table_algebra,
+                      gametic, jordan_bernstein, non_nilpotent_baric, random_table_algebra,
                       reference_identity_defect, rebased, rebased_copies, reference_products,
                       reference_scan_degree3, reference_scan_degree4, reference_scan_jordan,
-                      reference_witness_from_tuple, scaled_copy, sparse_int_mul,
-                      weighted_basis_copy, wide_v_bernstein)
+                      reference_witness_from_tuple, scaled_copy, scans_both_ways,
+                      sparse_int_mul, weighted_basis_copy, wide_v_bernstein)
 
 ALL_IDENTITIES = tuple(Identity)
 
@@ -736,20 +736,6 @@ def test_identity_defect_matches_element_arithmetic_over_prime_fields():
 # ---------------------------------------------------------------- support walk
 
 
-def scans_both_ways(a, ident, weight):
-    """The scan's first failing tuple with the support walk and with every
-    tuple enumerated."""
-    saved = identities._walks
-    try:
-        out = []
-        for walks in (True, False):
-            identities._walks = lambda a, form, walks=walks: walks
-            out.append(identities._scan(a, ident, weight))
-        return out
-    finally:
-        identities._walks = saved
-
-
 def weight_of_kind(kind, dim, rng):
     """None, or a weight of dim entries: all zero, some zero or none zero."""
     if kind is None:
@@ -793,6 +779,37 @@ def test_support_walk_returns_the_enumerated_first_failing_tuple(case):
     _assert_walk_matches_enumeration(*case, "sparse table")
 
 
+def walked_tuples(a, ident, weight) -> list:
+    """Every tuple the support walk yields for the identity, to its end."""
+    form = identities._form(ident)
+    ws = QQ.clear(weight)[0] if form.weights else None
+    return list(identities._walk(identities._Masks(a, ws), form.groups, form.tests,
+                                 len(form.dots) + len(form.columns)))
+
+
+def _assert_walk_visits_every_nonzero_tuple(a, weight, label):
+    """The walk yields tuples in scan order, each once, and among them every
+    tuple at which the linearized sum is nonzero, not only the first."""
+    for ident in ALL_IDENTITIES:
+        w = (weight or tuple(Fraction(k + 1, 2) for k in range(a.dim))) if ident.needs_weight else None
+        walked = walked_tuples(a, ident, w)
+        kept = set(walked)
+        every = [sum(ts, ()) for ts in itertools.product(*(
+            itertools.combinations_with_replacement(range(a.dim), g)
+            for g in identities._form(ident).groups))]
+        assert walked == [t for t in every if t in kept], (label, ident)
+        missed = [t for t in every if t not in kept and any(plan_sum(a, ident, w, t))]
+        assert not missed, (label, ident, missed[:3])
+
+
+@given(sparse_tables())
+@example((jordan_bernstein(3, 2).algebra, jordan_bernstein(3, 2).weight))
+@example((wide_v_bernstein(3, 3, 0).algebra, wide_v_bernstein(3, 3, 0).weight))
+@settings(max_examples=150, deadline=None)
+def test_support_walk_visits_every_tuple_whose_sum_is_nonzero(case):
+    _assert_walk_visits_every_nonzero_tuple(*case, "sparse table")
+
+
 @pytest.mark.parametrize("name", list(CARRY_TABLES))
 def test_support_walk_keeps_a_failure_whose_sum_carries(name):
     (t00, t01, t11), first = CARRY_TABLES[name]
@@ -804,13 +821,21 @@ def test_support_walk_keeps_a_failure_whose_sum_carries(name):
 WIDE_V_TYPES = ((3, 3), (4, 2), (3, 4))   # (r, s): dims 7, 7 and 8
 
 
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("r, s", WIDE_V_TYPES, ids=[f"r{r}s{s}" for r, s in WIDE_V_TYPES])
-def test_wide_v_tables_are_bernstein_and_walked_as_enumerated(r, s, seed):
-    b = wide_v_bernstein(r, s, seed)
+# the wide-V tables of seeds 0-9, and the Jordan-Bernstein table of dim 14
+# (dim V = 3), on which Jordan and cube-weight hold too, so their scans run
+# to the end
+WIDE_V_CASES = ([(f"r{r}s{s}-{seed}", wide_v_bernstein, (r, s, seed))
+                 for r, s in WIDE_V_TYPES for seed in range(10)]
+                + [("jordan-r10s3", jordan_bernstein, (10, 3))])
+
+
+@pytest.mark.parametrize("make, args", [c[1:] for c in WIDE_V_CASES],
+                         ids=[c[0] for c in WIDE_V_CASES])
+def test_wide_v_tables_are_bernstein_and_walked_as_enumerated(make, args):
+    b = make(*args)
     assert all(identities._walks(b.algebra, identities._form(i)) for i in ALL_IDENTITIES)
     assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
-    _assert_walk_matches_enumeration(b.algebra, b.weight, f"wide V {r} {s} seed {seed}")
+    _assert_walk_matches_enumeration(b.algebra, b.weight, f"{make.__name__}{args}")
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -852,9 +877,9 @@ def test_support_walk_passes_candidates_whose_terms_cancel(monkeypatch):
     seen, walk = [], identities._walk
 
     def recorded(*args):
-        for block in walk(*args):
-            seen.extend(block[2])
-            yield block
+        for t in walk(*args):
+            seen.append(t)
+            yield t
 
     monkeypatch.setattr(identities, "_walk", recorded)
     assert identities._scan(a, Identity.JORDAN, None) == walked
@@ -952,9 +977,9 @@ def test_bernstein_walk_on_bdown62_sums_few_tuples(monkeypatch):
     seen, walk = [], identities._walk
 
     def counted(*args):
-        for block in walk(*args):
-            seen.extend(block[2])
-            yield block
+        for t in walk(*args):
+            seen.append(t)
+            yield t
 
     monkeypatch.setattr(identities, "_walk", counted)
     assert check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
