@@ -7,6 +7,11 @@ identity as the witness.  Subcommands that read a file accept '-' for
 stdin.  Every subcommand supports --json; `family` and `quotient` print an
 algebra file with or without it.  Reports are deterministic: the same
 input gives the same bytes.
+
+Every subcommand checks --max-steps first (below 1 exits 2), then reads its
+file once into one `bernstein.Analysis` and takes each fact from it.  The
+checks run in one order: the gate (baric, and Bernstein wherever the Peirce
+split is read), then any --subspace/--by rows, then the split.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ import argparse
 import functools
 import sys
 
-from .algebra import CHAIN_KINDS, BaricAlgebra, ChainCapError, power_chain
-from .bernstein import (NotBernsteinError, bernstein_witnesses, classify, find_idempotent,
-                        peirce, quotient)
+from .algebra import CHAIN_KINDS, ChainCapError, _check_max_steps, power_chain
+from .bernstein import Analysis, NotBernsteinError, classify, find_idempotent, peirce, quotient
 from .families import FAMILY_KINDS, make_family
 from .fileformat import MAX_DIM, from_algebra, parse, serialize, spec_rational, to_algebra
 from .linalg import Subspace
@@ -84,38 +88,20 @@ def _subspace_from_spec(algebra, spec: str) -> Subspace:
     return Subspace(rows, algebra.dim, algebra.field)
 
 
-def _require_baric(alg) -> BaricAlgebra:
-    if not isinstance(alg, BaricAlgebra):
+def _require_baric(an: Analysis) -> Analysis:
+    if not an.baric:
         raise ValueError("this command needs a baric file (declare weight lines)")
-    return alg
+    return an
 
 
-def _bernstein_of(alg) -> BaricAlgebra:
-    """The input, once its weight and the Bernstein identity are verified:
-    a Peirce split can succeed on an algebra that is not Bernstein."""
-    b = _require_baric(alg)
-    failed = bernstein_witnesses(b)
+def _require_bernstein(an: Analysis) -> Analysis:
+    """The analysis, once the input's weight and Bernstein identity are
+    verified: a Peirce split can succeed on an algebra that is not Bernstein."""
+    failed = _require_baric(an).bernstein_witnesses
     if failed:
         step = "weight" if "baric" in failed else "Bernstein identity"
         raise NotBernsteinError(f"the {step} check fails; the algebra is not Bernstein", failed)
-    return b
-
-
-def _peirce_of(alg, seed: str | None = None):
-    """The Peirce split of a Bernstein input, at the idempotent of the seed
-    expression when one is given."""
-    b = _bernstein_of(alg)
-    return peirce(b, find_idempotent(b, _element_from_expr(b.algebra, seed)) if seed else None)
-
-
-def _chain_start(alg, barideal: bool):
-    """The algebra of the input and the subspace its chains start from: the
-    barideal N, which needs a baric input, or else the whole space."""
-    if barideal:
-        b = _require_baric(alg)
-        return b.algebra, b.barideal()
-    algebra = alg.algebra if isinstance(alg, BaricAlgebra) else alg
-    return algebra, algebra.full_space()
+    return an
 
 
 def _algebra_name(args) -> str:
@@ -128,8 +114,8 @@ def _flags_text(flags: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in flags.items())
 
 
-def cmd_check(args, alg):
-    report, status = build_report(_algebra_name(args), alg, args.max_steps)
+def cmd_check(args, an):
+    report, status = build_report(_algebra_name(args), an.source, args.max_steps)
     return report, _check_text(report), status
 
 
@@ -163,11 +149,11 @@ def _check_text(report: dict) -> str:
     return _lines(*lines)
 
 
-def cmd_classify(args, alg):
+def cmd_classify(args, an):
     name = _algebra_name(args)
-    if not isinstance(alg, BaricAlgebra):
+    if not an.baric:
         return {"algebra": name, "baric": False}, _lines(f"algebra {name}: not baric"), 0
-    flags = classify(alg)
+    flags = classify(an.source)
     section = flags_section(flags)
     shown = section.pop("flags")
     status = 0 if flags.is_baric and flags.is_bernstein is not False else 1
@@ -175,8 +161,10 @@ def cmd_classify(args, alg):
             _lines(f"algebra {name}: " + _flags_text(shown)), status)
 
 
-def cmd_peirce(args, alg):
-    p = _peirce_of(alg, args.seed)
+def cmd_peirce(args, an):
+    b = _require_bernstein(an).source
+    p = (peirce(b, find_idempotent(b, _element_from_expr(an.algebra, args.seed)))
+         if args.seed else an.peirce)
     payload = {
         "idempotent": coords_json(p.e.coords),
         "n_dim": p.N.dim,
@@ -196,8 +184,9 @@ def cmd_peirce(args, alg):
     ), 0
 
 
-def cmd_powers(args, alg):
-    chain = power_chain(*_chain_start(alg, args.barideal), args.kind, args.max_steps)
+def cmd_powers(args, an):
+    start = _require_baric(an).start if args.barideal else an.algebra.full_space()
+    chain = power_chain(an.algebra, start, args.kind, args.max_steps)
     length = chain.runs[-1].end
     if length > MAX_LISTED_POSITIONS:
         raise ValueError(f"the {args.kind} chain has {length} positions and powers lists "
@@ -216,8 +205,8 @@ def cmd_powers(args, alg):
     ), 0
 
 
-def cmd_fixedspace(args, alg):
-    res = greatest_fixed_subspace(alg, _peirce_of(alg))
+def cmd_fixedspace(args, an):
+    res = greatest_fixed_subspace(an.source, _require_bernstein(an).peirce)
     payload = {
         "chain_dims": [t.dim for t in res.chain],
         "steps": res.steps,
@@ -230,8 +219,8 @@ def cmd_fixedspace(args, alg):
     ), 0
 
 
-def cmd_multalg(args, alg):
-    payload = mult_closure_json(mult_closure_nilpotent(alg, _peirce_of(alg)))
+def cmd_multalg(args, an):
+    payload = mult_closure_json(mult_closure_nilpotent(an.source, _require_bernstein(an).peirce))
     return payload, _lines(
         f"generators: {payload['generator_count']}, closure dim: "
         f"{payload['closure_dim']}",
@@ -239,12 +228,10 @@ def cmd_multalg(args, alg):
     ), 0
 
 
-def cmd_stability(args, alg):
-    b = _bernstein_of(alg)
-    # the rows are read after the gate, which exits 1 on a non-Bernstein
-    # input whatever they are, and before the split, which malformed rows skip
-    s = _subspace_from_spec(b.algebra, args.subspace)
-    rep = stable_subspace_check(b, peirce(b), s)
+def cmd_stability(args, an):
+    _require_bernstein(an)
+    s = _subspace_from_spec(an.algebra, args.subspace)
+    rep = stable_subspace_check(an.source, an.peirce, s)
     payload = {
         "subspace_dim": s.dim,
         "ni_eq_i": rep.ni_eq_i,
@@ -257,16 +244,16 @@ def cmd_stability(args, alg):
     ), 0 if rep.conclusion_holds else 1
 
 
-def cmd_decompose(args, alg):
-    algebra, n = _chain_start(alg, isinstance(alg, BaricAlgebra))
+def cmd_decompose(args, an):
+    algebra = an.algebra
     gens = [algebra.basis_element(algebra.index_of(g.strip()))
             for g in args.gens.split(",") if g.strip()] if args.gens else None
-    payload = certificate_summary(algebra, n, gens, args.max_steps)
+    payload = certificate_summary(algebra, an.start, gens, args.max_steps)
     holds = "error" not in payload and payload["n_equals_f_plus_nm"] and payload["n_nilpotent"]
     return payload, _lines(f"certificate: {payload}"), 0 if holds else 1
 
 
-def cmd_family(args, alg):
+def cmd_family(args, an):
     fam = make_family(args.kind, args.n)
     name = f"{args.kind}{args.n or ''}" if args.kind != "jordan3" else "jordan3"
     text = serialize(from_algebra(fam, name))
@@ -276,10 +263,10 @@ def cmd_family(args, alg):
     return None, "" if args.out else text, 0
 
 
-def cmd_quotient(args, alg):
-    b = _require_baric(alg)
-    ideal = _peirce_of(b).annU if args.by == "annU" else _subspace_from_spec(b.algebra, args.by)
-    q = quotient(b, ideal)
+def cmd_quotient(args, an):
+    ideal = (_require_bernstein(an).peirce.annU if args.by == "annU"
+             else _subspace_from_spec(_require_baric(an).algebra, args.by))
+    q = quotient(an.source, ideal)
     return None, serialize(from_algebra(q, _algebra_name(args) + "_quot")), 0
 
 
@@ -338,7 +325,8 @@ def _run(args):
     """(payload, text, status) of the subcommand, or of the Bernstein
     failure it raised, with its message on stderr."""
     try:
-        return args.fn(args, _load(args.file) if "file" in args else None)
+        _check_max_steps(args.max_steps)
+        return args.fn(args, Analysis(_load(args.file)) if "file" in args else None)
     except NotBernsteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         witnesses = {k: check_json(w) for k, w in exc.witnesses.items()}

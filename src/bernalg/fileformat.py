@@ -258,7 +258,10 @@ def to_algebra(f: AlgebraFile):
 
 
 def from_algebra(alg, name: str) -> AlgebraFile:
-    """Serialize a CommAlgebra or BaricAlgebra into file form (rationals only)."""
+    """Serialize a CommAlgebra or BaricAlgebra into file form (rationals
+    only), under a name that `parse` accepts back."""
+    if not _NAME_RE.match(name):
+        raise ValueError(f"bad algebra name {name!r}")
     baric = isinstance(alg, BaricAlgebra)
     a = alg.algebra if baric else alg
     names = a.basis_names

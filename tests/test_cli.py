@@ -1,3 +1,4 @@
+import functools
 import glob
 import io
 import json
@@ -207,6 +208,19 @@ def test_quotient_subcommand(capsys, monkeypatch):
     from bernalg import classify, parse, to_algebra
     q = to_algebra(parse(out))
     assert classify(q).is_jordan is True
+
+
+@pytest.mark.parametrize("stem, argv, bad", [("my-alg.v2", [], "my-alg.v2_quot"),
+                                             ("bdown3", ["--name", "x y"], "x y_quot")])
+def test_quotient_refuses_a_name_the_parser_refuses(stem, argv, bad, tmp_path, capsys):
+    f = tmp_path / f"{stem}.alg"
+    f.write_text(open(path("bdown3.alg"), encoding="utf-8").read())
+    code, out, err = run_cli(["quotient", str(f), "--by", "annU"] + argv, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: bad algebra name {bad!r}\n")
+    # --name gives the output a name that reads back
+    code, out, _ = run_cli(["quotient", str(f), "--by", "annU", "--name", "my_alg"],
+                           capsys=capsys)
+    assert code == 0 and parse(out).name == "my_alg_quot"
 
 
 def test_family_writes_file(tmp_path, capsys, monkeypatch):
@@ -494,9 +508,11 @@ def test_argparse_errors_exit_2_with_the_full_usage(argv, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("argv", [["check", path("bdown3.alg")],
-                                  ["powers", path("bdown3.alg"), "--kind", "full"],
-                                  ["decompose", path("bdown3.alg")]])
+@pytest.mark.parametrize("argv", [[c, path("bdown3.alg")] + a for c, a in FILE_ARGS.items()]
+                         + [["family", "bdown", "--n", "2"],
+                            # checked before the file is read
+                            ["check", path("no_such_file.alg")]],
+                         ids=list(FILE_ARGS) + ["family", "missing_file"])
 def test_max_steps_below_one_exits_2_with_a_plain_message(argv, value, capsys):
     code, out, err = run_cli(argv + ["--max-steps", value], capsys=capsys)
     assert (code, out, err) == (2, "", "error: max_steps must be >= 1\n")
@@ -521,21 +537,41 @@ def test_malformed_subspace_spec_exits_2_naming_the_problem(flag, spec, message,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("fixture, spec, code, calls", [
-    ("bdown3.alg", "1,0", 2, ["bernstein_witnesses"]),
-    ("bdown3.alg", "0,0,1,0,0", 0, ["bernstein_witnesses", "peirce"]),
-    # the gate decides first: a non-Bernstein input exits 1 whatever its rows
-    ("corrupted.alg", "1,0", 1, ["bernstein_witnesses"]),
-])
-def test_stability_reads_its_rows_before_the_split(fixture, spec, code, calls, capsys,
-                                                   monkeypatch):
+GATE, ARG, SPLIT = "gate", "arg", "split"
+
+
+@pytest.mark.parametrize("argv, on_bdown3, on_corrupted", [
+    (["peirce"], (0, [GATE, SPLIT]), (1, [GATE])),
+    (["peirce", "--seed", "1 e + 1 u1"], (0, [GATE, ARG, SPLIT]), (1, [GATE])),
+    (["fixedspace"], (0, [GATE, SPLIT]), (1, [GATE])),
+    (["multalg"], (0, [GATE, SPLIT]), (1, [GATE])),
+    (["stability", "--subspace", "0,0,1,0,0"], (0, [GATE, ARG, SPLIT]), (1, [GATE])),
+    # malformed rows exit 2 after the gate, which decides first
+    (["stability", "--subspace", "1,0"], (2, [GATE, ARG]), (1, [GATE])),
+    (["quotient", "--by", "annU"], (0, [GATE, SPLIT]), (1, [GATE])),
+    # a quotient by rows needs a baric input only, so no Bernstein gate runs
+    (["quotient", "--by", "1,0"], (2, [ARG]), (2, [ARG])),
+], ids=["peirce", "peirce_seed", "fixedspace", "multalg", "stability", "stability_malformed",
+        "quotient_annU", "quotient_malformed"])
+@pytest.mark.parametrize("fixture", ["bdown3.alg", "corrupted.alg"])
+def test_bernstein_only_subcommands_run_the_gate_then_the_rows_then_the_split(
+        argv, on_bdown3, on_corrupted, fixture, capsys, monkeypatch):
+    """The Bernstein gate (Analysis.bernstein_witnesses), the --seed or
+    --subspace/--by argument and the Peirce split, each recorded when it is
+    computed: the gate once and first, the split at most once and last."""
     seen = []
-    for name in ("peirce", "bernstein_witnesses"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name:
-                            seen.append(name) or real(*a))
-    assert run_cli(["stability", path(fixture), "--subspace", spec], capsys=capsys)[0] == code
-    assert seen == calls
+    real_gate = bernstein_module.Analysis.bernstein_witnesses.func
+    gate = functools.cached_property(lambda an: seen.append(GATE) or real_gate(an))
+    gate.__set_name__(bernstein_module.Analysis, "bernstein_witnesses")
+    monkeypatch.setattr(bernstein_module.Analysis, "bernstein_witnesses", gate)
+    for module, name, label in ((cli, "peirce", SPLIT), (bernstein_module, "peirce", SPLIT),
+                                (cli, "_element_from_expr", ARG),
+                                (cli, "_subspace_from_spec", ARG)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, label=label:
+                            seen.append(label) or real(*a))
+    code = run_cli([argv[0], path(fixture)] + argv[1:], capsys=capsys)[0]
+    assert (code, seen) == (on_bdown3 if fixture == "bdown3.alg" else on_corrupted)
 
 
 @pytest.mark.parametrize("argv", [

@@ -142,6 +142,14 @@ def test_zero_weight_file_round_trips_as_baric():
     assert again == f
 
 
+@pytest.mark.parametrize("name", ["my-alg.v2_quot", "x y", "1abc", ""])
+def test_from_algebra_refuses_a_name_that_parse_refuses(name):
+    with pytest.raises(ParseError):
+        parse(f"algebra {name}\nbasis e\n")
+    with pytest.raises(ValueError, match=re.escape(f"bad algebra name {name!r}")):
+        from_algebra(make_family("bdown", 1), name)
+
+
 def test_family_serialization_round_trip():
     for kind, n in (("bdown", 3), ("bup", 4), ("squareshift", 4),
                     ("zhevlakov", 3), ("jordan3", None)):

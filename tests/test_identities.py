@@ -300,6 +300,40 @@ def test_cube_zero_implies_jacobi_jordan_and_fast_solvability(baric_corpus, plai
     assert hit >= 3  # jordan3.N, bdown2.N, bup2.N at least
 
 
+def _jacobi_cases() -> list:
+    """(label, algebra): the families at n = 1..12 and jordan3, wide-V
+    Bernstein tables and 60 random tables, each with a change-of-basis copy."""
+    cases = [(f"{kind}{n}", make_family(kind, n))
+             for kind in ("bdown", "bup", "squareshift", "zhevlakov") for n in range(1, 13)]
+    cases.append(("jordan3", make_family("jordan3")))
+    cases += [(f"wide_v_bernstein(3, 3, {seed})", wide_v_bernstein(3, 3, seed))
+              for seed in range(10)]
+    rng = fresh_rng(3000)
+    cases += [(f"random{k}", random_table_algebra(rng, rng.randint(2, 6))) for k in range(60)]
+    out = []
+    for label, alg in cases:
+        a = getattr(alg, "algebra", alg)
+        out += [(label, a), (f"{label} rebased", change_of_basis_copy(a, None, 0)[0])]
+    return out
+
+
+def test_jacobi_is_cube_zero_linearized():
+    """x^3 = 0 fully linearized is 2 ((xy)z + (yz)x + (zx)y) = 0: over the
+    rationals a commutative algebra is a nilalgebra of nilindex 3 exactly
+    when it is Jacobi, so both identities share one form and one scan."""
+    jacobi, cube = identities._form(Identity.JACOBI), identities._form(Identity.CUBE_ZERO)
+    assert set(jacobi.monomials) == set(cube.monomials)
+    assert (jacobi.groups, jacobi.bound) == (cube.groups, cube.bound)
+    cases, failing = _jacobi_cases(), 0
+    for label, a in cases:
+        first = identities._scan(a, Identity.JACOBI, None)
+        assert first == identities._scan(a, Identity.CUBE_ZERO, None), label
+        holds = check_identity(a, Identity.JACOBI) is True
+        assert holds == (check_identity(a, Identity.CUBE_ZERO) is True) == (first is None), label
+        failing += not holds
+    assert 0 < failing < len(cases)
+
+
 def test_square_square_zero_holds_on_bernstein_barideals(baric_corpus):
     for name, a in barideal_algebras(baric_corpus):
         assert check_identity(a, Identity.SQUARE_SQUARE_ZERO) is True, name
