@@ -13,6 +13,13 @@ N's rows, with no kernel solved; and annU is U itself when U*U = 0, else
 one integer system over U's rows.  Rationals are built only for what a
 report prints: the idempotent, the RREF views of the subspaces and the
 witnesses.
+
+The Bernstein gate of an `Analysis` makes the default split first and
+proves the identity from it where the Peirce relations hold and four
+subspace products vanish (`_proves_bernstein`), with no identity scan;
+where the split, a relation or a product fails, `check_identity` scans, so
+every failing verdict and every witness comes from the scan.  The
+analysis's Peirce data is that one split.
 """
 
 from __future__ import annotations
@@ -102,30 +109,39 @@ def verify_weight(b: BaricAlgebra):
     return True
 
 
-def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
-    """Square of a normalized weight-one element; by default the first basis
-    vector of nonzero weight is used as the seed.  The result is verified to
-    be an idempotent of weight one, which fails exactly when the input is
-    not Bernstein."""
+def _idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element | None:
+    """The square of the seed scaled to weight one when it is an idempotent
+    of weight one, else None; by default the seed is the first basis vector
+    of nonzero weight, and None stands too for a zero weight."""
     zero, one = b.field.zero, b.field.one
     a = b.algebra
     if seed is None:
-        for k, w in enumerate(b.weight):
-            if w != zero:
-                seed = a.basis_element(k)
-                break
-        if seed is None:
-            raise NotBernsteinError("weight functional is zero; no idempotent seed exists",
-                                    _error_witnesses(b))
+        k = next((k for k, w in enumerate(b.weight) if w != zero), None)
+        if k is None:
+            return None
+        seed = a.basis_element(k)
     w = weight_of(b.weight, seed)
     if w == zero:
         raise ValueError("seed element has weight zero")
     x = (one / w) * seed
     e = x * x
-    if e * e != e or weight_of(b.weight, e) != one:
-        raise NotBernsteinError("squared seed is not an idempotent of weight one; "
-                                "the algebra is not Bernstein", _error_witnesses(b))
-    return e
+    return e if e * e == e and weight_of(b.weight, e) == one else None
+
+
+def find_idempotent(b: BaricAlgebra, seed: Element | None = None) -> Element:
+    """Square of a normalized weight-one element; by default the first basis
+    vector of nonzero weight is used as the seed.  The result is verified to
+    be an idempotent of weight one.  That check fails only on input that is
+    not Bernstein, but it can pass on such input too (the skewed bdown(2)
+    and bup(3), whose split then fails)."""
+    e = _idempotent(b, seed)
+    if e is not None:
+        return e
+    if seed is None and all(w == b.field.zero for w in b.weight):
+        raise NotBernsteinError("weight functional is zero; no idempotent seed exists",
+                                _error_witnesses(b))
+    raise NotBernsteinError("squared seed is not an idempotent of weight one; "
+                            "the algebra is not Bernstein", _error_witnesses(b))
 
 
 def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
@@ -139,8 +155,17 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     (a vector P(I - P)x lies in both), so dim U + dim V = dim N is the
     projection test, L_e (2L_e - I) N = 0; it fails on non-Bernstein
     input."""
-    if e is None:
-        e = find_idempotent(b)
+    p = _split(b, find_idempotent(b) if e is None else e)
+    if p is None:
+        raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
+                                "the algebra is not Bernstein", _error_witnesses(b))
+    return p
+
+
+def _split(b: BaricAlgebra, e: Element) -> PeirceData | None:
+    """The Peirce data of `peirce` for the idempotent e, or None when the
+    projection test fails; it builds no NotBernsteinError, whose witnesses
+    would run the Bernstein gate."""
     a, n, field = b.algebra, b.barideal(), b.field
     xs, dx = field.clear(e.coords)
     xs, c = _sparse(xs), a._den * dx
@@ -155,9 +180,26 @@ def peirce(b: BaricAlgebra, e: Element | None = None) -> PeirceData:
     v = Subspace.of_int_rows([[c * s - 2 * t for s, t in zip(r, y)]
                               for r, y in zip(rows, images)], a.dim, field)
     if u.dim + v.dim != n.dim:
-        raise NotBernsteinError("barideal does not split into the 1/2- and 0-eigenspaces; "
-                                "the algebra is not Bernstein", _error_witnesses(b))
+        return None
     return PeirceData(e, u, v, n, _annihilator_in_u(a, u))
+
+
+def _proves_bernstein(a: CommAlgebra, p: PeirceData) -> bool:
+    """True when the split proves the Bernstein identity: U^2 <= V, UV <= U,
+    V^2 <= U and U(UV) = U V^2 = U U^2 = U^2 U^2 = 0.  False proves
+    nothing.
+
+    The split gives e u = u/2 and e v = 0, so for x = ae + u + v with
+    a = w(x), x^2 = a^2 e + (au + 2uv + v^2) + u^2 with its U part and its
+    V part in the brackets, and (x^2)^2 - a^2 x^2 = 4a u(uv) + 2a u v^2
+    + 4(uv)^2 + 4(uv)v^2 + (v^2)^2 + 2a u u^2 + 4(uv)u^2 + 2v^2 u^2
+    + (u^2)^2.  As UV and V^2 lie in U, each term lies in one of the four
+    products: (uv)^2 in U(UV), (uv)v^2 and (v^2)^2 in U V^2, (uv)u^2 and
+    v^2 u^2 in U U^2."""
+    mul = a.subspace_product
+    u2, uv, v2 = mul(p.U, p.U), mul(p.U, p.V), mul(p.V, p.V)
+    return (u2.leq(p.V) and uv.leq(p.U) and v2.leq(p.U)
+            and all(mul(s, t).is_zero() for s, t in ((p.U, uv), (p.U, v2), (p.U, u2), (u2, u2))))
 
 
 def _annihilator_in_u(a: CommAlgebra, u: Subspace) -> Subspace:
@@ -272,9 +314,23 @@ class Analysis:
         return tuple(i for i in Identity if self.baric or not i.needs_weight)
 
     def identity(self, ident: Identity):
+        """True or the witness of `check_identity`; the Bernstein identity
+        is True without a scan when the default split proves it."""
         if ident not in self._identities:
-            self._identities[ident] = check_identity(self.algebra, ident, self.weight)
+            proved = ident is Identity.BERNSTEIN and self.bernstein_proved
+            self._identities[ident] = (True if proved
+                                       else check_identity(self.algebra, ident, self.weight))
         return self._identities[ident]
+
+    @cached_property
+    def bernstein_proved(self) -> bool:
+        """Whether the default split proves the Bernstein identity (see
+        `_proves_bernstein`); tried on rational baric input with a valid
+        weight only."""
+        if not (self.baric and self.algebra.field == QQ and self.weight_ok is True):
+            return False
+        split = self.split
+        return split is not None and _proves_bernstein(self.algebra, split)
 
     @cached_property
     def weight_ok(self):
@@ -285,8 +341,16 @@ class Analysis:
         return self.source.barideal() if self.baric else self.algebra.full_space()
 
     @cached_property
+    def split(self) -> PeirceData | None:
+        """The default Peirce split, or None where the idempotent or the
+        split fails; made at most once, for the Bernstein proof or `peirce`."""
+        e = _idempotent(self.source)
+        return None if e is None else _split(self.source, e)
+
+    @cached_property
     def peirce(self) -> PeirceData:
-        return peirce(self.source)
+        """The default split; where it fails, `peirce` raises its error."""
+        return peirce(self.source) if self.split is None else self.split
 
     def chain(self, kind: str, max_steps: int | None = None) -> PowerChain:
         # max_steps is part of the key: the flags read the uncapped principal

@@ -11,7 +11,9 @@ input gives the same bytes.
 Every subcommand checks --max-steps first (below 1 exits 2), then reads its
 file once into one `bernstein.Analysis` and takes each fact from it.  The
 checks run in one order: the gate (baric, and Bernstein wherever the Peirce
-split is read), then any --subspace/--by rows, then the split.
+split is read), then any --subspace/--by rows, then the split.  The gate
+may make the default split itself, for the proof of the Bernstein identity,
+and the handler reads that split; the exit codes keep the order.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, Matrix, PeirceData,
-                     PrimeField, Subspace, Witness, bernstein_witnesses,
+                     PrimeField, Subspace, Witness, bernstein_witnesses, check_identity,
                      find_idempotent, make_family, peirce, weight_of)
 from bernalg.algebra import _sparse, induced_table
 from bernalg.bernstein import NotBernsteinError
@@ -86,6 +86,51 @@ def wide_v_bernstein(r: int, s: int, seed: int) -> BaricAlgebra:
         for j in range(s):
             table[f"u{i + 1}", f"v{j + 1}"] = {f"u{k + 1}": rng.randint(-2, 2) for k in range(r)}
     return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (r + s))
+
+
+def peirce_table(r: int, s: int, products: dict) -> BaricAlgebra:
+    """e^2 = e, e u_i = u_i/2 and e v_j = 0 on (e, u1..ur, v1..vs) with
+    weight (1, 0, ..., 0), plus the given products of N."""
+    us = [f"u{i + 1}" for i in range(r)]
+    table = {("e", "e"): {"e": 1}, **{("e", x): {x: Fraction(1, 2)} for x in us}, **products}
+    a = CommAlgebra.from_table(["e"] + us + [f"v{j + 1}" for j in range(s)], table)
+    return BaricAlgebra(a, [1] + [0] * (r + s))
+
+
+def wide_u2_bernstein(r: int, s: int, seed: int) -> BaricAlgebra:
+    """A Bernstein algebra of Peirce type (1 + r, s) with U^2 != 0: the
+    wide-V shape with U x U -> V and V x V -> U terms next to U x V -> U,
+    each entry nonzero with probability 3/20 and drawn from [-2, 2].  Such
+    a table need not be Bernstein, so tables are drawn from the seed until
+    the exact scan accepts one whose U^2 is nonzero."""
+    return peirce_table(r, s, _wide_u2_products(r, s, seed))
+
+
+@functools.cache
+def _wide_u2_products(r: int, s: int, seed: int) -> dict:
+    rng = fresh_rng(seed)
+    us, vs = [f"u{i + 1}" for i in range(r)], [f"v{j + 1}" for j in range(s)]
+    blocks = ([(x, y, vs) for i, x in enumerate(us) for y in us[i:]]
+              + [(x, y, us) for x in us for y in vs]
+              + [(x, y, us) for i, x in enumerate(vs) for y in vs[i:]])
+    while True:
+        products = {(x, y): {z: rng.randint(-2, 2) for z in targets if rng.random() < 0.15}
+                    for x, y, targets in blocks}
+        b = peirce_table(r, s, products)
+        u = peirce(b).U   # e acts diagonally, so the split always succeeds
+        if (check_identity(b.algebra, Identity.BERNSTEIN, b.weight) is True
+                and not b.algebra.subspace_product(u, u).is_zero()):
+            return products
+
+
+def cancelling_u2_bernstein() -> BaricAlgebra:
+    """A Bernstein algebra of type (1 + 4, 2) that the Peirce proof of the
+    Bernstein identity declines: u1 v1 = u3, u2 v1 = u4 and u1 u4 = v2 =
+    -u2 u3, every other product in N zero, so U (UV) holds v2 while
+    u (u v) = ab v2 - ab v2 = 0 for u = a u1 + b u2 + ..., as the identity
+    needs; every other condition holds since U v2 = 0 and V^2 = 0."""
+    return peirce_table(4, 2, {("u1", "v1"): {"u3": 1}, ("u2", "v1"): {"u4": 1},
+                               ("u1", "u4"): {"v2": 1}, ("u2", "u3"): {"v2": -1}})
 
 
 def jordan_bernstein(r: int, s: int) -> BaricAlgebra:

@@ -11,14 +11,15 @@ from bernalg import (QQ, BaricAlgebra, CommAlgebra, Identity, PeirceData, PrimeF
                      check_peirce_relations, classify, find_idempotent, make_family,
                      nilpotency_report, nuclear_core, parse, peirce, plenary_power, quotient,
                      subspace_product, to_algebra, verify_weight, weight_of)
-from bernalg.bernstein import NotBernsteinError, _annihilator_in_u, _jordan_structural
+from bernalg.bernstein import Analysis, NotBernsteinError, _annihilator_in_u, _jordan_structural
 
-from conftest import (bernstein_corpus, change_of_basis_copy, jordan_bernstein,
-                      non_nilpotent_baric, operator_matrix, proper_ann_u_baric, rebased_copies,
-                      reference_annihilator, reference_identity_defect,
-                      reference_jordan_structural, reference_left_mult_matrix,
-                      reference_mul_coords, reference_peirce, reference_subspace_product,
-                      reference_verify_weight, scaled_copy, wide_v_bernstein)
+from conftest import (bernstein_corpus, cancelling_u2_bernstein, change_of_basis_copy,
+                      fresh_rng, jordan_bernstein, non_nilpotent_baric, operator_matrix,
+                      peirce_table, proper_ann_u_baric, rebased_copies, reference_annihilator,
+                      reference_identity_defect, reference_jordan_structural,
+                      reference_left_mult_matrix, reference_mul_coords, reference_peirce,
+                      reference_subspace_product, reference_verify_weight, scaled_copy,
+                      wide_u2_bernstein, wide_v_bernstein)
 
 
 def span_named(a, *names):
@@ -370,11 +371,112 @@ def test_jordan_bernstein_tables_read_jordan_not_nuclear_n_nilpotent(r, s):
     assert (p.U.dim, p.V.dim) == (r, s) and p == reference_peirce(b, p.e)
 
 
+WIDE_U2 = [(r, s, seed) for r, s in ((3, 2), (3, 3), (4, 2), (3, 4)) for seed in range(10)]
+
+
+def test_wide_u2_tables_reach_four_flag_sets():
+    # (jordan, nuclear, N nilpotent) over the 40 tables with U^2 != 0, each
+    # of Peirce type (1 + r, s) as drawn
+    reached = collections.Counter()
+    for r, s, seed in WIDE_U2:
+        b = wide_u2_bernstein(r, s, seed)
+        fl = classify(b)
+        assert fl.is_bernstein is True and (peirce(b).U.dim, peirce(b).V.dim) == (r, s)
+        reached[fl.is_jordan, fl.is_nuclear, fl.barideal_nilpotent] += 1
+    assert reached == {(True, False, True): 14, (False, False, True): 13,
+                       (False, False, False): 10, (True, True, True): 3}
+
+
 def test_classify_non_nilpotent_barideal():
     fl = classify(non_nilpotent_baric())
     assert fl.is_bernstein is True
     assert fl.barideal_nilpotent is False
     assert "barideal_nilpotent" in fl.witnesses
+
+
+# ---------------------------------------------------------------- the Bernstein proof
+
+
+def random_baric(seed: int) -> BaricAlgebra:
+    """A seeded baric table on (e, n1..nk), k in 2..5, with the valid weight
+    w = (1, 0, ..., 0), so that every product of the n_i lies in
+    N = span(n1..nk), each entry nonzero with probability 1/3 and drawn from
+    [-2, 2].  At even seeds e^2 = e and e n_i is n_i/2 or 0, so the split
+    succeeds and the proof's products decide; at odd seeds e^2 - e and the
+    e n_i are drawn too, and the idempotent rarely exists."""
+    rng = fresh_rng(seed)
+    names = ["e"] + [f"n{i + 1}" for i in range(rng.randint(2, 5))]
+    table = {(x, y): {z: rng.randint(-2, 2) for z in names[1:] if rng.random() < 1 / 3}
+             for i, x in enumerate(names) for y in names[i:]}
+    if seed % 2 == 0:
+        table.update({("e", x): {x: Fraction(rng.randint(0, 1), 2)} for x in names[1:]})
+        table["e", "e"] = {}
+    table["e", "e"]["e"] = 1
+    return BaricAlgebra(CommAlgebra.from_table(names, table), [1] + [0] * (len(names) - 1))
+
+
+def _proof_cases():
+    """(name, table, whether the proof decides it) over the Bernstein
+    corpus, where it must, the table it declines and tables that are not
+    Bernstein (None: either way)."""
+    out = [(f"{kind}{n}", make_family(kind, n), True) for kind in ("bdown", "bup")
+           for n in range(1, 13)]
+    out.append(("jordan3", make_family("jordan3"), True))
+    out += [(f"wide_v_{r}_{s}@{seed}", wide_v_bernstein(r, s, seed), True)
+            for r, s in ((3, 3), (4, 2), (3, 4)) for seed in range(10)]
+    out += [(f"wide_u2_{r}_{s}@{seed}", wide_u2_bernstein(r, s, seed), True)
+            for r, s, seed in WIDE_U2]
+    out += [(f"jordan_bernstein_{r}_{s}", jordan_bernstein(r, s), True)
+            for r, s in ((3, 2), (4, 2), (10, 3))]
+    out += [(f"core_{kind}{n}", nuclear_core(make_family(kind, n)), True)
+            for kind in ("bdown", "bup") for n in range(2, 9)]
+    out += [("non_nilpotent", non_nilpotent_baric(), True),
+            ("proper_ann_u", proper_ann_u_baric(), True),
+            ("cancelling_u2", cancelling_u2_bernstein(), False)]
+    out += [(f"skewed_{kind}{n}", skewed_family(kind, n), False)
+            for kind in ("bdown", "bup") for n in (2, 3, 5, 8)]
+    # one table per condition of the proof, failing there alone; none is
+    # Bernstein, so each condition is needed for the proof to be sound
+    out += [(f"only_{name}", peirce_table(2, 2, products), False) for name, products in (
+        ("u2_not_in_v", {("u1", "u1"): {"u2": 1}}),
+        ("uv_not_in_u", {("u1", "v1"): {"v2": 1}}),
+        ("v2_not_in_u", {("v1", "v1"): {"v2": 1}}),
+        ("u_uv", {("u1", "v1"): {"u2": 1}, ("u1", "u2"): {"v2": 1}}),
+        ("u_v2", {("v1", "v1"): {"u1": 1}, ("u1", "u2"): {"v2": 1}}),
+        ("u_u2", {("u1", "u1"): {"v1": 1}, ("u1", "v1"): {"u2": 1}}),
+        ("u2_u2", {("u1", "u1"): {"v1": 1}, ("v1", "v1"): {"u2": 1}}))]
+    return out + [(f"random_baric@{seed}", random_baric(seed), None) for seed in range(20)]
+
+
+PROOF_CASES = _proof_cases()
+
+
+@pytest.mark.parametrize("name, b, proved", PROOF_CASES, ids=[c[0] for c in PROOF_CASES])
+def test_the_bernstein_proof_is_sound_and_the_scan_decides_the_rest(name, b, proved):
+    # on the table and its rebased copies: a proof implies that the scan
+    # holds, and the analysis's verdict is check_identity's, witness and all
+    for label, c in [("input", b)] + rebased_copies(b):
+        an = Analysis(c)
+        want = check_identity(c.algebra, Identity.BERNSTEIN, c.weight)
+        got = an.identity(Identity.BERNSTEIN)
+        if an.bernstein_proved:
+            assert want is True, label
+        if name.startswith(("only_", "skewed_")):
+            assert want is not True, label
+        assert proved is None or an.bernstein_proved is proved, label
+        assert got is True if want is True else (got, got.note) == (want, want.note), label
+
+
+def test_the_declined_table_is_bernstein_and_reported_by_the_scan():
+    # the proof's products are zero only up to cancellation here: the scan
+    # decides the verdict, and the report reads Bernstein
+    b = cancelling_u2_bernstein()
+    a, p = b.algebra, peirce(b)
+    uv = a.subspace_product(p.U, p.V)
+    assert not a.subspace_product(p.U, uv).is_zero()
+    report, status = build_report("cancelling_u2", b)
+    assert status == 0 and report["flags"]["bernstein"] is True
+    assert report["identities"]["bernstein"] is True
 
 
 # ---------------------------------------------------------------- invariants

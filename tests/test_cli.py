@@ -62,7 +62,15 @@ GOLDEN_EXIT = {"bdown2": 0, "bdown3": 0, "bup4": 0, "jordan3": 0,
                "squareshift3": 0, "zhevlakov4": 0, "corrupted": 1}
 
 
-def test_check_json_matches_golden_bytes(capsys, monkeypatch):
+def scan_only(proof: bool, monkeypatch) -> None:
+    """Without the proof, the scan decides every Bernstein verdict."""
+    if not proof:
+        monkeypatch.setattr(bernstein_module, "_proves_bernstein", lambda a, p: False)
+
+
+@pytest.mark.parametrize("proof", [True, False], ids=["proved", "scanned"])
+def test_check_json_matches_golden_bytes(proof, capsys, monkeypatch):
+    scan_only(proof, monkeypatch)
     goldens = sorted(glob.glob(path("*.report.json")))
     names = [os.path.basename(g)[:-len(".report.json")] for g in goldens]
     assert sorted(GOLDEN_EXIT) == names
@@ -466,8 +474,10 @@ def test_powers_barideal_refuses_a_plain_file(capsys):
 
 
 # text output recorded from the CLI before its handlers shared one print path
+@pytest.mark.parametrize("proof", [True, False], ids=["proved", "scanned"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXIT))
-def test_check_text_matches_golden(name, capsys):
+def test_check_text_matches_golden(name, proof, capsys, monkeypatch):
+    scan_only(proof, monkeypatch)
     code, out, _ = run_cli(["check", path(name + ".alg")], capsys=capsys)
     assert code == GOLDEN_EXIT[name]
     with open(path(name + ".check.txt"), encoding="utf-8") as fh:
@@ -537,18 +547,22 @@ def test_malformed_subspace_spec_exits_2_naming_the_problem(flag, spec, message,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-GATE, ARG, SPLIT = "gate", "arg", "split"
+GATE, END, ARG, SPLIT = "gate", "/gate", "arg", "split"
+# the gate makes the default split for its proof, and on corrupted.alg
+# (weight valid, Bernstein identity failing) the proof fails and the scan decides
+GATED = [GATE, SPLIT, END]
 
 
 @pytest.mark.parametrize("argv, on_bdown3, on_corrupted", [
-    (["peirce"], (0, [GATE, SPLIT]), (1, [GATE])),
-    (["peirce", "--seed", "1 e + 1 u1"], (0, [GATE, ARG, SPLIT]), (1, [GATE])),
-    (["fixedspace"], (0, [GATE, SPLIT]), (1, [GATE])),
-    (["multalg"], (0, [GATE, SPLIT]), (1, [GATE])),
-    (["stability", "--subspace", "0,0,1,0,0"], (0, [GATE, ARG, SPLIT]), (1, [GATE])),
+    (["peirce"], (0, GATED), (1, GATED)),
+    # the seeded split is made anew for the seed's idempotent
+    (["peirce", "--seed", "1 e + 1 u1"], (0, GATED + [ARG, SPLIT]), (1, GATED)),
+    (["fixedspace"], (0, GATED), (1, GATED)),
+    (["multalg"], (0, GATED), (1, GATED)),
+    (["stability", "--subspace", "0,0,1,0,0"], (0, GATED + [ARG]), (1, GATED)),
     # malformed rows exit 2 after the gate, which decides first
-    (["stability", "--subspace", "1,0"], (2, [GATE, ARG]), (1, [GATE])),
-    (["quotient", "--by", "annU"], (0, [GATE, SPLIT]), (1, [GATE])),
+    (["stability", "--subspace", "1,0"], (2, GATED + [ARG]), (1, GATED)),
+    (["quotient", "--by", "annU"], (0, GATED), (1, GATED)),
     # a quotient by rows needs a baric input only, so no Bernstein gate runs
     (["quotient", "--by", "1,0"], (2, [ARG]), (2, [ARG])),
 ], ids=["peirce", "peirce_seed", "fixedspace", "multalg", "stability", "stability_malformed",
@@ -556,15 +570,24 @@ GATE, ARG, SPLIT = "gate", "arg", "split"
 @pytest.mark.parametrize("fixture", ["bdown3.alg", "corrupted.alg"])
 def test_bernstein_only_subcommands_run_the_gate_then_the_rows_then_the_split(
         argv, on_bdown3, on_corrupted, fixture, capsys, monkeypatch):
-    """The Bernstein gate (Analysis.bernstein_witnesses), the --seed or
-    --subspace/--by argument and the Peirce split, each recorded when it is
-    computed: the gate once and first, the split at most once and last."""
+    """The Bernstein gate (Analysis.bernstein_witnesses), from its start to
+    its end, the --seed or --subspace/--by argument and each Peirce split,
+    each recorded when it is computed: the gate once and first, the
+    Bernstein verdict inside it, and the default split at most once, inside
+    the gate, for the proof; the handler reads that same split."""
     seen = []
     real_gate = bernstein_module.Analysis.bernstein_witnesses.func
-    gate = functools.cached_property(lambda an: seen.append(GATE) or real_gate(an))
+
+    def gating(an):
+        seen.append(GATE)
+        try:
+            return real_gate(an)
+        finally:
+            seen.append(END)
+    gate = functools.cached_property(gating)
     gate.__set_name__(bernstein_module.Analysis, "bernstein_witnesses")
     monkeypatch.setattr(bernstein_module.Analysis, "bernstein_witnesses", gate)
-    for module, name, label in ((cli, "peirce", SPLIT), (bernstein_module, "peirce", SPLIT),
+    for module, name, label in ((bernstein_module, "_split", SPLIT),
                                 (cli, "_element_from_expr", ARG),
                                 (cli, "_subspace_from_spec", ARG)):
         real = getattr(module, name)

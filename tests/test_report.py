@@ -72,13 +72,14 @@ def test_report_serializes_to_json():
 
 
 
-def test_baric_report_computes_each_fact_once(monkeypatch):
+@pytest.mark.parametrize("proof", [True, False], ids=["proved", "scanned"])
+def test_baric_report_computes_each_fact_once(proof, monkeypatch):
     b = make_family("bdown", 3)
     n = b.barideal()
     calls = collections.Counter()
 
-    def counting(module, attr, key):
-        original = getattr(module, attr)
+    def counting(module, attr, key, original=None):
+        original = original or getattr(module, attr)
 
         def wrapper(*args, **kwargs):
             calls[key(*args)] += 1
@@ -86,15 +87,21 @@ def test_baric_report_computes_each_fact_once(monkeypatch):
         monkeypatch.setattr(module, attr, wrapper)
 
     counting(bernstein_module, "check_identity", lambda a, ident, *rest: ident)
-    counting(bernstein_module, "peirce", lambda *args: "peirce")
+    # the proof, as it is or switched off, which leaves the verdict to the scan
+    counting(bernstein_module, "_proves_bernstein", lambda *args: "proof",
+             None if proof else lambda *args: False)
+    counting(bernstein_module, "_split", lambda *args: "split")
     counting(bernstein_module, "verify_weight", lambda *args: "verify_weight")
     for module in (bernstein_module, nilpotence_module):
         counting(module, "power_chain", lambda a, s, kind, *rest: (kind, s == n))
     counting(algebra_module, "_full_runs", lambda *args: "full")
     report, status = build_report("bdown3", b)
     assert status == 0 and report["certificate"]["n_nilpotent"] is True
-    assert all(calls[ident] == 1 for ident in Identity)
-    assert calls["peirce"] == 1 and calls["verify_weight"] == 1
+    # the Bernstein verdict once, by the proof or by the scan it leaves
+    assert calls["proof"] == 1 and calls[Identity.BERNSTEIN] == (0 if proof else 1)
+    assert all(calls[ident] == 1 for ident in Identity if ident is not Identity.BERNSTEIN)
+    # one split, made for the proof and read again by the Peirce section
+    assert calls["split"] == 1 and calls["verify_weight"] == 1
     assert calls[("principal", True)] == 1 and calls[("plenary", True)] == 1
     assert calls["full"] == 1  # N's full chain, reused by the certificate
 
