@@ -12,25 +12,29 @@ needs no Bernstein machinery, which `bernstein` adds on top.
 
 Every product runs on one integer table, the structure constants times D
 (the lcm of their denominators; 1 over GF(p)), through one kernel: it
-serves `mul_coords`, `subspace_product` and the identity scans.  The
-field clears each operand to integers, the kernel takes them as sparse
-vectors and returns the product as a dense row of ints, and the field
-maps results back.  A product of two coordinate subspaces (spans of basis
-vectors, as N, U, V and the chain terms of the built-in families are)
-needs no kernel: it is the span of the table rows at their pivots, and
-when each of those rows has a single entry, as on the built-in families,
-the span of the unit vectors at those entries, with no reduction.
+serves `mul_coords`, `subspace_product` and the identity scans.  The field
+clears each operand to integers, the kernel takes them as sparse vectors
+and returns the product as a dense row of ints, and the field maps results
+back.  Where that table is nonzero is kept once per algebra, as bitmasks
+over the basis (`CommAlgebra._support_table`, made on first use).  The
+identity walk reads it, and so does a product of two coordinate subspaces
+(spans of basis vectors, as N, U, V and the chain terms of the built-in
+families are), which needs no kernel: while each table row at their pivots
+has a single entry, as on the built-in families, it is the span of the
+unit vectors at the OR of their supports.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
+import operator
 from typing import NamedTuple
 
 from .fields import QQ
-from .linalg import Subspace, combine_rows, solve_row_combinations
+from .linalg import Subspace, _support, combine_rows, solve_row_combinations
 
 FULL = "full"
 PRINCIPAL = "principal"
@@ -90,7 +94,7 @@ class CommAlgebra:
                 (k, v) for k, v in zip(ks, ints) if v)
             self._int_nonzeros += len(row) if i == j else 2 * len(row)
         self._products = {}
-        self._supports = None   # where the table is nonzero, as the identity scans' bitmasks
+        self._supports = None   # the support table, made on first use
 
     @classmethod
     def from_table(cls, basis_names, named_products, field=QQ):
@@ -166,6 +170,24 @@ class CommAlgebra:
             raise ValueError("elements belong to a different algebra")
         return Element(self, self.mul_coords(x.coords, y.coords))
 
+    def _support_table(self) -> tuple:
+        """Where the integer table is nonzero, as bitmasks over the basis,
+        made on the first call and kept: adj[k] holds the n with e_k e_n !=
+        0, supp[p][q] the support of e_p e_q, cols[m] the union of adj[k]
+        over k in m, meet[p][c] the q at which supp[p][q] meets c (rows made
+        on first use), filled[upper] the p with e_p e_q != 0 (some q >= p)."""
+        if self._supports is None:
+            pairs = self._int_rows
+            adj = [_support(row) for row in pairs]
+            supp = _Lazy(lambda p: [sum(1 << k for k, _ in r) if r else 0 for r in pairs[p]])
+            self._supports = (
+                adj, supp,
+                _Lazy(lambda m: functools.reduce(operator.or_, itertools.compress(
+                    adj, map(int, bin(m)[:1:-1])), 0)),
+                _Lazy(lambda p: _Lazy(lambda c: _support([m & c for m in supp[p]]))),
+                [_support(adj), _support([m >> p for p, m in enumerate(adj)])])
+        return self._supports
+
     # -- operators and subspaces ------------------------------------------
 
     def _int_operator_on(self, x, s: Subspace) -> tuple[list, int]:
@@ -199,9 +221,7 @@ class CommAlgebra:
         by identity without comparing rows.  A square S*S multiplies each
         unordered pair of rows once, and zero or repeated products are
         dropped before the reduction.  Two coordinate subspaces multiply
-        without the kernel: the products of their rows are the table rows
-        D e_i e_j at their pivots, and when each of those has a single
-        entry (a monomial table) their span is read off without reduction.
+        without the kernel (`_coordinate_product`).
         """
         if s1.ambient_dim != self.dim or s2.ambient_dim != self.dim:
             raise ValueError("subspace ambient dimension does not match the algebra")
@@ -210,19 +230,8 @@ class CommAlgebra:
         if hit is None:
             square = len(key) == 1
             if s1.is_coordinate() and s2.is_coordinate():
-                table, p1, p2 = self._int_rows, s1.pivots, s2.pivots
-                # the table rows i, j >= i of a square, or i, j of two operands
-                found = itertools.chain.from_iterable(
-                    map(table[i].__getitem__, p1[k:] if square else p2)
-                    for k, i in enumerate(p1))
-                rows = [row for row in dict.fromkeys(found) if row]
-                if all(len(row) == 1 for row in rows):
-                    # multiples of unit vectors span those unit vectors
-                    hit = Subspace._coordinate({row[0][0] for row in rows}, self.dim, self.field)
-                else:
-                    hit = Subspace.of_int_rows([_dense(row, self.dim) for row in rows],
-                                               self.dim, self.field)
-            else:
+                hit = self._coordinate_product(s1, s2, square)
+            if hit is None:
                 # an integer row is a positive multiple of the rational one, and
                 # so is its integer product, which spans the same line
                 rows = [_sparse(r) for r in s1.int_rows]
@@ -233,6 +242,23 @@ class CommAlgebra:
                 hit = Subspace.of_int_rows(prods, self.dim, self.field)
             self._products[key] = hit
         return hit
+
+    def _coordinate_product(self, s1: Subspace, s2: Subspace, square: bool):
+        """The span of the table rows e_p e_q, p in s1 and q in adj[p] & s2
+        (q >= p in a square), as the OR of their supports; None when one of
+        those rows has more than one entry."""
+        adj, supp = self._support_table()[:2]
+        b2, bits = s2._bits, 0
+        for p in s1.pivots:
+            qs, row = adj[p] & (b2 >> p << p if square else b2), supp[p]
+            while qs:
+                q = qs & -qs
+                qs ^= q
+                m = row[q.bit_length() - 1]
+                if m & (m - 1):
+                    return None
+                bits |= m
+        return Subspace._coordinate(bits, self.dim, self.field)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim, self.field)
@@ -293,6 +319,17 @@ class BaricAlgebra:
 
     def __repr__(self):
         return f"BaricAlgebra(dim={self.dim}, basis={list(self.algebra.basis_names)})"
+
+
+class _Lazy(dict):
+    """A table whose entry k is make(k), made on first use."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, k):
+        out = self[k] = self.make(k)
+        return out
 
 
 def _nonzero(row) -> list:
@@ -529,11 +566,12 @@ def _dominant_pairs(starts, ends, open_start: int, pos: int) -> list:
 
 def _full_term(products) -> Subspace:
     """The sum of run-pair products: each distinct object once, largest
-    first, skipping one whose rows all lie in the running sum."""
+    first, skipping one that lies in the running sum (one bitset test when
+    both are coordinate subspaces)."""
     terms = sorted(dict.fromkeys(products), key=lambda t: t.dim, reverse=True)
     total = terms[0]
     for t in terms[1:]:
-        if not all(map(total.contains_int, t.int_rows)):
+        if not t.leq(total):
             total = total.plus(t)
     return total
 

@@ -37,13 +37,14 @@ On a sparse table most tuples are zero in every step, so the scan walks
 only the values at which some step can still be nonzero: the step's pair
 factors nonzero, an operator factor acting on some row, and at its last
 slot the support of its vector factor meeting the columns where its
-operator is nonzero, all read as bitmasks off the table (`_tables`, kept
-with the algebra while it lives).  The walk only chooses tuples, and it
-skips only tuples at which every step is zero; the scan sums every step at
-every tuple it gets.  A table with half its entries nonzero or more is
-enumerated, every tuple, and so is one with fewer than 7 basis vectors
-(`_SMALL`) for a form of one multiset (`_walks`); Jordan's form, of two,
-walks it.
+operator is nonzero, all read as bitmasks off the algebra's one support
+table (`CommAlgebra._support_table`, kept with it while it lives, and read
+by its products of coordinate subspaces too).  The walk only chooses
+tuples, and it skips only tuples at which every step is zero; the scan sums
+every step at every tuple it gets.  A table with half its entries nonzero
+or more is enumerated, every tuple, and so is one with fewer than 7 basis
+vectors (`_SMALL`) for a form of one multiset (`_walks`); Jordan's form, of
+two, walks it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ import enum
 import functools
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
-from .algebra import CommAlgebra, Element, _dense, _sparse
+from .algebra import CommAlgebra, Element, _dense, _Lazy, _sparse
 from .fields import QQ
 
 
@@ -378,17 +378,6 @@ def _packing(bound: int):
     return lambda v: sum(c << (width * k) for k, c in v)
 
 
-class _Lazy(dict):
-    """A table whose entry k is make(k), made on first use."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, k):
-        out = self[k] = self.make(k)
-        return out
-
-
 # Below this dimension a scan of one multiset does not walk: on the families
 # making the masks costs more than the tuples they skip (up to dimension 8 on
 # bdown and bup).
@@ -444,33 +433,14 @@ def _walk(masks: _Masks, groups: tuple, tests: tuple, steps: int):
         visit = None   # the recursive closure refers to itself
 
 
-def _tables(a: CommAlgebra) -> tuple:
-    """Where the algebra's integer table is nonzero, as bitmasks over the
-    basis: adj[k] holds the n with e_k e_n != 0, supp[p][q] the support of
-    e_p e_q (a row made on first use), cols[m] the union of adj[k] over k
-    in m, meet[p][c] the q at which supp[p][q] meets c (both made on first
-    use), and filled[upper] the p whose row has a nonzero entry (at some
-    q >= p when upper)."""
-    dim, pairs = a.dim, a._int_rows
-    adj = [sum(map((1).__lshift__, itertools.compress(range(dim), row))) for row in pairs]
-    supp = _Lazy(lambda p: [sum(1 << k for k, _ in r) if r else 0 for r in pairs[p]])
-    return (pairs, adj, supp,
-            _Lazy(lambda m: functools.reduce(operator.or_, itertools.compress(
-                adj, map(int, bin(m)[:1:-1])), 0)),
-            _Lazy(lambda p: _Lazy(lambda c: sum(1 << q for q, m in enumerate(supp[p]) if m & c))),
-            [sum(1 << p for p, row in enumerate(pairs) if any(row[p:] if upper else row))
-             for upper in (False, True)])
-
-
 class _Masks:
-    """A scan's view of the algebra's `_tables`, kept with it.  With a weight
-    bit dim stands for coordinate dim, where e_n e_dim = c_weight e_n, and a
+    """A scan's view of the algebra's `_support_table`.  With a weight bit
+    dim stands for coordinate dim, where e_n e_dim = c_weight e_n, and a
     weighted factor has w_p w_q there (a pair) or w_q (a leaf)."""
 
     def __init__(self, a: CommAlgebra, ws):
-        if a._supports is None:
-            a._supports = _tables(a)
-        self.pairs, self.adj, self.supp, self.cols, self.meet, self.filled = a._supports
+        self.pairs = a._int_rows
+        self.adj, self.supp, self.cols, self.meet, self.filled = a._support_table()
         self.ws, self.fused = ws, ws is not None
         self.low, self.top = (1 << a.dim) - 1, 1 << a.dim
         self.wmask = sum(1 << k for k, w in enumerate(ws or ()) if w)

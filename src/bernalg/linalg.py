@@ -13,14 +13,15 @@ small, so QQ and GF(p) share one path.  Scalars are coerced only at the
 public constructors.  Everything is immutable; all operations are pure.
 
 A coordinate subspace, the span of some unit vectors, needs none of this:
-its RREF rows are those unit vectors, so it is built from the supports of
-rows that each have at most one nonzero entry, and containment and sums of
-two of them are subset tests and unions of their pivot sets.
+it is one int, the bitset of its pivot columns, built from the supports of
+rows that each have at most one nonzero entry.  Its pivots and unit rows
+are derived from the bitset on first read, and equality, hashing,
+containment and sums between two of them are int operations.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress, count
 from math import gcd, lcm
 
 from .fields import QQ
@@ -69,9 +70,9 @@ def _single_entries(rows, n: int) -> bool:
     return True
 
 
-def _unit_row(n: int, p: int) -> tuple:
-    """The unit vector of K^n at column p, as an integer tuple."""
-    return (0,) * p + (1,) + (0,) * (n - p - 1)
+def _support(x) -> int:
+    """The bitset of the nonzero entries of x."""
+    return sum(map((1).__lshift__, compress(count(), x)))
 
 
 def _cleared(vector, n: int, field) -> tuple:
@@ -201,11 +202,13 @@ class Subspace:
     positive pivot (over GF(p): residues with pivot 1); `rows` is the RREF
     as field scalars, built on first read.  The form is canonical, so `==`
     decides subspace equality and the objects are hashable.  A coordinate
-    subspace (every RREF row the unit vector at its pivot) also keeps its
-    pivots as a set, for the set paths of `contains_int`, `leq` and `plus`.
+    subspace (every RREF row the unit vector at its pivot) is held by the
+    bitset of its pivots, from which `pivots` and `int_rows` are made on
+    first read; `==`, `hash`, `contains_int`, `leq` and `plus` read the
+    bitset alone.
     """
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "field", "_pivot_set", "_rows", "_hash")
+    __slots__ = ("ambient_dim", "field", "_bits", "_int_rows", "_pivots", "_rows", "_hash")
 
     def __init__(self, vectors, ambient_dim: int, field=QQ):
         self._set([_cleared(v, ambient_dim, field)[0] for v in vectors], ambient_dim, field)
@@ -226,10 +229,10 @@ class Subspace:
         return s
 
     @classmethod
-    def _coordinate(cls, pivots, ambient_dim: int, field) -> "Subspace":
-        """The span of the unit vectors at the given columns."""
+    def _coordinate(cls, bits: int, ambient_dim: int, field) -> "Subspace":
+        """The span of the unit vectors at the set bits of `bits`."""
         s = object.__new__(cls)
-        s._set_pivots(pivots, ambient_dim, field)
+        s._fill(ambient_dim, field, bits, None, None)
         return s
 
     def _set(self, int_rows, ambient_dim, field):
@@ -237,10 +240,8 @@ class Subspace:
         rows = [reduce(r) for r in int_rows]
         if _single_entries(rows, ambient_dim):
             # each row is zero or a multiple of a unit vector: the span is
-            # that of the unit vectors on the rows' support
-            cols = range(ambient_dim)
-            self._set_pivots(set(chain.from_iterable(compress(cols, r) for r in rows)),
-                             ambient_dim, field)
+            # that of the unit vectors at the columns where some row is nonzero
+            self._fill(ambient_dim, field, _support(map(any, zip(*rows))), None, None)
             return
         rows, pivots, _ = _echelon(rows, ambient_dim, field)
         self._set_rref(rows, pivots, ambient_dim, field)
@@ -249,19 +250,14 @@ class Subspace:
         """The subspace of canonical integer RREF rows with their pivots."""
         rows = tuple(map(tuple, int_rows))
         # a row with a single nonzero entry is normalized to a unit row
-        self._fill(ambient_dim, rows, tuple(pivots), field,
-                   frozenset(pivots) if _single_entries(rows, ambient_dim) else None)
+        bits = sum(map((1).__lshift__, pivots)) if _single_entries(rows, ambient_dim) else None
+        self._fill(ambient_dim, field, bits, rows, tuple(pivots))
 
-    def _set_pivots(self, pivots, ambient_dim, field):
-        """The coordinate subspace on the given pivot columns."""
-        pivots = tuple(sorted(pivots))
-        self._fill(ambient_dim, tuple(_unit_row(ambient_dim, p) for p in pivots), pivots, field,
-                   frozenset(pivots))
-
-    def _fill(self, ambient_dim, int_rows, pivots, field, pivot_set):
-        # the rational view and the hash are built on first use
-        for name, value in zip(self.__slots__, (ambient_dim, int_rows, pivots, field,
-                                                pivot_set, None, None)):
+    def _fill(self, ambient_dim, field, bits, int_rows, pivots):
+        # a coordinate subspace's rows and pivots, the rational view and the
+        # hash are built on first use
+        for name, value in zip(self.__slots__, (ambient_dim, field, bits, int_rows, pivots,
+                                                None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -269,11 +265,28 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace._coordinate((), ambient_dim, field)
+        return Subspace._coordinate(0, ambient_dim, field)
 
     @staticmethod
     def full(ambient_dim: int, field=QQ) -> "Subspace":
-        return Subspace._coordinate(range(ambient_dim), ambient_dim, field)
+        return Subspace._coordinate((1 << ambient_dim) - 1, ambient_dim, field)
+
+    @property
+    def int_rows(self) -> tuple:
+        """The canonical integer RREF rows."""
+        if self._int_rows is None:
+            n = self.ambient_dim
+            object.__setattr__(self, "_int_rows", tuple((0,) * p + (1,) + (0,) * (n - p - 1)
+                                                        for p in self.pivots))
+        return self._int_rows
+
+    @property
+    def pivots(self) -> tuple:
+        """The pivot column of each RREF row: a coordinate subspace's set bits."""
+        if self._pivots is None:
+            bits = map(int, bin(self._bits)[:1:-1])
+            object.__setattr__(self, "_pivots", tuple(compress(count(), bits)))
+        return self._pivots
 
     @property
     def rows(self) -> tuple:
@@ -287,14 +300,14 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.int_rows)
+        return len(self._int_rows) if self._bits is None else self._bits.bit_count()
 
     def is_zero(self) -> bool:
-        return not self.int_rows
+        return not self.dim
 
     def is_coordinate(self) -> bool:
         """Whether the subspace is spanned by unit vectors."""
-        return self._pivot_set is not None
+        return self._bits is not None
 
     def coords_of(self, vector):
         """Coefficients of `vector` over the RREF basis, or None if outside:
@@ -312,8 +325,8 @@ class Subspace:
         the subspace."""
         reduce = self.field.reduce
         x = reduce(x)
-        if self._pivot_set is not None:
-            return self._pivot_set.issuperset(compress(range(len(x)), x))
+        if self._bits is not None:
+            return not _support(x) & ~self._bits
         for r, p in zip(self.int_rows, self.pivots):
             if x[p]:
                 x = _eliminate(x, r, p, reduce)
@@ -321,19 +334,19 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        if self._pivot_set is not None and other._pivot_set is not None:
-            return self._pivot_set <= other._pivot_set
+        if self._bits is not None and other._bits is not None:
+            return not self._bits & ~other._bits
         return self.dim <= other.dim and all(map(other.contains_int, self.int_rows))
 
     def plus(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        if self._pivot_set is not None and other._pivot_set is not None:
-            pivots = self._pivot_set | other._pivot_set
-            if len(pivots) == other.dim:
+        if self._bits is not None and other._bits is not None:
+            bits = self._bits | other._bits
+            if bits == other._bits:
                 return other
-            if len(pivots) == self.dim:
+            if bits == self._bits:
                 return self
-            return Subspace._coordinate(pivots, self.ambient_dim, self.field)
+            return Subspace._coordinate(bits, self.ambient_dim, self.field)
         return Subspace.of_int_rows(self.int_rows + other.int_rows,
                                     self.ambient_dim, self.field)
 
@@ -369,21 +382,21 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise ValueError("ambient dimension (or field) mismatch")
 
-    # Equal subspaces are both coordinate ones or neither, and the pivots
-    # decide between coordinate ones, so those compare and hash by them.
+    # Equal subspaces are both coordinate ones or neither, and the bitset
+    # decides between coordinate ones, so those compare and hash by it.
     def __eq__(self, other):
         if self is other:
             return True
         if not (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.field == other.field):
             return False
-        if self._pivot_set is None:
-            return self.int_rows == other.int_rows
-        return other._pivot_set is not None and self.pivots == other.pivots
+        if self._bits is None:
+            return other._bits is None and self._int_rows == other._int_rows
+        return self._bits == other._bits
 
     def __hash__(self):
         if self._hash is None:
-            key = self.int_rows if self._pivot_set is None else self.pivots
+            key = self._int_rows if self._bits is None else self._bits
             object.__setattr__(self, "_hash", hash((self.ambient_dim, key)))
         return self._hash
 

@@ -193,6 +193,36 @@ def random_table_algebra(rng, dim, field=QQ):
     return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
 
 
+def pair_row_table(rng, dim, field=QQ, density=0.5, wide=0.0):
+    """A seeded random table in which each pair product is nonzero with the
+    given probability, and a nonzero one is a multiple of one basis vector
+    or, with probability `wide`, a row with two entries (5 vanishes over
+    GF(5), so an entry or a whole row may be zero in the field)."""
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < density:
+                coords = [0] * dim
+                for k in rng.sample(range(dim), 2 if dim > 1 and rng.random() < wide else 1):
+                    coords[k] = rng.choice((1, -1, 2, Fraction(1, 2), 5))
+                products[(i, j)] = coords
+    return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
+
+
+def random_coordinate_subspace(rng, dim, field=QQ, size=None):
+    """The span of `size` (by default a random number of) distinct unit
+    vectors of K^dim, as a bitset subspace."""
+    size = rng.randint(0, dim) if size is None else min(size, dim)
+    return Subspace._coordinate(sum(1 << p for p in rng.sample(range(dim), size)), dim, field)
+
+
+def reference_form(vectors, dim, field) -> tuple:
+    """(rows, pivots): the RREF of the span of vectors by `reference_rref`,
+    without its zero rows."""
+    rows, pivots = reference_rref([[field.of(x) for x in v] for v in vectors], dim, field)
+    return tuple(rows[:len(pivots)]), pivots
+
+
 def reference_mul_coords(a, x, y) -> tuple:
     """The product of coordinate vectors by field multiply-add over the
     rational table: `mul_coords` before the integer kernel, kept as its

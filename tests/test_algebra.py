@@ -9,9 +9,10 @@ from bernalg import (QQ, BaricAlgebra, CommAlgebra, Matrix, PrimeField, Subspace
 from bernalg import algebra as algebra_module
 from bernalg.algebra import ChainCapError, _sparse
 
-from conftest import (change_of_basis_copy, fresh_rng, operator_matrix, random_subspace_in,
-                      random_table_algebra, random_vector_in, reference_mul_coords,
-                      reference_rref, reference_subspace_product, scaled_copy)
+from conftest import (change_of_basis_copy, fresh_rng, operator_matrix, pair_row_table,
+                      random_coordinate_subspace, random_subspace_in, random_table_algebra,
+                      random_vector_in, reference_form, reference_mul_coords, reference_rref,
+                      reference_subspace_product, scaled_copy)
 
 
 def span_named(a, *names):
@@ -127,8 +128,8 @@ def test_squareshift_n_squared():
 
 
 class _CountedRow(list):
-    """A row i of the integer table that counts its reads, one per product
-    D e_i e_j read off it."""
+    """A row of a table that counts its reads: row p of the support table,
+    one read per support of a product e_p e_q."""
 
     def __init__(self, row, calls):
         super().__init__(row)
@@ -141,10 +142,10 @@ class _CountedRow(list):
 
 def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
     """bdown(3)'s full space and N are coordinate subspaces, so their
-    product is read off the table rows; in a change-of-basis copy N is not,
-    and the product runs on `_int_mul`.  Each path counts the calls of the
-    kernel it uses: table entry reads on the first, `_int_mul` on the
-    second, which the first never calls."""
+    product is read off the algebra's support table; in a change-of-basis
+    copy N is not, and the product runs on `_int_mul`.  Each path counts the
+    calls of the kernel it uses: support table reads on the first,
+    `_int_mul` on the second, which the first never calls."""
     def bdown3():
         return make_family("bdown", 3)
 
@@ -160,7 +161,9 @@ def test_repeated_or_swapped_product_is_not_recomputed(monkeypatch):
             original = a._int_mul
             monkeypatch.setattr(a, "_int_mul",
                                 lambda x, y: kernel_calls.append(1) or original(x, y))
-            monkeypatch.setattr(a, "_int_rows", [_CountedRow(r, table_reads) for r in a._int_rows])
+            adj, supp, *rest = a._support_table()
+            counted = {p: _CountedRow(supp[p], table_reads) for p in range(a.dim)}
+            monkeypatch.setattr(a, "_supports", (adj, counted, *rest))
             return a, b.barideal()
         a, n = count_products(make())
         assert n.is_coordinate() is coordinate
@@ -276,14 +279,7 @@ def test_subspace_product_matches_the_reference_on_square_swapped_and_mixed_pair
 def monomial_table_algebra(rng, dim, field):
     """A seeded random table whose every product is a multiple of one basis
     vector (5 vanishes over GF(5)), as in the built-in families."""
-    products = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            if rng.random() < 0.6:
-                coords = [0] * dim
-                coords[rng.randrange(dim)] = rng.choice((1, -1, 2, Fraction(1, 2), 5))
-                products[(i, j)] = coords
-    return CommAlgebra([f"b{k}" for k in range(dim)], products, field)
+    return pair_row_table(rng, dim, field, 0.6)
 
 
 def test_coordinate_paths_match_the_references():
@@ -353,7 +349,8 @@ def test_coordinate_products_span_the_pair_rows_without_reduction(monkeypatch):
         field, dim = (QQ, PrimeField(5))[n % 2], rng.randint(1, 6)
         make = monomial_table_algebra if n % 3 else mixed_table_algebra
         a = make(fresh_rng(4000 + n), dim, field)
-        spaces = [Subspace._coordinate(rng.sample(range(dim), rng.randint(0, dim)), dim, field)
+        spaces = [Subspace._coordinate(sum(1 << p for p in rng.sample(range(dim), rng.randint(0, dim))),
+                                       dim, field)
                   for _ in range(4)]
         for x in spaces:
             for y in spaces:
@@ -369,6 +366,51 @@ def test_coordinate_products_span_the_pair_rows_without_reduction(monkeypatch):
                 assert bool(reduced) is not monomial, (n, x.pivots, y.pivots)
                 kinds.add((monomial, got.is_coordinate()))
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def _product_cases(rng, dim, field) -> list:
+    """(table kind, algebra, s1, s2): random bitset operands on a monomial
+    table and on one with some two-entry rows, squares and zero operands
+    among them."""
+    cases = []
+    for kind, wide in (("monomial", 0.0), ("mixed", 0.3)):
+        a = pair_row_table(rng, dim, field, min(1.0, 3 / dim), wide)
+        spaces = [random_coordinate_subspace(rng, dim, field, rng.randint(0, 12))
+                  for _ in range(3)]
+        spaces.append(a.zero_space())
+        cases += [(kind, a, x, y) for x in spaces for y in spaces]
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_coordinate_products_match_the_reference_at_every_size(field):
+    """Products of bitset subspaces at dims 1..12 and up to the cap, on
+    monomial tables and on tables where a touched row has two entries: the
+    support table's OR where every touched row has one entry, the kernel
+    path otherwise, both equal to `reference_subspace_product` and to the
+    `reference_rref` form of the products of the operands' rows."""
+    rng = fresh_rng(73)
+    seen = set()
+    for dim in list(range(1, 13)) + [20, 31, 47, 62, 63, 64]:
+        for kind, a, x, y in _product_cases(rng, dim, field):
+            square = x == y
+            wide = any(len(a._int_rows[p][q]) > 1 for p in x.pivots for q in y.pivots)
+            case = (dim, kind, x.pivots, y.pivots)
+            assert (a._coordinate_product(x, y, square) is None) is wide, case
+            a._products.clear()
+            got = a.subspace_product(x, y)
+            want = reference_subspace_product(a, x, y)
+            assert got == want and hash(got) == hash(want), case
+            rows, pivots = reference_form([reference_mul_coords(a, r, t)
+                                           for r in x.rows for t in y.rows], dim, field)
+            assert (got.rows, got.pivots) == (rows, pivots), case
+            assert got.is_coordinate() is all(sum(map(bool, r)) == 1 for r in rows), case
+            seen.add((kind, square, wide, x.is_zero() or y.is_zero()))
+    assert {(k, sq, w, z) for k, sq, w, z in seen if not z} >= {
+        ("monomial", True, False, False), ("monomial", False, False, False),
+        ("mixed", True, True, False), ("mixed", False, True, False),
+        ("mixed", False, False, False)}
+    assert ("monomial", False, False, True) in seen
 
 
 def test_product_monotone():

@@ -936,7 +936,7 @@ def test_a_scan_failing_on_its_first_tuple_makes_no_masks(monkeypatch):
         raise AssertionError("no scan expected")
 
     monkeypatch.setattr(identities, "_scan", fail)
-    monkeypatch.setattr(identities, "_tables", fail)
+    monkeypatch.setattr(b.algebra, "_support_table", fail)
     e0 = b.algebra.basis_element(0)
     for ident in (Identity.JACOBI, Identity.CUBE_ZERO, Identity.SQUARE_SQUARE_ZERO):
         got = check_identity(b.algebra, ident)

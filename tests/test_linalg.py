@@ -4,10 +4,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernalg import QQ, Matrix, PrimeField, Subspace
+from bernalg import QQ, BaricAlgebra, CommAlgebra, Matrix, PrimeField, Subspace
 from bernalg.linalg import _echelon, solve_row_combinations
 
-from conftest import all_subspaces_within, eigenspace, fresh_rng, reference_rref, span_elements
+from conftest import (all_subspaces_within, eigenspace, fresh_rng, reference_form, reference_rref,
+                      span_elements)
 
 
 def mat(rows):
@@ -423,6 +424,83 @@ def test_coordinate_flag_is_exact_on_the_elimination_path():
     # a sum of coordinate subspaces is one, kept by its union of pivots
     s = Subspace([[1, 0, 0]], 3).plus(Subspace([[0, 0, 3]], 3))
     assert s.is_coordinate() and s == Subspace([[1, 0, 0], [0, 0, 1]], 3)
+
+
+def _unit(dim: int, p: int, c=1) -> list:
+    row = [0] * dim
+    row[p] = c
+    return row
+
+
+def _bitset_subspaces(rng, dim: int, field) -> list:
+    """(path, subspace, the vectors whose span it is) for each way a bitset
+    subspace is built: `of_int_rows` of rows with one entry each (with a
+    repeat, a zero row and, over GF(5), a row that vanishes there),
+    `_coordinate`, the closed-form barideal of a weight with one nonzero
+    entry, and `plus` of two bitset subspaces."""
+    cols = rng.sample(range(dim), rng.randint(0, dim))
+    rows = [_unit(dim, p, rng.choice((1, -3, 7, 12))) for p in cols]
+    rows += rows[:1] + [[0] * dim]
+    if field != QQ:
+        rows.append(_unit(dim, rng.randrange(dim), 10))
+    out = [("of_int_rows", Subspace.of_int_rows(rows, dim, field), rows)]
+    cols = rng.sample(range(dim), rng.randint(0, dim))
+    out.append(("_coordinate", Subspace._coordinate(sum(1 << p for p in cols), dim, field),
+                [_unit(dim, p) for p in cols]))
+    q = rng.randrange(dim)
+    weight = _unit(dim, q, rng.choice((1, -2, Fraction(3, 4))))
+    n = BaricAlgebra(CommAlgebra([f"b{k}" for k in range(dim)], {}, field), weight).barideal()
+    out.append(("barideal", n, [_unit(dim, f) for f in range(dim) if f != q]))
+    x, y = (Subspace._coordinate(sum(1 << p for p in rng.sample(range(dim), rng.randint(0, dim))),
+                                 dim, field) for _ in range(2))
+    out.append(("plus", x.plus(y), [_unit(dim, p) for p in x.pivots + y.pivots]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_bitset_subspaces_match_the_reference_rref_at_every_dimension(field):
+    """Every construction path of a coordinate subspace, at dims 1..64,
+    against `reference_rref`: rows, pivots and the flag, `==` and `hash`
+    against the same span built by elimination, `contains_int` and `leq`."""
+    rng = fresh_rng(71)
+    for dim in range(1, 65):
+        for path, s, vectors in _bitset_subspaces(rng, dim, field):
+            case = (dim, path)
+            rows, pivots = reference_form(vectors, dim, field)
+            assert s.is_coordinate(), case
+            assert (s.rows, s.pivots) == (rows, pivots), case
+            assert s.int_rows == tuple(tuple(int(bool(x)) for x in r) for r in rows), case
+            assert (s.dim, s.is_zero()) == (len(pivots), not pivots), case
+            # the same span from rows with two entries, reduced by elimination
+            chained = [_unit(dim, p) for p in pivots]
+            for r, p in zip(chained, pivots[1:]):
+                r[p] = 1
+            twin = Subspace.of_int_rows(chained, dim, field)
+            assert twin.is_coordinate() and twin == s and s == twin, case
+            assert hash(twin) == hash(s), case
+            other = Subspace._coordinate(s._bits ^ 1 << rng.randrange(dim), dim, field)
+            assert other != s and s != other, case
+            skew = None
+            free = [c for c in range(dim) if pivots and c > pivots[0] and c not in pivots]
+            if free:
+                # the same pivots, not the same span
+                first = _unit(dim, pivots[0])
+                first[free[0]] = 1
+                skew = Subspace.of_int_rows([first] + [_unit(dim, p) for p in pivots[1:]],
+                                            dim, field)
+                assert skew.pivots == s.pivots and not skew.is_coordinate(), case
+                assert skew != s and s != skew, case
+            for _ in range(3):
+                v = [rng.choice((0, 1, -2, 5)) if k in pivots or rng.random() < 0.1 else 0
+                     for k in range(dim)]
+                inside = len(reference_form(list(rows) + [v], dim, field)[1]) == len(pivots)
+                assert s.contains_int(v) is inside, (case, v)
+            unrelated = Subspace._coordinate(rng.getrandbits(dim), dim, field)
+            for t in filter(None, (other, twin, skew, unrelated)):
+                rank = len(reference_form(list(rows) + list(t.rows), dim, field)[1])
+                assert s.leq(t) is (rank == t.dim), (case, t.pivots)
+            assert s.leq(Subspace.full(dim, field)), case
+            assert s.leq(Subspace.zero(dim, field)) is s.is_zero(), case
 
 
 # ---------------------------------------------------------------- field hooks
